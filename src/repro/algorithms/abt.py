@@ -159,8 +159,8 @@ class AbtAgent(SingleVariableAgent):
             # Loop: the culprit's value was erased from the view; re-check.
 
     def _consistent(self, value: Value) -> bool:
-        # Delegating to the store keeps the short-circuit scan (and its
-        # check counting) on the kernel fast path under --store watched.
+        # The store's scan short-circuits on the first violation and stops
+        # counting checks there, like ABT's classical consistency test.
         return self.store.is_consistent(self.view, value)
 
     def _first_consistent_value(self) -> Optional[Value]:

@@ -296,9 +296,9 @@ class AwcAgent(SingleVariableAgent):
     def _least_lower_violations(self, candidates: List[Value]) -> Value:
         """The candidate violating the fewest lower nogoods (random ties).
 
-        Scores come from one batch call (one view sync on kernel backends);
-        check counting and the rng tie-draw are identical to scoring each
-        candidate individually inside :func:`argmin_with_ties`.
+        Scores come from one batch call; check counting and the rng
+        tie-draw are identical to scoring each candidate individually
+        inside :func:`argmin_with_ties`.
         """
         lower_counts = self.store.count_violated_lower_batch(
             self.view, candidates, self.priority

@@ -73,9 +73,9 @@ def multi_awc(learning: object = "Rslv") -> AlgorithmSpec:
     Before this spec existed the multi-variable workload could only be
     built by calling :func:`~repro.algorithms.multi_awc.build_multi_awc_agents`
     by hand, so harness-level seams that dispatch through the registry —
-    ``--store`` rebinding, the verify corpus, table runners — never reached
-    it. Registering it routes the multi-variable agents through the same
-    batch-consultation store backends as single-variable AWC.
+    the verify corpus, table runners — never reached it. Registering it
+    routes the multi-variable agents through the same batch-consultation
+    store paths as single-variable AWC.
     """
     method = (
         learning

@@ -66,24 +66,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "identical; see docs/api.md on repro.runtime.events)"
         ),
     )
-    _add_store_option(parser)
     _add_retention_option(parser)
-
-
-def _add_store_option(parser: argparse.ArgumentParser) -> None:
-    from .core.store import STORE_BACKENDS
-
-    parser.add_argument(
-        "--store",
-        choices=STORE_BACKENDS,
-        default="dict",
-        help=(
-            "nogood-store backend: dict (the per-value index), linear "
-            "(unindexed ablation) or watched (the bitset/watched-pair "
-            "kernel). Counted identically, so results are bit-identical; "
-            "only wall-clock changes."
-        ),
-    )
 
 
 def _add_retention_option(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +94,6 @@ def _print_table(number: int, args: argparse.Namespace) -> None:
     scale = _resolve_scale(args.scale)
     jobs = getattr(args, "jobs", None)
     backend = getattr(args, "backend", "sync")
-    store = getattr(args, "store", "dict")
     retention = getattr(args, "retention", None)
     if number == 4:
         for table in run_table4(
@@ -119,7 +101,6 @@ def _print_table(number: int, args: argparse.Namespace) -> None:
             seed=args.seed,
             workers=jobs,
             backend=backend,
-            store=store,
             retention=retention,
         ):
             print(table.format_text())
@@ -137,7 +118,6 @@ def _print_table(number: int, args: argparse.Namespace) -> None:
         seed=args.seed,
         workers=jobs,
         backend=backend,
-        store=store,
         retention=retention,
     )
     reference = None if args.no_reference else reference_for_table(number)
@@ -302,7 +282,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         max_cycles=args.max_cycles,
         backend=args.backend,
         tracer=tracer,
-        store=args.store,
         retention=args.retention,
     )
     if profiler is not None:
@@ -454,7 +433,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         family=args.family,
         n=args.n,
         learning=args.learning,
-        store=args.store,
         seed=args.seed,
         max_cycles=(
             args.max_cycles
@@ -603,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the full message/value-change trace and write it "
         "to PATH as JSON Lines",
     )
-    _add_store_option(solve)
     _add_retention_option(solve)
     solve.add_argument(
         "--profile",
@@ -743,21 +720,18 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None, metavar="PATH",
         help="also write the JSON report here",
     )
-    _add_store_option(soak)
     soak.set_defaults(func=_cmd_soak)
 
     bench = sub.add_parser(
         "bench",
         help="smoke benchmarks: trial engine, event engine, lint "
-        "analyzer, nogood-store kernel, interleaving verifier, "
-        "retention subsystem, handler allocation churn (writes "
-        "BENCH_*.json)",
+        "analyzer, interleaving verifier, retention subsystem, handler "
+        "allocation churn (writes BENCH_*.json)",
     )
     bench.add_argument(
         "--axis",
         choices=(
-            "workers", "backend", "lint", "store", "verify", "retention",
-            "alloc",
+            "workers", "backend", "lint", "verify", "retention", "alloc",
         ),
         default="workers",
         help="what to compare (see repro.experiments.bench)",
@@ -770,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
         const="",
         default=None,
         metavar="BASELINE",
-        help="(--axis store/verify) fail if the axis's throughput metric "
-        "regressed more than 20%% vs the BASELINE report",
+        help="(--axis lint/verify/retention/alloc) fail if the axis's "
+        "metric regressed more than 20%% vs the BASELINE report",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -23,16 +23,8 @@ from .priorities import (
     order_key,
     outranks,
 )
-from .packed import PackedView, PairCodec, encode_assignment, nogood_rest_bits
 from .problem import CSP, AgentId, DisCSP, random_assignment
-from .store import (
-    STORE_BACKENDS,
-    CheckCounter,
-    LinearNogoodStore,
-    NogoodStore,
-    store_class_by_name,
-)
-from .watched import WatchedNogoodStore
+from .store import CheckCounter, LinearNogoodStore, NogoodStore
 from .variables import (
     BOOLEAN_DOMAIN,
     Domain,
@@ -55,11 +47,8 @@ __all__ = [
     "Nogood",
     "NogoodStore",
     "OrderKey",
-    "PackedView",
     "Pair",
-    "PairCodec",
     "ReproError",
-    "STORE_BACKENDS",
     "SimulationError",
     "SolverError",
     "TOP_KEY",
@@ -67,15 +56,11 @@ __all__ = [
     "Value",
     "VariableId",
     "ViewEntry",
-    "WatchedNogoodStore",
-    "encode_assignment",
     "integer_domain",
     "merge_assignments",
     "nogood_priority_key",
-    "nogood_rest_bits",
     "order_key",
     "outranks",
     "random_assignment",
-    "store_class_by_name",
     "union_nogoods",
 ]

@@ -36,7 +36,7 @@ class AgentView:
     exactly what nogoods are expressed against.
     """
 
-    __slots__ = ("_entries", "priority_version", "version", "removals", "__weakref__")
+    __slots__ = ("_entries", "priority_version", "__weakref__")
 
     def __init__(self) -> None:
         self._entries: Dict[VariableId, ViewEntry] = {}
@@ -45,15 +45,6 @@ class AgentView:
         #: priority-key cache) use this to invalidate cheaply: priorities
         #: change on backtracks only, far more rarely than values.
         self.priority_version = 0
-        #: Bumped on *every* observable change (value, priority, or
-        #: membership). The packed-bitset mirror
-        #: (:class:`repro.core.packed.PackedView`) compares this in O(1) to
-        #: decide whether it must re-sync before a candidate-value scan.
-        self.version = 0
-        #: Bumped when a variable is *removed* (``forget``). Removals are
-        #: rare (ABT backtracks only), so incremental consumers do the
-        #: O(view) membership diff only when this counter moved.
-        self.removals = 0
 
     def update(self, variable: VariableId, value: Value, priority: int) -> bool:
         """Record the latest ``(value, priority)`` for *variable*.
@@ -71,17 +62,13 @@ class AgentView:
         if old_priority != priority:
             self.priority_version += 1
         self._entries[variable] = entry
-        self.version += 1
         return True
 
     def forget(self, variable: VariableId) -> None:
         """Drop *variable* from the view (ABT uses this when backtracking)."""
         previous = self._entries.pop(variable, None)
-        if previous is not None:
-            self.version += 1
-            self.removals += 1
-            if previous.priority != 0:
-                self.priority_version += 1
+        if previous is not None and previous.priority != 0:
+            self.priority_version += 1
 
     def knows(self, variable: VariableId) -> bool:
         """True if the view holds a value for *variable*."""

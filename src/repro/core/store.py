@@ -15,14 +15,9 @@ value ``d`` touches only the bucket for ``d``. Nogoods that do not mention
 the owner (possible in multi-variable extensions) land in an unconditional
 bucket consulted for every candidate.
 
-Three interchangeable backends share this counted API (selected by the
-``--store`` axis of the experiment harness, see
-:func:`store_class_by_name`):
-
-* :class:`NogoodStore` — the default dict/bucket index;
-* :class:`LinearNogoodStore` — the unindexed ablation baseline;
-* :class:`~repro.core.watched.WatchedNogoodStore` — the bitset kernel with
-  watched-pair indexing (lazy consultation, identical counting).
+:class:`NogoodStore` is the product store. :class:`LinearNogoodStore`
+drops the per-value index; it is the unindexed ablation baseline and the
+oracle the parity tests compare :class:`NogoodStore` against.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Type,
 )
 
 from .assignment import AgentView
@@ -149,8 +143,8 @@ class NogoodStore:
         self._unconditional: ReadOnlyBucket = ReadOnlyBucket()
         self._all: Set[Nogood] = set()
         #: Every nogood in add() order — the canonical store order used by
-        #: :meth:`nogoods` (and by store-backend rebinding, which must
-        #: replay adds in the original order to keep buckets bit-identical).
+        #: :meth:`nogoods` (and by store rebinding, which must replay adds
+        #: in the original order to keep buckets bit-identical).
         self._insertion: ReadOnlyBucket = ReadOnlyBucket()
         #: value -> bucket+unconditional merged list, rebuilt lazily after
         #: adds. Without this, every candidate scan in the presence of
@@ -229,10 +223,6 @@ class NogoodStore:
             self._pinned.add(nogood)
         else:
             self._learned_count += 1
-        # Derived indexes (the watched kernel) must exist before the
-        # retention policy runs: a policy may evict the nogood it was just
-        # handed, and remove() dismantles those indexes.
-        self._index_added(nogood)
         if slot is not None:
             self.pin_slot(slot, nogood)
         if self._retention is not None:
@@ -240,10 +230,6 @@ class NogoodStore:
             for victim in victims:
                 self.remove(victim)
         return True
-
-    def _index_added(self, nogood: Nogood) -> None:
-        """Subclass hook: index *nogood* in backend-specific structures."""
-        del nogood
 
     def remove(self, nogood: Nogood) -> bool:
         """Evict *nogood* from the store; returns False if it was absent.
@@ -281,16 +267,11 @@ class NogoodStore:
             self._combined_cache.clear()
         for cache in self._key_caches.values():
             cache.keys.pop(nogood, None)
-        self._index_removed(nogood)
         self._learned_count -= 1
         self.evictions += 1
         if self._retention is not None:
             self._retention.on_remove(nogood)
         return True
-
-    def _index_removed(self, nogood: Nogood) -> None:
-        """Subclass hook: drop *nogood* from backend-specific structures."""
-        del nogood
 
     # -- retention plumbing -------------------------------------------------
 
@@ -593,8 +574,7 @@ class NogoodStore:
         """:meth:`violated` for every candidate value, in order.
 
         Check counting is positionally identical to calling the
-        single-value method in a loop; kernel backends override the
-        single-value methods, so batches amortize their per-call view sync.
+        single-value method in a loop.
         """
         return [self.violated(view, value) for value in values]
 
@@ -671,23 +651,3 @@ class LinearNogoodStore(NogoodStore):
     def for_value(self, value: Value) -> List[Nogood]:  # noqa: ARG002
         return self._insertion
 
-
-#: The store backends selectable via ``--store`` (cf. the ``--backend``
-#: execution-engine axis): the default dict/bucket index, the unindexed
-#: ablation baseline, and the watched/bitset kernel.
-STORE_BACKENDS = ("dict", "linear", "watched")
-
-
-def store_class_by_name(name: str) -> Type[NogoodStore]:
-    """Resolve a ``--store`` backend label to its store class."""
-    if name == "dict":
-        return NogoodStore
-    if name == "linear":
-        return LinearNogoodStore
-    if name == "watched":
-        from .watched import WatchedNogoodStore
-
-        return WatchedNogoodStore
-    raise ModelError(
-        f"unknown store backend {name!r}; expected one of {STORE_BACKENDS}"
-    )

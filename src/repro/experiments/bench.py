@@ -1,4 +1,4 @@
-"""Smoke benchmarks for the trial engine, the lint analyzer and the store kernel.
+"""Smoke benchmarks for the trial engine, the lint analyzer and the verifier.
 
 Runs a fixed quick-scale grid of table cells twice along one axis,
 verifies the results are identical, and writes a JSON report with wall
@@ -6,7 +6,7 @@ times, the speedup, and nogood-check throughput. ``tools/bench_smoke.py``
 is a thin shim around this module; ``repro bench`` exposes it as a CLI
 subcommand.
 
-Seven axes:
+Six axes:
 
 * ``--axis workers`` (default) — sequential vs the parallel engine;
   writes ``BENCH_trial_engine.json``.
@@ -18,25 +18,17 @@ Seven axes:
   analyzer (``src/`` + ``tests/``); identical findings are the
   determinism guarantee, and the wall time must stay under the 10 s CI
   budget. Writes ``BENCH_lint.json``.
-* ``--axis store`` — the dict nogood store vs the watched/bitset kernel
-  (:mod:`repro.core.watched`), two legs: (a) the full d3c/d3s/d3s1 grid
-  under both backends, asserting bit-identical trial results, and (b) a
-  kernel replay microbenchmark over stores harvested from real d3c/d3s
-  trials, measuring counted checks per second on an identical workload.
-  Writes ``BENCH_store_kernel.json``; ``--gate`` fails the run if the
-  kernel's checks/sec regressed more than 20% against a committed
-  baseline report.
 * ``--axis verify`` — the interleaving verifier (:mod:`repro.verify`) on
   its pinned corpus: schedule-exploration throughput, the DPOR prune
   ratio, and zero invariant violations. Writes ``BENCH_verify.json``;
-  ``--gate`` applies the same 20% regression rule to schedules/sec.
+  ``--gate`` fails the run if schedules/sec regressed more than 20%
+  against a committed baseline report.
 * ``--axis retention`` — the nogood retention subsystem
   (:mod:`repro.retention`): keep-all parity against the retention-free
-  default, dict-vs-watched eviction parity under ``lru``, then the soak
-  stream (:mod:`repro.experiments.soak`) over every policy, asserting
-  solution re-verification and budget compliance. Writes
-  ``BENCH_kb_memory.json``; ``--gate`` applies the 20% rule to the soak
-  stream's checks/sec.
+  default, then the soak stream (:mod:`repro.experiments.soak`) over
+  every policy, asserting solution re-verification and budget
+  compliance. Writes ``BENCH_kb_memory.json``; ``--gate`` applies the
+  20% rule to the soak stream's checks/sec.
 * ``--axis alloc`` — per-message allocation churn of the handler hot
   paths: replays the d3c/d3s cells with a ``tracemalloc`` probe around
   every ``initialize``/``step`` call and reports transient bytes per 1k
@@ -48,7 +40,7 @@ Seven axes:
 Usage::
 
     PYTHONPATH=src python tools/bench_smoke.py
-        [--axis workers|backend|lint|store|verify|retention|alloc]
+        [--axis workers|backend|lint|verify|retention|alloc]
         [--jobs N]
         [--output PATH] [--gate [BASELINE]]
 
@@ -64,20 +56,16 @@ repro-lint determinism rules ban inside the simulation layers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
-import random
 import time
 import tracemalloc
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import algorithm_by_name
-from ..core.nogood import Nogood
-from ..core.store import NogoodStore, store_class_by_name
-from ..core.variables import Value, VariableId
 from ..runtime.metrics import MetricsCollector
 from ..runtime.simulator import SynchronousSimulator
 from .paper import instances_for
@@ -137,7 +125,7 @@ def cell_measures(cell):
     ]
 
 
-def run_grid(workers: int, backend: str = "sync", store: str = "dict"):
+def run_grid(workers: int, backend: str = "sync"):
     """One pass over the grid; returns (per-cell rows, totals)."""
     rows = []
     total_seconds = 0.0
@@ -157,7 +145,6 @@ def run_grid(workers: int, backend: str = "sync", store: str = "dict"):
                 max_cycles=MAX_CYCLES,
                 workers=workers,
                 backend=backend,
-                store=store,
             )
         else:
             cell = run_cell(
@@ -169,7 +156,6 @@ def run_grid(workers: int, backend: str = "sync", store: str = "dict"):
                 max_cycles=MAX_CYCLES,
                 workers=1,
                 backend=backend,
-                store=store,
             )
         elapsed = time.perf_counter() - started
         checks = sum(trial.total_checks for trial in cell.trials)
@@ -335,363 +321,6 @@ def run_lint_bench(
     return 0
 
 
-# -- the store-kernel axis ------------------------------------------------------
-
-#: (family, n, instances, inits, label, cycle cap) — the cells whose
-#: trials seed the kernel replay. The quick-scale d3c/d3s cells cover the
-#: small-store regime; the n=35 unique-solution 3SAT cell runs long enough
-#: to learn hundreds of nogoods per agent, which is the regime the watched
-#: index is built for (its cycle cap keeps the harvest to a few seconds).
-KERNEL_HARVEST_GRID = (
-    ("d3c", 15, 2, 2, "AWC+Rslv", MAX_CYCLES),
-    ("d3s", 12, 2, 2, "AWC+Rslv", MAX_CYCLES),
-    ("d3s1", 35, 2, 1, "AWC+Rslv", 600),
-    ("d3s1", 40, 2, 1, "AWC+Rslv", 400),
-)
-
-#: Workload shape per harvested store (see :func:`_make_workload`).
-KERNEL_ROUNDS = 60
-KERNEL_WORKLOAD_SEED = 20260807
-
-
-@dataclass(frozen=True)
-class HarvestedStore:
-    """One agent's nogood population, lifted out of finished real trials."""
-
-    family: str
-    n: int
-    own_variable: VariableId
-    own_domain: Tuple[Value, ...]
-    #: peer variable -> its domain values (for generating view updates).
-    peers: Tuple[Tuple[VariableId, Tuple[Value, ...]], ...]
-    #: union of the agent's nogoods across the cell's trials, insertion order.
-    nogoods: Tuple[Nogood, ...]
-
-
-def _harvest_stores() -> List[HarvestedStore]:
-    """Run the harvest cells' trials and merge each agent's learned nogoods.
-
-    Merging across a cell's trials yields stores of realistic *shape*
-    (initial constraints plus resolvent/learned nogoods over the same
-    neighborhood) at the population sizes longer runs reach, which is the
-    regime the watched index is built for.
-    """
-    harvested: Dict[Tuple[str, int, VariableId], Dict[Nogood, None]] = {}
-    domains: Dict[Tuple[str, int, VariableId], Tuple[Value, ...]] = {}
-    for family, n, num_instances, inits, label, cap in KERNEL_HARVEST_GRID:
-        instances = instances_for(family, n, num_instances, MASTER_SEED)
-        spec = algorithm_by_name(label)
-        for instance_index, _init_index, trial_seed in trial_parameters(
-            num_instances, inits, MASTER_SEED
-        ):
-            problem = instances[instance_index]
-            metrics = MetricsCollector()
-            initial = random_initial_assignment(problem, trial_seed)
-            agents = spec.build(problem, metrics, trial_seed, initial)
-            SynchronousSimulator(
-                problem,
-                agents,
-                network=synchronous_network_factory(trial_seed),
-                max_cycles=cap,
-                metrics=metrics,
-            ).run()
-            for agent in agents:
-                variable = agent.variable
-                key = (family, n, variable)
-                bucket = harvested.setdefault(key, {})
-                for nogood in agent.store.nogoods():
-                    bucket[nogood] = None
-                domains[key] = tuple(
-                    problem.csp.domain_of(variable).values
-                )
-                for peer in problem.csp.neighbors_of(variable):
-                    peer_key = (family, n, peer)
-                    domains.setdefault(
-                        peer_key,
-                        tuple(problem.csp.domain_of(peer).values),
-                    )
-    stores: List[HarvestedStore] = []
-    for (family, n, variable), nogood_set in sorted(
-        harvested.items(), key=lambda item: (item[0][0], item[0][1], item[0][2])
-    ):
-        nogoods = tuple(nogood_set)
-        peer_ids = sorted(
-            {
-                pair[0]
-                for nogood in nogoods
-                for pair in nogood.pairs
-                if pair[0] != variable
-            }
-        )
-        peers = tuple(
-            (peer, domains.get((family, n, peer), (False, True)))
-            for peer in peer_ids
-        )
-        if not peers or len(nogoods) < 2:
-            continue  # nothing for a view-driven workload to exercise
-        stores.append(
-            HarvestedStore(
-                family=family,
-                n=n,
-                own_variable=variable,
-                own_domain=domains[(family, n, variable)],
-                peers=peers,
-                nogoods=nogoods,
-            )
-        )
-    return stores
-
-
-#: One replay operation: (opcode, *operands). Generated once, applied to
-#: every backend, so the workloads are identical by construction.
-_Op = Tuple
-
-
-def _make_workload(store_spec: HarvestedStore, rng: random.Random) -> List[_Op]:
-    """An AWC-shaped op sequence: sparse view updates, dense value scans.
-
-    Mirrors the real hot path: each "cycle" applies a couple of ``ok?``
-    view updates, then runs the value-selection queries over the whole
-    domain (higher-nogood scan per candidate, lower-violation counts,
-    and the occasional full-scan/consistency probes of DB and ABT).
-    Priorities are sticky per peer and raised only occasionally —
-    matching AWC, where values change every ``ok?`` but priorities move
-    only on backtracks.
-    """
-    ops: List[_Op] = []
-    peers = store_spec.peers
-    values = store_spec.own_domain
-    priority = 0
-    peer_priorities: Dict[VariableId, int] = {}
-    for _ in range(KERNEL_ROUNDS):
-        for _ in range(rng.randint(1, 2)):
-            peer, peer_domain = peers[rng.randrange(len(peers))]
-            if rng.random() < 0.03:
-                peer_priorities[peer] = peer_priorities.get(peer, 0) + 1
-            ops.append(
-                (
-                    "update",
-                    peer,
-                    peer_domain[rng.randrange(len(peer_domain))],
-                    peer_priorities.get(peer, 0),
-                )
-            )
-        if rng.random() < 0.05:
-            priority += 1
-        ops.append(("violated_higher", values[0], priority))
-        ops.append(("violated_higher_batch", values, priority))
-        ops.append(("count_violated_lower_batch", values, priority))
-        probe = rng.random()
-        if probe < 0.2:
-            ops.append(("violated", values[rng.randrange(len(values))]))
-        elif probe < 0.4:
-            ops.append(("is_consistent", values[rng.randrange(len(values))]))
-        elif probe < 0.5:
-            ops.append(("count_violated", values[rng.randrange(len(values))]))
-    return ops
-
-
-def _build_store(
-    store_spec: HarvestedStore, backend: str
-) -> NogoodStore:
-    store = store_class_by_name(backend)(store_spec.own_variable)
-    for nogood in store_spec.nogoods:
-        store.add(nogood)
-    return store
-
-
-def _apply_ops(
-    store: NogoodStore,
-    ops: Sequence[_Op],
-    collect: Optional[List[object]] = None,
-) -> None:
-    """Run *ops* against *store* (and a fresh view); optionally log results.
-
-    Dispatch is a prebound method table so the harness adds as little as
-    possible on top of the store calls being measured.
-    """
-    from ..core.assignment import AgentView
-
-    view = AgentView()
-    update = view.update
-    queries = {
-        "violated_higher": store.violated_higher,
-        "count_violated_lower": store.count_violated_lower,
-        "violated_higher_batch": store.violated_higher_batch,
-        "count_violated_lower_batch": store.count_violated_lower_batch,
-        "violated": store.violated,
-        "is_consistent": store.is_consistent,
-        "count_violated": store.count_violated,
-    }
-    log = collect.append if collect is not None else None
-    for op in ops:
-        code = op[0]
-        if code == "update":
-            update(op[1], op[2], op[3])
-            continue
-        result = queries[code](view, *op[1:])
-        if log is not None:
-            log(result)
-
-
-def _replay_backend(
-    specs: Sequence[HarvestedStore],
-    workloads: Sequence[Sequence[_Op]],
-    backend: str,
-) -> Tuple[float, int]:
-    """One timed replay pass: (elapsed seconds, counted checks)."""
-    stores = [_build_store(spec, backend) for spec in specs]
-    started = time.perf_counter()
-    for store, ops in zip(stores, workloads):
-        _apply_ops(store, ops)
-    elapsed = time.perf_counter() - started
-    checks = sum(store.counter.total for store in stores)
-    return elapsed, checks
-
-
-def _verify_replay_parity(
-    specs: Sequence[HarvestedStore],
-    workloads: Sequence[Sequence[_Op]],
-    backends: Sequence[str],
-) -> None:
-    """Untimed full-result comparison of every backend on the workload.
-
-    Every backend must return identical query results. The counting
-    contract is asymmetric: ``watched`` must count *exactly* what
-    ``dict`` counts (bit-identical parity), while ``linear`` — the
-    no-indexing reference — may only count *more* (it runs every test
-    the indexed stores skip).
-    """
-    reference: Optional[List[object]] = None
-    reference_checks: Optional[int] = None
-    for backend in backends:
-        results: List[object] = []
-        checks = 0
-        for spec, ops in zip(specs, workloads):
-            store = _build_store(spec, backend)
-            _apply_ops(store, ops, collect=results)
-            checks += store.counter.total
-        if reference is None:
-            reference, reference_checks = results, checks
-            continue
-        if results != reference:
-            raise AssertionError(
-                f"store backend {backend!r} diverges from "
-                f"{backends[0]!r} on the replay workload"
-            )
-        assert reference_checks is not None
-        if backend == "linear":
-            if checks < reference_checks:
-                raise AssertionError(
-                    f"linear store counted {checks} checks, fewer than "
-                    f"{backends[0]!r}'s {reference_checks}"
-                )
-        elif checks != reference_checks:
-            raise AssertionError(
-                f"store backend {backend!r} counted {checks} checks; "
-                f"{backends[0]!r} counted {reference_checks}"
-            )
-
-
-def run_store_bench(output: str, gate: Optional[str]) -> int:
-    """The ``--axis store`` benchmark: grid parity + kernel replay."""
-    print(
-        f"bench_smoke: store axis — {len(GRID)} grid cells dict vs "
-        "watched (parity), then the kernel replay microbenchmark"
-    )
-    baseline_rows, baseline_totals = run_grid(workers=1, store="dict")
-    candidate_rows, candidate_totals = run_grid(workers=1, store="watched")
-    mismatches = [
-        f"{s['family']}-n{s['n']}-{s['algorithm']}"
-        for s, p in zip(baseline_rows, candidate_rows)
-        if cell_measures(s.pop("cell")) != cell_measures(p.pop("cell"))
-    ]
-    if mismatches:
-        print(f"FATAL: watched-store results diverge from dict: {mismatches}")
-        return 1
-
-    specs = _harvest_stores()
-    rng = random.Random(KERNEL_WORKLOAD_SEED)
-    workloads = [_make_workload(spec, rng) for spec in specs]
-    _verify_replay_parity(specs, workloads, ("dict", "watched", "linear"))
-    kernel: Dict[str, Dict[str, object]] = {}
-    for backend in ("dict", "watched"):
-        # Two passes, keep the faster (cold-start effects out of the gate).
-        passes = [
-            _replay_backend(specs, workloads, backend) for _ in range(2)
-        ]
-        elapsed, checks = min(passes)
-        best = min(p[0] for p in passes)
-        kernel[backend] = {
-            "wall_seconds": round(best, 4),
-            "counted_checks": checks,
-            "checks_per_second": round(checks / best) if best else 0,
-        }
-    dict_cps = int(kernel["dict"]["checks_per_second"])  # type: ignore[arg-type]
-    watched_cps = int(kernel["watched"]["checks_per_second"])  # type: ignore[arg-type]
-    kernel_speedup = watched_cps / dict_cps if dict_cps else 0.0
-    grid_speedup = (
-        baseline_totals["wall_seconds"] / candidate_totals["wall_seconds"]
-        if candidate_totals["wall_seconds"]
-        else 0.0
-    )
-
-    report = {
-        "benchmark": "store_kernel",
-        "machine": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "grid_parity": {
-            "max_cycles": MAX_CYCLES,
-            "master_seed": MASTER_SEED,
-            "dict": {"cells": baseline_rows, "totals": baseline_totals},
-            "watched": {"cells": candidate_rows, "totals": candidate_totals},
-            "speedup": round(grid_speedup, 3),
-        },
-        "kernel_replay": {
-            "stores": len(specs),
-            "total_nogoods": sum(len(spec.nogoods) for spec in specs),
-            "largest_store": max(
-                (len(spec.nogoods) for spec in specs), default=0
-            ),
-            "rounds_per_store": KERNEL_ROUNDS,
-            "workload_seed": KERNEL_WORKLOAD_SEED,
-            "harvested_from": [
-                {"family": family, "n": n, "algorithm": label, "cap": cap}
-                for family, n, _i, _j, label, cap in KERNEL_HARVEST_GRID
-            ],
-            **kernel,
-            "speedup": round(kernel_speedup, 2),
-        },
-        "speedup": round(kernel_speedup, 2),
-        "results_identical": True,
-        "note": (
-            "grid_parity reruns the full quick-scale grid under both store "
-            "backends and asserts bit-identical trial results (the counting "
-            "parity guarantee); kernel_replay times an identical AWC-shaped "
-            "workload over nogood stores harvested from real d3c/d3s "
-            "trials — both backends count the same checks, so checks/sec "
-            "compares pure consultation speed"
-        ),
-    }
-    Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"grid parity: dict {baseline_totals['wall_seconds']:.2f}s, watched "
-        f"{candidate_totals['wall_seconds']:.2f}s "
-        f"(trial speedup {grid_speedup:.2f}x), results identical"
-    )
-    print(
-        f"kernel replay: {len(specs)} stores, dict {dict_cps:,} checks/s, "
-        f"watched {watched_cps:,} checks/s, speedup {kernel_speedup:.1f}x"
-    )
-    print(f"wrote {output}")
-    if gate is not None:
-        return check_gate(gate, watched_cps)
-    return 0
-
-
 # -- the retention axis ---------------------------------------------------------
 
 #: Soak-stream shape for ``--axis retention`` (kept small for CI).
@@ -708,14 +337,11 @@ RETENTION_PARITY_GRID = GRID[:2] + GRID[2:3]
 def run_retention_bench(output: str, gate: Optional[str]) -> int:
     """The ``--axis retention`` benchmark: policy parity + the soak stream.
 
-    Three load-bearing properties, asserted rather than merely reported:
+    Two load-bearing properties, asserted rather than merely reported:
 
     * ``retention=None`` and ``retention="keep-all"`` reproduce each
       other bit-identically on real table cells (the paper's
       record-forever behaviour is the literal default code path);
-    * a bounded policy produces bit-identical trial results on the dict
-      and watched store backends (eviction decisions are
-      backend-independent, like check counting);
     * the soak stream solves with every solution re-verified against the
       original constraints, and bounded policies never exceed the
       nogood budget.
@@ -735,12 +361,7 @@ def run_retention_bench(output: str, gate: Optional[str]) -> int:
         instances = instances_for(family, n, num_instances, MASTER_SEED)
         spec = algorithm_by_name(label)
         legs = {}
-        for leg, store, retention in (
-            ("default", "dict", None),
-            ("keep-all", "dict", "keep-all"),
-            ("lru-dict", "dict", f"lru:{RETENTION_SOAK_BUDGET}"),
-            ("lru-watched", "watched", f"lru:{RETENTION_SOAK_BUDGET}"),
-        ):
+        for leg, retention in (("default", None), ("keep-all", "keep-all")):
             cell = run_cell(
                 instances,
                 spec,
@@ -749,7 +370,6 @@ def run_retention_bench(output: str, gate: Optional[str]) -> int:
                 n=n,
                 max_cycles=MAX_CYCLES,
                 workers=1,
-                store=store,
                 retention=retention,
             )
             legs[leg] = cell_measures(cell)
@@ -757,17 +377,8 @@ def run_retention_bench(output: str, gate: Optional[str]) -> int:
         if legs["default"] != legs["keep-all"]:
             print(f"FATAL: keep-all diverges from the default on {name}")
             return 1
-        if legs["lru-dict"] != legs["lru-watched"]:
-            print(
-                f"FATAL: lru evictions diverge between dict and watched "
-                f"stores on {name}"
-            )
-            return 1
         parity_cells.append(name)
-    print(
-        f"parity: keep-all == default and lru dict == watched on "
-        f"{len(parity_cells)} cells"
-    )
+    print(f"parity: keep-all == default on {len(parity_cells)} cells")
 
     started = time.perf_counter()
     soak = run_soak(
@@ -801,7 +412,7 @@ def run_retention_bench(output: str, gate: Optional[str]) -> int:
         },
         "parity": {
             "cells": parity_cells,
-            "legs": ["default", "keep-all", "lru-dict", "lru-watched"],
+            "legs": ["default", "keep-all"],
             "results_identical": True,
         },
         "soak": {
@@ -813,9 +424,8 @@ def run_retention_bench(output: str, gate: Optional[str]) -> int:
         "results_identical": True,
         "note": (
             "parity reruns real table cells asserting keep-all == the "
-            "retention-free default (bit-identical) and that lru evicts "
-            "identically on the dict and watched store backends; the soak "
-            "leg streams episodes through persistent agent populations "
+            "retention-free default (bit-identical); the soak leg "
+            "streams episodes through persistent agent populations "
             "under a nogood budget, re-verifying every solution and "
             "asserting bounded policies stay within budget — "
             "checks_per_second is the gated end-to-end throughput"
@@ -1015,6 +625,12 @@ def run_alloc_bench(output: str, gate: Optional[str]) -> int:
         )
         probe = _AllocProbe()
         trials = []
+        # A cyclic collection inside a probed call would count garbage
+        # left by earlier trials as that call's transient bytes, and when
+        # collections fire depends on every allocation since start-up.
+        # The collector stays off while the probe runs.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         tracemalloc.start()
         try:
             for instance_index, _init_index, seed in trial_parameters(
@@ -1027,6 +643,8 @@ def run_alloc_bench(output: str, gate: Optional[str]) -> int:
                 )
         finally:
             tracemalloc.stop()
+            if gc_was_enabled:
+                gc.enable()
         instrumented_cell = CellResult(label=label, n=n, trials=trials)
         if cell_measures(reference_cell) != cell_measures(instrumented_cell):
             mismatches.append(f"{family}-n{n}-{label}")
@@ -1126,11 +744,6 @@ GATE_METRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
         "full-tree lint wall seconds",
         "min",
     ),
-    "store": (
-        ("kernel_replay", "watched", "checks_per_second"),
-        "watched-kernel checks/sec",
-        "max",
-    ),
     "verify": (
         ("verify", "schedules_per_second"),
         "verify schedules/sec",
@@ -1152,9 +765,9 @@ GATE_METRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
 def check_gate(
     baseline_path: str,
     measured: float,
-    metric_path: Tuple[str, ...] = GATE_METRICS["store"][0],
-    label: str = GATE_METRICS["store"][1],
-    direction: str = "max",
+    metric_path: Tuple[str, ...],
+    label: str,
+    direction: str,
 ) -> int:
     """Fail if *measured* regressed >20% against the committed baseline.
 
@@ -1211,14 +824,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--axis",
         choices=(
-            "workers", "backend", "lint", "store", "verify", "retention",
-            "alloc",
+            "workers", "backend", "lint", "verify", "retention", "alloc",
         ),
         default="workers",
         help="what to compare: sequential vs parallel execution, the "
         "sync vs event-driven engines (both legs sequential), two "
-        "passes of the whole-program lint analyzer, the dict vs "
-        "watched/bitset nogood-store backends, the interleaving "
+        "passes of the whole-program lint analyzer, the interleaving "
         "verifier's schedule-exploration throughput, the nogood "
         "retention subsystem's parity and soak stream, or the "
         "per-message allocation churn of the handler hot paths",
@@ -1235,7 +846,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="where to write the JSON report (default: "
         "BENCH_trial_engine.json / BENCH_event_engine.json / "
-        "BENCH_lint.json / BENCH_store_kernel.json by axis)",
+        "BENCH_lint.json by axis)",
     )
     parser.add_argument(
         "--gate",
@@ -1243,10 +854,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         const="",
         default=None,
         metavar="BASELINE",
-        help="(--axis lint/store/verify/retention/alloc) fail if the "
-        "axis's metric regresses more than 20%% against the BASELINE "
-        "report (default: the committed BENCH_lint.json / "
-        "BENCH_store_kernel.json / BENCH_verify.json / "
+        help="(--axis lint/verify/retention/alloc) fail if the axis's "
+        "metric regresses more than 20%% against the BASELINE report "
+        "(default: the committed BENCH_lint.json / BENCH_verify.json / "
         "BENCH_kb_memory.json / BENCH_alloc.json)",
     )
     args = parser.parse_args(argv)
@@ -1260,13 +870,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if gate == "":
             gate = str(repo_root / "BENCH_lint.json")
         return run_lint_bench(repo_root, output, gate)
-
-    if args.axis == "store":
-        output = args.output or str(repo_root / "BENCH_store_kernel.json")
-        gate = args.gate
-        if gate == "":
-            gate = str(repo_root / "BENCH_store_kernel.json")
-        return run_store_bench(output, gate)
 
     if args.axis == "verify":
         output = args.output or str(repo_root / "BENCH_verify.json")

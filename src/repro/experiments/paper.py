@@ -254,7 +254,6 @@ def run_table_cell(
     max_cycles: int,
     workers: Optional[int] = None,
     backend: str = "sync",
-    store: str = "dict",
     retention: Optional[str] = None,
 ) -> CellResult:
     """One (family, n, algorithm) cell at the given trial counts.
@@ -264,10 +263,9 @@ def run_table_cell(
     identical either way. ``backend`` selects the execution engine
     (``"sync"`` or ``"events"``; the latter runs in parity mode here, so
     the table values are identical by construction — see
-    :mod:`repro.runtime.events`). ``store`` selects the nogood-store
-    backend the same way (also result-identical by construction), and
-    ``retention`` the nogood retention policy (``None``/``keep-all`` is
-    the paper's record-forever behaviour; see :mod:`repro.retention`).
+    :mod:`repro.runtime.events`). ``retention`` selects the nogood
+    retention policy (``None``/``keep-all`` is the paper's record-forever
+    behaviour; see :mod:`repro.retention`).
     """
     instances = instances_for(family, n, num_instances, seed)
     return run_cell(
@@ -279,7 +277,6 @@ def run_table_cell(
         max_cycles=max_cycles,
         workers=workers,
         backend=backend,
-        store=store,
         retention=retention,
     )
 
@@ -290,7 +287,6 @@ def run_table(
     seed: Seed = 0,
     workers: Optional[int] = None,
     backend: str = "sync",
-    store: str = "dict",
     retention: Optional[str] = None,
 ) -> Table:
     """Reproduce one of Tables 1–3 / 5–10."""
@@ -318,7 +314,6 @@ def run_table(
                 scale.max_cycles,
                 workers=workers,
                 backend=backend,
-                store=store,
                 retention=retention,
             )
             table.add(TableRow.from_cell(cell))
@@ -330,7 +325,6 @@ def run_table4(
     seed: Seed = 0,
     workers: Optional[int] = None,
     backend: str = "sync",
-    store: str = "dict",
     retention: Optional[str] = None,
 ) -> List[Table]:
     """Reproduce Table 4: redundant nogood generations, rec vs norec.
@@ -360,7 +354,6 @@ def run_table4(
                     scale.max_cycles,
                     workers=workers,
                     backend=backend,
-                    store=store,
                     retention=retention,
                 )
                 table.add(

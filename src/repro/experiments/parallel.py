@@ -122,7 +122,6 @@ def _init_worker(
     network_factory: NetworkFactory,
     backend: str = "sync",
     transport_factory: Optional[TransportFactory] = None,
-    store: str = "dict",
     retention: Optional[str] = None,
 ) -> None:
     kind, payload = algorithm_ref
@@ -135,7 +134,6 @@ def _init_worker(
     _WORKER["network_factory"] = network_factory
     _WORKER["backend"] = backend
     _WORKER["transport_factory"] = transport_factory
-    _WORKER["store"] = store
     _WORKER["retention"] = retention
 
 
@@ -150,7 +148,6 @@ def _run_trial_task(
         network_factory=_WORKER["network_factory"],
         backend=_WORKER["backend"],
         transport_factory=_WORKER["transport_factory"],
-        store=_WORKER["store"],
         retention=_WORKER["retention"],
     )
     return trial_index, result
@@ -170,7 +167,6 @@ def run_cell_parallel(
     workers: Optional[int] = None,
     backend: str = "sync",
     transport_factory: Optional[TransportFactory] = None,
-    store: str = "dict",
     retention: Optional[str] = None,
 ) -> CellResult:
     """One cell, trials distributed over *workers* processes.
@@ -182,9 +178,9 @@ def run_cell_parallel(
     and silently when one worker would gain nothing. The ``backend`` /
     ``transport_factory`` pair travels to the workers like the network
     factory does, so event-driven cells parallelize identically; the
-    ``store`` backend label is a plain string and ships the same way, as
-    does the ``retention`` policy spec (workers rebuild the policy objects
-    from it, one per store, so no policy state crosses the boundary).
+    ``retention`` policy spec ships as a plain string (workers rebuild the
+    policy objects from it, one per store, so no policy state crosses the
+    boundary).
     """
     effective = resolve_workers(workers)
     tasks = list(
@@ -201,7 +197,6 @@ def run_cell_parallel(
             network_factory,
             backend,
             transport_factory,
-            store,
             retention,
         )
     algorithm_ref = _algorithm_reference(algorithm)
@@ -229,7 +224,6 @@ def run_cell_parallel(
             network_factory,
             backend,
             transport_factory,
-            store,
             retention,
         )
     effective = min(effective, len(tasks))
@@ -244,7 +238,6 @@ def run_cell_parallel(
             network_factory,
             backend,
             transport_factory,
-            store,
             retention,
         ),
     ) as pool:
@@ -275,7 +268,6 @@ def _run_sequentially(
     network_factory: NetworkFactory,
     backend: str = "sync",
     transport_factory: Optional[TransportFactory] = None,
-    store: str = "dict",
     retention: Optional[str] = None,
 ) -> CellResult:
     return _runner.run_cell(
@@ -289,6 +281,5 @@ def _run_sequentially(
         workers=1,
         backend=backend,
         transport_factory=transport_factory,
-        store=store,
         retention=retention,
     )

@@ -27,7 +27,7 @@ within the budget; :attr:`PolicySoakResult.within_budget` records it and
 ``repro bench --axis retention`` gates on it.
 
 Wall-clock use is fine here (experiments layer); the simulated measures
-remain deterministic per ``(seed, policy, store)``.
+remain deterministic per ``(seed, policy)``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Dict, List, Sequence, Tuple
 from ..algorithms.awc import AwcAgent, build_awc_agents
 from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
-from ..core.store import STORE_BACKENDS, store_class_by_name
 from ..learning import learning_method
 from ..retention import (
     NogoodInterner,
@@ -121,7 +120,6 @@ class SoakReport:
     pool: int
     episodes: int
     budget: int
-    store: str
     learning: str
     seed: Seed
     policies: List[PolicySoakResult] = field(default_factory=list)
@@ -144,8 +142,7 @@ class SoakReport:
         lines = [
             f"soak: {self.episodes} episodes over {self.pool} "
             f"{self.family} n={self.n} instances, budget={self.budget}, "
-            f"store={self.store}, learning={self.learning}, "
-            f"seed={self.seed}",
+            f"learning={self.learning}, seed={self.seed}",
             f"{'policy':<14} {'solve%':>7} {'peak':>6} {'pinned':>7} "
             f"{'evict':>7} {'chk/solve':>11} {'interned':>9} {'budget':>7}",
         ]
@@ -170,7 +167,6 @@ class SoakReport:
             "pool": self.pool,
             "episodes": self.episodes,
             "budget": self.budget,
-            "store": self.store,
             "learning": self.learning,
             "seed": self.seed,
             "all_verified": self.all_verified,
@@ -241,17 +237,12 @@ def _build_population(
     problem: DisCSP,
     learning_name: str,
     policy_spec: str,
-    store: str,
     seed: Seed,
 ) -> _Population:
     metrics = MetricsCollector()
     agents = build_awc_agents(
         problem, learning_method(learning_name), metrics, seed
     )
-    if store != "dict":
-        store_class = store_class_by_name(store)
-        for agent in agents:
-            agent.rebind_store(store_class)
     factory = (
         retention_factory(policy_spec)
         if policy_spec != "keep-all"
@@ -271,7 +262,6 @@ def run_soak(
     family: str = "d3c",
     n: int = 20,
     learning: str = "Rslv",
-    store: str = "dict",
     seed: Seed = 0,
     max_cycles: int = DEFAULT_EPISODE_CYCLES,
 ) -> SoakReport:
@@ -289,11 +279,6 @@ def run_soak(
         raise ModelError(f"pool must be positive, got {pool}")
     if budget < 1:
         raise ModelError(f"budget must be positive, got {budget}")
-    if store not in STORE_BACKENDS:
-        raise ModelError(
-            f"unknown store backend {store!r}; expected one of "
-            f"{STORE_BACKENDS}"
-        )
     if not policies:
         raise ModelError("at least one retention policy is required")
     # Validate every spec before the (expensive) pool build, so a typo in
@@ -309,7 +294,6 @@ def run_soak(
         pool=pool,
         episodes=episodes,
         budget=budget,
-        store=store,
         learning=learning,
         seed=seed,
     )
@@ -319,7 +303,6 @@ def run_soak(
                 instance,
                 learning,
                 spec,
-                store,
                 derive_seed(seed, "soak-agents", spec, index),
             )
             for index, instance in enumerate(instances)

@@ -19,11 +19,11 @@ locally:
   present) guard it.
 * **Metric accounting** — every nogood consistency test is counted toward
   ``maxcck``. Rule M1 guards it (no uncounted predicates in agent code).
-* **Allocation discipline** — the per-message dispatch paths the watched
-  kernel made fast must not regrow Python-side garbage. Rules H1 (no
-  loop-local temporaries in hot loops), H2 (no per-dispatch constant-shape
-  containers), H3 (no repeated ``sorted()`` of maintained state) and H4
-  (no closure allocation in hot dispatch) guard it, over a hot set derived
+* **Allocation discipline** — the per-message dispatch paths must not
+  regrow Python-side garbage. Rules H1 (no loop-local temporaries in hot
+  loops), H2 (no per-dispatch constant-shape containers), H3 (no repeated
+  ``sorted()`` of maintained state) and H4 (no closure allocation in hot
+  dispatch) guard it, over a hot set derived
   from the committed ``hotpaths.toml`` plus the call-edge closure of the
   agent-handler and store-consultation surfaces (see
   :mod:`repro.lint.hotpaths` and the escape analysis in

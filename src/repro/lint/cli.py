@@ -211,8 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             doc = (rule.__doc__ or "").strip().splitlines()[0]
             print(f"{rule.id}  {rule.title}: {doc}")
         print(
-            "X0  control comments: a disable= without justification is "
-            "itself a finding."
+            "X0  control comments: a disable= without justification, or "
+            "a hotpaths.toml item that names nothing, is itself a finding."
         )
         return 0
     if args.explain is not None:

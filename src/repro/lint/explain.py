@@ -138,7 +138,7 @@ EXPLANATIONS: Dict[str, Explanation] = {
             "Methods named like consultations (violated_*, count_*, "
             "is_*) are called from paths that assume the store is "
             "unchanged afterwards; a mutation hidden inside one "
-            "invalidates watched-literal indexes and replay parity."
+            "invalidates the store's caches and replay parity."
         ),
         bad="def violated_higher(self, ...): self._cache.clear(); ...",
         good="def violated_higher(self, ...): ...  # read-only; mutate in add()",
@@ -279,7 +279,9 @@ EXPLANATIONS: Dict[str, Explanation] = {
             "A '# repro-lint: disable=RULE' without a ' -- reason' "
             "justification is an unreviewable suppression. The reason is "
             "the review artifact: it must say why the invariant does not "
-            "apply here. X0 itself cannot be disabled."
+            "apply here. Likewise a hotpaths.toml item that names no "
+            "module or function would silently drop code from the H-rule "
+            "hot set. X0 itself cannot be disabled."
         ),
         bad="x = random.random()  # repro-lint: disable=D1",
         good=(
@@ -298,8 +300,8 @@ def explain_rule(rule_id: str) -> Optional[str]:
     if rule_id == "X0":
         title = "control comments"
         doc = (
-            "X0 — a disable= comment without justification is itself a "
-            "finding."
+            "X0 — a disable= comment without justification, or a "
+            "hotpaths.toml item that names nothing, is itself a finding."
         )
     else:
         rule = next(rule for rule in ALL_RULES if rule.id == rule_id)

@@ -7,11 +7,12 @@ allocation would be noise. This module decides what counts as hot:
 * **Roots** come from two places. Built-in policy: every ``step``/
   ``initialize`` handler on a (transitive) :class:`SimulatedAgent`
   subclass, and every public method of a (transitive) ``NogoodStore``
-  subclass — the batch consultation entry points (``violated_*_batch``),
-  ``for_value`` and the watched-kernel internals included. Committed
-  policy: a ``hotpaths.toml`` next to the tree (seeded from
-  ``repro solve --profile`` cumtime output) adds whole modules and
-  individual ``scope::Qualified.name`` entries.
+  subclass — the batch consultation entry points (``violated_*_batch``)
+  and ``for_value`` included. Committed policy: a ``hotpaths.toml`` next
+  to the tree (seeded from ``repro solve --profile`` cumtime output) adds
+  whole modules and individual ``scope::Qualified.name`` entries. An
+  item that names no module or function is reported (rule X0, see
+  :func:`unresolved_items`), never dropped silently.
 * **Closure**: the hot set is the transitive closure of those roots over
   :class:`~repro.lint.graph.ProjectGraph` call edges — bare-name calls
   resolved through imports, ``self.method()`` calls resolved through the
@@ -56,7 +57,7 @@ class HotConfig:
     #: (the store consultation surface: for_value, violated_*_batch, ...).
     store_classes: Tuple[str, ...] = ("NogoodStore",)
     #: Repro-relative modules whose every function/method is hot.
-    modules: Tuple[str, ...] = ("core/watched.py", "core/packed.py")
+    modules: Tuple[str, ...] = ()
     #: Individual profile-observed roots, as ``scope::Qualified.name``.
     entries: Tuple[str, ...] = ()
 
@@ -353,6 +354,37 @@ def _method_on(
     return None
 
 
+def unresolved_items(
+    graph: ProjectGraph, config: HotConfig, package_root: Path
+) -> List[str]:
+    """The ``modules`` and ``entries`` items of *config* that name nothing.
+
+    An item resolves against *graph* when its module is part of the run,
+    else against the module's file under *package_root*, so linting part
+    of the tree still catches a stale item.
+    """
+    missing: List[str] = []
+    for scope in config.modules:
+        if graph.module_by_scope(scope) is None and not (
+            package_root / scope
+        ).is_file():
+            missing.append(scope)
+    for entry in config.entries:
+        scope = entry.partition("::")[0]
+        source = graph
+        if graph.module_by_scope(scope) is None:
+            path = package_root / scope
+            if not path.is_file():
+                missing.append(entry)
+                continue
+            source = ProjectGraph.build_from_sources(
+                [(str(path), path.read_text(encoding="utf-8"), scope)]
+            )
+        if _resolve_entry(source, entry) is None:
+            missing.append(entry)
+    return missing
+
+
 def hot_modules_of(config: HotConfig) -> Tuple[str, ...]:
     """The whole-module hot scopes (exported for docs/explain output)."""
     return config.modules
@@ -376,4 +408,5 @@ __all__ = [
     "hot_set_for",
     "load_hot_config",
     "parse_hot_config",
+    "unresolved_items",
 ]

@@ -28,7 +28,8 @@ M1     Metric accounting: agent code must not call uncounted consistency
        but a store. Every check must bump the ``CheckCounter`` that feeds
        ``maxcck`` (Section 4's cost measure).
 X0     Malformed control comments (a ``disable=`` without justification is
-       itself a finding — suppressions document why an invariant holds).
+       itself a finding — suppressions document why an invariant holds),
+       and ``hotpaths.toml`` items that name no module or function.
 =====  ======================================================================
 """
 

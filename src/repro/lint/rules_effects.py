@@ -9,12 +9,11 @@ footprints, so a rule violation here predicts a schedule divergence there.
 =====  ======================================================================
 R1     View-counter bypass. Neighbor state lives in an
        :class:`~repro.core.assignment.AgentView`, whose ``update`` guards
-       every write with the version/priority counters that downstream
-       consumers (the store's priority-key cache, the packed-view mirror)
-       invalidate on. Reaching around the API — touching the view's
+       every write with the priority counter that the store's priority-key
+       cache invalidates on. Reaching around the API — touching the view's
        private internals or item-assigning into it — records unstable
-       neighbor state without bumping those counters, so a reordered
-       delivery can leave a consumer reading a stale cache.
+       neighbor state without bumping that counter, so a reordered
+       delivery can leave the store reading a stale cache.
 R2     Non-commuting handlers under reordering. The transport guarantees
        FIFO per channel only: messages from distinct senders arrive in
        either order. Handlers that merely *absorb* (update the view,
@@ -89,10 +88,10 @@ class ViewCounterBypassRule(Rule):
             return
         agent_classes = _agent_classes(graph)
         hint = (
-            "go through AgentView.update/forget — they bump the "
-            "version/priority counters that the store's priority-key cache "
-            "and the packed-view mirror invalidate on; raw writes leave "
-            "those consumers reading stale state after a reordered delivery"
+            "go through AgentView.update/forget — they bump the priority "
+            "counter that the store's priority-key cache invalidates on; "
+            "raw writes leave the cache serving stale keys after a "
+            "reordered delivery"
         )
         for cls in module.classes.values():
             if cls.name not in agent_classes:

@@ -1,8 +1,8 @@
 """Nogood retention: bounded knowledge bases for long-running workloads.
 
 The paper's stores record forever; this package adds the production
-dimension — *forgetting* — as first-class policy objects wired into every
-store backend, plus the cross-agent interner that collapses structurally
+dimension — *forgetting* — as first-class policy objects wired into the
+nogood store, plus the cross-agent interner that collapses structurally
 identical nogoods to one shared instance.
 
 Specs (accepted by :func:`retention_factory`, ``--retention``, and

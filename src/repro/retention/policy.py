@@ -16,8 +16,8 @@ Four policies, selected by spec string (:func:`retention_policy`):
 * ``lru:CAP`` — least-recently-*violated* eviction down to ``CAP``
   learned nogoods per store. "Use" is a violation observed by a counted
   query — the store reports those through :meth:`RetentionPolicy.on_use`
-  in reference scan order, which is identical across store backends, so
-  eviction decisions are backend-independent by construction.
+  in scan order, which the dict store and the linear oracle share, so
+  eviction decisions do not depend on the store's index.
 * ``decay:CAP[:HALF_LIFE]`` — exponential activity decay à la
   MiniSat/Chaff clause activities: every use adds 1 to a nogood's
   activity, and activities halve every ``HALF_LIFE`` store events;

@@ -56,10 +56,11 @@ class SimulatedAgent(ABC):
     def rebind_store(self, store_class: Type[NogoodStore]) -> None:
         """Swap this agent's nogood store implementation, keeping contents.
 
-        The experiment runner calls this right after building the agents to
-        apply the ``--store`` backend axis. The default is a no-op: agents
-        without a nogood store (or with bespoke storage) simply ignore the
-        request. Subclasses that own stores must rebuild them with the same
+        The store parity tests call this right after building the agents
+        to swap in the linear oracle
+        (:class:`~repro.core.store.LinearNogoodStore`). The default is a
+        no-op: agents without a nogood store (or with bespoke storage)
+        simply ignore the request. Subclasses that own stores must rebuild them with the same
         check counter and re-add every nogood in insertion order, so the
         swap is invisible to the cost accounting.
         """

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core import CSP, DisCSP, Nogood, integer_domain
+from repro.algorithms.registry import AlgorithmSpec
+from repro.core import CSP, DisCSP, LinearNogoodStore, Nogood, integer_domain
 from repro.problems.coloring import coloring_discsp
 from repro.problems.graphs import Graph
 
@@ -60,3 +61,19 @@ def tiny_csp() -> CSP:
     """Two variables over {0,1} with x0 == x1 forbidden from being (0, 0)."""
     domain = integer_domain(2)
     return CSP({0: domain, 1: domain}, [Nogood.of((0, 0), (1, 0))])
+
+
+def with_linear_store(spec: AlgorithmSpec) -> AlgorithmSpec:
+    """*spec* with every agent's store rebound to the unindexed oracle.
+
+    The linear store runs every violation test the per-value index skips,
+    so it reaches the same trajectory with at least as many checks.
+    """
+
+    def build(problem, metrics, seed, initial_assignment):
+        agents = spec.build(problem, metrics, seed, initial_assignment)
+        for agent in agents:
+            agent.rebind_store(LinearNogoodStore)
+        return agents
+
+    return AlgorithmSpec(name=spec.name, build=build)

@@ -1,5 +1,7 @@
 """The nogood store: indexing, deduplication, and check accounting."""
 
+import random
+
 import pytest
 
 from repro.core.assignment import AgentView
@@ -128,6 +130,44 @@ class TestCompositeQueries:
     def test_count_violated_all(self):
         assert self.store.count_violated(self.view, 0) == 2
         assert self.store.count_violated(self.view, 1) == 0
+
+    def test_is_consistent_counts_short_circuit_prefix(self):
+        store = NogoodStore(own_variable=0)
+        for other in (1, 2, 3):
+            store.add(Nogood.of((0, 0), (other, 1)))
+        view = make_view({2: (1, 0)})  # the second nogood is violated
+        assert store.is_consistent(view, 0) is False
+        # The scan tests nogoods 1 and 2 and stops: two counted checks.
+        assert store.counter.total == 2
+
+
+@pytest.mark.parametrize("store_class", (NogoodStore, LinearNogoodStore))
+def test_batches_equal_singles_and_count_identically(store_class):
+    rng = random.Random(11)
+    single = store_class(0, CheckCounter())
+    batch = store_class(0, CheckCounter())
+    for _ in range(25):
+        pairs = [(v, rng.randrange(3)) for v in rng.sample(range(5), 2)]
+        single.add(Nogood(pairs))
+        batch.add(Nogood(pairs))
+    view = make_view({variable: (1, variable % 2) for variable in (1, 2, 3)})
+    values = [0, 1, 2]
+    assert batch.violated_higher_batch(view, values, 1) == [
+        single.violated_higher(view, value, 1) for value in values
+    ]
+    assert batch.count_violated_higher_batch(view, values, 1) == [
+        single.count_violated_higher(view, value, 1) for value in values
+    ]
+    assert batch.count_violated_lower_batch(view, values, 1) == [
+        single.count_violated_lower(view, value, 1) for value in values
+    ]
+    assert batch.violated_batch(view, values) == [
+        single.violated(view, value) for value in values
+    ]
+    assert batch.count_violated_batch(view, values) == [
+        single.count_violated(view, value) for value in values
+    ]
+    assert batch.counter.total == single.counter.total
 
 
 class TestLinearStore:

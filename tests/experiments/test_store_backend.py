@@ -1,19 +1,20 @@
-"""The ``store`` seam: backend choice must not change trial results.
+"""The store seam: swapping in the linear oracle must not change the search.
 
-The watched/bitset kernel is a drop-in for the dict store — same query
-results, same check counts, bump for bump. These tests pin that at the
-trial and cell level: switching ``store`` must be invisible in every
-reported measure.
+:class:`~repro.core.store.LinearNogoodStore` drops the per-value index, so
+it runs every violation test the index skips. Counting never steers
+control flow, so a trial rebound to the linear store must follow the dict
+store's trajectory exactly — same solved flag, cycles and assignment —
+while counting at least as many checks.
 """
 
 import pytest
 
 from repro.algorithms.registry import awc, db
-from repro.core.exceptions import ModelError
-from repro.experiments.bench import cell_measures
 from repro.experiments.paper import instances_for
 from repro.experiments.runner import run_cell, run_trial
 from repro.problems.coloring import random_coloring_instance
+
+from ..conftest import with_linear_store
 
 
 @pytest.fixture(scope="module")
@@ -26,60 +27,48 @@ def sat():
     return instances_for("d3s", 10, 1, seed=3)[0]
 
 
-def trial_fields(result):
-    return (
-        result.solved,
-        result.cycles,
-        result.maxcck,
-        result.total_checks,
-        result.assignment,
-    )
+def assert_same_trajectory_counting_more(linear, baseline):
+    # Same search: the counting never steers control flow.
+    assert linear.solved == baseline.solved
+    assert linear.cycles == baseline.cycles
+    assert linear.assignment == baseline.assignment
+    assert linear.messages_sent == baseline.messages_sent
+    # The naive scan runs every test the dict index skips.
+    assert linear.total_checks >= baseline.total_checks
+    assert linear.maxcck >= baseline.maxcck
 
 
 class TestTrialParity:
-    def test_unknown_backend_rejected(self, coloring):
-        with pytest.raises(ModelError, match="unknown store backend"):
-            run_trial(coloring, awc("Rslv"), seed=0, store="btree")
-
-    def test_awc_trial_identical_to_dict(self, coloring):
-        baseline = run_trial(coloring, awc("Rslv"), seed=0, store="dict")
-        watched = run_trial(coloring, awc("Rslv"), seed=0, store="watched")
-        assert trial_fields(watched) == trial_fields(baseline)
-
     def test_linear_matches_trajectory_but_counts_more(self, coloring):
-        baseline = run_trial(coloring, awc("Rslv"), seed=0, store="dict")
-        linear = run_trial(coloring, awc("Rslv"), seed=0, store="linear")
-        # Same search: the counting never steers control flow.
-        assert linear.solved == baseline.solved
-        assert linear.cycles == baseline.cycles
-        assert linear.assignment == baseline.assignment
-        # The naive scan runs every test the dict index skips.
-        assert linear.total_checks >= baseline.total_checks
-        assert linear.maxcck >= baseline.maxcck
+        baseline = run_trial(coloring, awc("Rslv"), seed=0)
+        linear = run_trial(coloring, with_linear_store(awc("Rslv")), seed=0)
+        assert_same_trajectory_counting_more(linear, baseline)
 
-    def test_watched_trial_identical_on_sat(self, sat):
-        baseline = run_trial(sat, awc("Rslv"), seed=1, store="dict")
-        watched = run_trial(sat, awc("Rslv"), seed=1, store="watched")
-        assert trial_fields(watched) == trial_fields(baseline)
+    def test_linear_matches_trajectory_on_sat(self, sat):
+        baseline = run_trial(sat, awc("Rslv"), seed=1)
+        linear = run_trial(sat, with_linear_store(awc("Rslv")), seed=1)
+        assert_same_trajectory_counting_more(linear, baseline)
 
-    def test_watched_trial_identical_for_db(self, coloring):
-        baseline = run_trial(coloring, db(), seed=2, store="dict")
-        watched = run_trial(coloring, db(), seed=2, store="watched")
-        assert trial_fields(watched) == trial_fields(baseline)
+    def test_linear_matches_trajectory_for_db(self, coloring):
+        baseline = run_trial(coloring, db(), seed=2)
+        linear = run_trial(coloring, with_linear_store(db()), seed=2)
+        assert_same_trajectory_counting_more(linear, baseline)
 
 
 class TestCellParity:
-    def test_cell_measures_identical(self, coloring):
+    def test_linear_cell_matches_trajectory(self, coloring):
         other = random_coloring_instance(12, seed=4).to_discsp()
-        cells = {
-            store: run_cell(
+        cells = [
+            run_cell(
                 [coloring, other],
-                awc("Rslv"),
+                spec,
                 inits_per_instance=2,
                 master_seed=7,
                 n=12,
-                store=store,
             )
-            for store in ("dict", "watched")
-        }
-        assert cell_measures(cells["dict"]) == cell_measures(cells["watched"])
+            for spec in (awc("Rslv"), with_linear_store(awc("Rslv")))
+        ]
+        baseline, linear = cells
+        assert len(linear.trials) == len(baseline.trials) == 4
+        for linear_trial, baseline_trial in zip(linear.trials, baseline.trials):
+            assert_same_trajectory_counting_more(linear_trial, baseline_trial)

@@ -10,7 +10,7 @@ and the allocation/escape analysis get direct unit coverage too.
 import ast
 from pathlib import Path
 
-from repro.lint import lint_file
+from repro.lint import lint_file, lint_paths
 from repro.lint.alloc import (
     COMPREHENSION,
     CONTAINER_KINDS,
@@ -18,12 +18,14 @@ from repro.lint.alloc import (
     analyze_function,
     sites_of_kind,
 )
+from repro.lint.engine import iter_python_files
 from repro.lint.graph import ProjectGraph
 from repro.lint.hotpaths import (
     DEFAULT_CONFIG,
     compute_hot_set,
     describe_hot_set,
     parse_hot_config,
+    unresolved_items,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -119,8 +121,51 @@ class TestHotConfigParsing:
         config = parse_hot_config(
             Path("hotpaths.toml").read_text(encoding="utf-8")
         )
-        assert "core/watched.py" in config.modules
+        assert (
+            "runtime/simulator.py::SynchronousSimulator._route"
+            in config.entries
+        )
         assert any("AwcAgent" in entry for entry in config.entries)
+
+    def test_committed_config_items_all_resolve(self):
+        config = parse_hot_config(
+            Path("hotpaths.toml").read_text(encoding="utf-8")
+        )
+        graph = ProjectGraph.build(iter_python_files(["src/"]))
+        assert unresolved_items(graph, config, Path("src/repro")) == []
+        # Against an empty graph every item resolves from disk instead.
+        assert unresolved_items(ProjectGraph(), config, Path("src/repro")) == []
+        hot = compute_hot_set(graph, config)
+        labels = set(hot.labels.values())
+        assert set(config.entries) <= hot.roots
+        assert "runtime/simulator.py::SynchronousSimulator._route" in labels
+
+    def test_unresolvable_items_are_reported(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "thing.py").write_text(
+            "class Thing:\n    def hot(self):\n        return 1\n"
+        )
+        (tmp_path / "hotpaths.toml").write_text(
+            "[hot]\n"
+            'modules = ["core/gone.py"]\n'
+            "entries = [\n"
+            '    "core/thing.py::Thing.hot",\n'
+            '    "core/thing.py::Thing.cold",\n'
+            "]\n"
+        )
+        findings = lint_paths([str(tmp_path / "src")])
+        reported = sorted(
+            (finding.rule, finding.line, finding.message)
+            for finding in findings
+            if finding.path.endswith("hotpaths.toml")
+        )
+        assert reported == [
+            ("X0", 2, "hot-path item 'core/gone.py' names no module or "
+             "function"),
+            ("X0", 5, "hot-path item 'core/thing.py::Thing.cold' names no "
+             "module or function"),
+        ]
 
 
 def analyzed(source):

@@ -1,11 +1,10 @@
-"""Three-backend store parity on multi-variable AWC trials.
+"""Dict-versus-linear store parity on multi-variable AWC trials.
 
 The registry's ``multi_awc`` spec routes the multi-variable workload
 through the same harness seams as single-variable AWC — including the
-``store`` backend rebind. These trials pin the backend contract end-to-end
-on re-owned coloring instances: the watched kernel is bit-identical to the
-dict store (results *and* check counts), and the linear reference follows
-the same trajectory while counting at least as much.
+store rebind. These trials pin the store contract end-to-end on re-owned
+coloring instances: the linear oracle follows the dict store's trajectory
+while counting at least as much.
 """
 
 import pytest
@@ -15,6 +14,8 @@ from repro.core.problem import DisCSP
 from repro.experiments.runner import run_trial
 from repro.problems.coloring import random_coloring_instance
 
+from ..conftest import with_linear_store
+
 
 def multi_problem(seed, num_agents=4):
     """A 12-node coloring instance re-owned onto a few agents."""
@@ -23,31 +24,7 @@ def multi_problem(seed, num_agents=4):
     return DisCSP.from_csp(csp, owner)
 
 
-def trial_fields(result):
-    return (
-        result.solved,
-        result.cycles,
-        result.maxcck,
-        result.total_checks,
-        result.assignment,
-    )
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_watched_trial_identical_to_dict(seed):
-    problem = multi_problem(seed=3)
-    baseline = run_trial(problem, multi_awc("Rslv"), seed=seed, store="dict")
-    watched = run_trial(
-        problem, multi_awc("Rslv"), seed=seed, store="watched"
-    )
-    assert trial_fields(watched) == trial_fields(baseline)
-
-
-@pytest.mark.parametrize("seed", (0, 1))
-def test_linear_matches_trajectory_but_counts_more(seed):
-    problem = multi_problem(seed=3)
-    baseline = run_trial(problem, multi_awc("Rslv"), seed=seed, store="dict")
-    linear = run_trial(problem, multi_awc("Rslv"), seed=seed, store="linear")
+def assert_same_trajectory_counting_more(linear, baseline):
     assert linear.solved == baseline.solved
     assert linear.cycles == baseline.cycles
     assert linear.assignment == baseline.assignment
@@ -55,8 +32,16 @@ def test_linear_matches_trajectory_but_counts_more(seed):
     assert linear.maxcck >= baseline.maxcck
 
 
+@pytest.mark.parametrize("seed", (0, 1))
+def test_linear_matches_trajectory_but_counts_more(seed):
+    problem = multi_problem(seed=3)
+    baseline = run_trial(problem, multi_awc("Rslv"), seed=seed)
+    linear = run_trial(problem, with_linear_store(multi_awc("Rslv")), seed=seed)
+    assert_same_trajectory_counting_more(linear, baseline)
+
+
 def test_parity_holds_without_learning():
     problem = multi_problem(seed=5, num_agents=3)
-    baseline = run_trial(problem, multi_awc("No"), seed=0, store="dict")
-    watched = run_trial(problem, multi_awc("No"), seed=0, store="watched")
-    assert trial_fields(watched) == trial_fields(baseline)
+    baseline = run_trial(problem, multi_awc("No"), seed=0)
+    linear = run_trial(problem, with_linear_store(multi_awc("No")), seed=0)
+    assert_same_trajectory_counting_more(linear, baseline)

@@ -1,10 +1,9 @@
-"""Cross-backend nogood-store parity under randomized interleavings.
+"""Dict-versus-linear nogood-store parity under randomized interleavings.
 
 Seeded ``random.Random`` rather than hypothesis, so these run everywhere
-CI runs: the golden contract of the store kernel is that every backend
-returns identical query results, and that the watched/bitset backend
-counts *exactly* what the dict backend counts while the linear reference
-counts at least as much (it runs every test the indexes skip).
+CI runs: the indexed store must return the same query results as the
+linear oracle, which counts at least as much (it runs every test the
+index skips).
 """
 
 import random
@@ -14,9 +13,8 @@ import pytest
 from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood
 from repro.core.store import LinearNogoodStore, NogoodStore
-from repro.core.watched import WatchedNogoodStore
 
-BACKENDS = (NogoodStore, LinearNogoodStore, WatchedNogoodStore)
+BACKENDS = (NogoodStore, LinearNogoodStore)
 
 #: Query opcodes exercised by the interleaving (all five counted methods).
 QUERIES = (
@@ -71,11 +69,7 @@ def run_interleaving(seed):
                     results.append(getattr(store, query)(view, value, priority))
                 else:
                     results.append(getattr(store, query)(view, value))
-            dict_result, linear_result, watched_result = results
-            # Watched must be a bit-identical drop-in for dict.
-            assert watched_result == dict_result, (
-                f"seed {seed} step {step}: {query} diverged: {results}"
-            )
+            dict_result, linear_result = results
             # Linear scans in global insertion order while the indexed
             # stores scan bucket-then-unconditional, so list-valued
             # queries agree as sets, not sequences.
@@ -92,9 +86,7 @@ def run_interleaving(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_backends_agree_on_results_and_counting_contract(seed):
-    dict_total, linear_total, watched_total = run_interleaving(seed)
-    # Bit-identical counting between the dict index and the watched kernel.
-    assert watched_total == dict_total
+    dict_total, linear_total = run_interleaving(seed)
     # The linear reference never counts less: it is the superset scan.
     assert linear_total >= dict_total
 
@@ -118,17 +110,14 @@ def test_batch_methods_agree_across_backends():
         ("violated_higher_batch", (values, 1)),
         ("count_violated_lower_batch", (values, 1)),
     ):
-        dict_result, linear_result, watched_result = (
+        dict_result, linear_result = (
             getattr(store, method)(view, *args)
             for store, view in zip(stores, views)
         )
-        assert watched_result == dict_result, method
         if method in ("violated_batch", "violated_higher_batch"):
             for linear_item, dict_item in zip(linear_result, dict_result):
                 assert set(linear_item) == set(dict_item), method
         else:
             assert linear_result == dict_result, method
-    dict_total, _linear_total, watched_total = (
-        store.counter.total for store in stores
-    )
-    assert watched_total == dict_total
+    dict_total, linear_total = (store.counter.total for store in stores)
+    assert linear_total >= dict_total

@@ -3,12 +3,13 @@
 Two properties pin the subsystem's contract:
 
 * with an effectively unbounded budget every policy reproduces the
-  keep-all trajectory bit-identically, on both store backends — a policy
-  that never has to evict must be invisible;
+  keep-all trajectory bit-identically, on the dict store and on the
+  linear oracle — a policy that never has to evict must be invisible;
 * with a finite budget the search may take a different path, but every
   reported solution still verifies against the original constraints,
-  and eviction decisions are identical across the dict and watched
-  backends (the same touch stream drives them).
+  and eviction decisions are identical on the dict store and the linear
+  oracle (the same touch stream drives them), so both follow the same
+  trajectory.
 """
 
 import pytest
@@ -17,6 +18,8 @@ from repro.algorithms.registry import awc
 from repro.experiments.paper import instances_for
 from repro.experiments.runner import run_trial
 from repro.problems.coloring import random_coloring_instance
+
+from ..conftest import with_linear_store
 
 UNBOUNDED = 10_000_000
 
@@ -42,6 +45,21 @@ def trial_fields(result):
     )
 
 
+def trajectory(result):
+    """The fields the search determines, independent of check counting."""
+    return (
+        result.solved,
+        result.cycles,
+        result.messages_sent,
+        result.assignment,
+    )
+
+
+def awc_on(store):
+    spec = awc("Rslv")
+    return with_linear_store(spec) if store == "linear" else spec
+
+
 class TestUnboundedBudgetIsInvisible:
     @pytest.mark.parametrize(
         "spec",
@@ -52,14 +70,10 @@ class TestUnboundedBudgetIsInvisible:
             "subsume",
         ],
     )
-    @pytest.mark.parametrize("store", ["dict", "watched"])
+    @pytest.mark.parametrize("store", ["dict", "linear"])
     def test_matches_retention_free_baseline(self, coloring, spec, store):
-        baseline = run_trial(
-            coloring, awc("Rslv"), seed=1, retention=None, store="dict"
-        )
-        candidate = run_trial(
-            coloring, awc("Rslv"), seed=1, retention=spec, store=store
-        )
+        baseline = run_trial(coloring, awc_on(store), seed=1, retention=None)
+        candidate = run_trial(coloring, awc_on(store), seed=1, retention=spec)
         if spec == "subsume":
             # Subsumption prunes logically redundant supersets, which can
             # legitimately change check counts — but never the solution.
@@ -86,13 +100,12 @@ class TestFiniteBudget:
 
     @pytest.mark.parametrize("spec", ["lru:8", "decay:8:16", "subsume"])
     def test_evictions_identical_across_backends(self, sat, spec):
-        dict_result = run_trial(
-            sat, awc("Rslv"), seed=4, retention=spec, store="dict"
+        dict_result = run_trial(sat, awc_on("dict"), seed=4, retention=spec)
+        linear_result = run_trial(
+            sat, awc_on("linear"), seed=4, retention=spec
         )
-        watched_result = run_trial(
-            sat, awc("Rslv"), seed=4, retention=spec, store="watched"
-        )
-        assert trial_fields(watched_result) == trial_fields(dict_result)
+        assert trajectory(linear_result) == trajectory(dict_result)
+        assert linear_result.total_checks >= dict_result.total_checks
 
     def test_bounded_run_differs_from_keep_all_when_tight(self, sat):
         # A genuinely tight budget must actually change the search (if it

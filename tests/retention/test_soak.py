@@ -100,10 +100,6 @@ class TestArgumentValidation:
         with pytest.raises(ModelError, match="budget"):
             run_soak(budget=0)
 
-    def test_bad_store(self):
-        with pytest.raises(ModelError, match="store"):
-            run_soak(store="btree")
-
     def test_no_policies(self):
         with pytest.raises(ModelError, match="policy"):
             run_soak(policies=())
@@ -112,28 +108,3 @@ class TestArgumentValidation:
         with pytest.raises(ModelError):
             run_soak(policies=("fifo",), episodes=1, pool=1)
 
-
-class TestBackendParity:
-    def test_watched_soak_identical_to_dict(self):
-        kwargs = dict(SOAK_KWARGS, episodes=4)
-        dict_report = run_soak(policies=("lru",), store="dict", **kwargs)
-        watched_report = run_soak(
-            policies=("lru",), store="watched", **kwargs
-        )
-        dict_row = dict_report.policies[0]
-        watched_row = watched_report.policies[0]
-        assert (
-            watched_row.solved,
-            watched_row.total_cycles,
-            watched_row.total_checks,
-            watched_row.total_maxcck,
-            watched_row.peak_learned,
-            watched_row.evictions,
-        ) == (
-            dict_row.solved,
-            dict_row.total_cycles,
-            dict_row.total_checks,
-            dict_row.total_maxcck,
-            dict_row.peak_learned,
-            dict_row.evictions,
-        )

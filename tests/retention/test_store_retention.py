@@ -1,16 +1,15 @@
-"""The eviction API of both store backends: pins, removal, cache hygiene."""
+"""The eviction API of both store classes: pins, removal, cache hygiene."""
 
 import pytest
 
 from repro.core.assignment import AgentView
 from repro.core.exceptions import ModelError
 from repro.core.nogood import Nogood
-from repro.core.store import NogoodStore
-from repro.core.watched import WatchedNogoodStore
+from repro.core.store import LinearNogoodStore, NogoodStore
 from repro.retention import NogoodInterner
 from repro.retention.policy import LruPolicy
 
-BACKENDS = (NogoodStore, WatchedNogoodStore)
+BACKENDS = (NogoodStore, LinearNogoodStore)
 
 
 def make_view(entries):
@@ -242,7 +241,7 @@ class TestCacheInvalidationOnRemoval:
         assert nogood not in cache.keys
 
 
-class TestWatchedIndexAfterRemoval:
+class TestLinearOracleAfterRemoval:
     def test_queries_match_dict_after_interleaved_removals(self):
         nogoods = [
             Nogood.of((0, 0), (1, 0)),
@@ -252,8 +251,8 @@ class TestWatchedIndexAfterRemoval:
             Nogood.of((0, 0), (2, 1)),
         ]
         dict_store = NogoodStore(own_variable=0)
-        watched = WatchedNogoodStore(own_variable=0)
-        for store in (dict_store, watched):
+        linear = LinearNogoodStore(own_variable=0)
+        for store in (dict_store, linear):
             for nogood in nogoods:
                 store.add(nogood)
         views = [
@@ -261,20 +260,24 @@ class TestWatchedIndexAfterRemoval:
             make_view({1: (1, 3), 2: (1, 0)}),
         ]
         for victim in (nogoods[1], nogoods[3], nogoods[0]):
-            for store in (dict_store, watched):
+            for store in (dict_store, linear):
                 assert store.remove(victim) is True
             for view in views:
                 for value in (0, 1):
-                    assert watched.violated(view, value) == dict_store.violated(
-                        view, value
+                    # Linear scans every nogood in insertion order, so
+                    # list-valued queries agree as sets.
+                    assert set(linear.violated(view, value)) == set(
+                        dict_store.violated(view, value)
                     )
-                    assert watched.count_violated(
+                    assert linear.count_violated(
                         view, value
                     ) == dict_store.count_violated(view, value)
-                    assert watched.violated_higher(
-                        view, value, own_priority=0
-                    ) == dict_store.violated_higher(view, value, own_priority=0)
-                    assert watched.count_violated_lower(
+                    assert set(
+                        linear.violated_higher(view, value, own_priority=0)
+                    ) == set(
+                        dict_store.violated_higher(view, value, own_priority=0)
+                    )
+                    assert linear.count_violated_lower(
                         view, value, own_priority=9
                     ) == dict_store.count_violated_lower(
                         view, value, own_priority=9

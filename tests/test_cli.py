@@ -22,6 +22,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "1", "--store", "dict"],
+            ["solve", "x.cnf", "--store", "dict"],
+            ["soak", "--store", "dict"],
+            ["bench", "--axis", "store"],
+        ],
+    )
+    def test_no_store_backend_selection(self, argv):
+        # NogoodStore is the only product store; there is nothing to pick.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_table1_quick(self, capsys):

@@ -3,7 +3,7 @@
 Deprecated: prefer the CLI subcommand, which takes the same arguments::
 
     PYTHONPATH=src python -m repro.cli bench
-        [--axis workers|backend|lint|store|verify|retention|alloc]
+        [--axis workers|backend|lint|verify|retention|alloc]
         [--jobs N] [--output PATH] [--gate [BASELINE]]
 
 The benchmark logic lives in the package (``src/repro/experiments/bench.py``)
