@@ -2,9 +2,8 @@
 
 Runs a fixed quick-scale grid of table cells twice along one axis,
 verifies the results are identical, and writes a JSON report with wall
-times, the speedup, and nogood-check throughput. ``tools/bench_smoke.py``
-is a thin shim around this module; ``repro bench`` exposes it as a CLI
-subcommand.
+times, the speedup, and nogood-check throughput. ``repro bench`` exposes
+it as a CLI subcommand.
 
 Six axes:
 
@@ -39,7 +38,7 @@ Six axes:
 
 Usage::
 
-    PYTHONPATH=src python tools/bench_smoke.py
+    PYTHONPATH=src python -m repro.cli bench
         [--axis workers|backend|lint|verify|retention|alloc]
         [--jobs N]
         [--output PATH] [--gate [BASELINE]]
@@ -63,7 +62,7 @@ import platform
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.registry import algorithm_by_name
 from ..runtime.metrics import MetricsCollector
@@ -192,14 +191,10 @@ def run_lint_bench(
 ) -> int:
     """Two full-tree lint passes: determinism check + CI wall-time budget.
 
-    A third, selector-driven pass times the distribution-safety rules
-    (S1-S5) alone — the pass CI's ``s-rules`` leg runs via ``--only`` —
-    so the report carries its analysis time next to the full pass.
     ``--gate`` applies the 20% regression rule to the full-pass wall time
     (a "min" metric: lint getting slower fails the gate).
     """
     from ..lint.engine import DEFAULT_EXCLUDES, iter_python_files, lint_paths
-    from ..lint.rules_dist import DIST_RULES
 
     paths = [str(repo_root / "src"), str(repo_root / "tests")]
     files = list(iter_python_files(paths, excludes=list(DEFAULT_EXCLUDES)))
@@ -218,25 +213,14 @@ def run_lint_bench(
     if findings_per_pass[0] != findings_per_pass[1]:
         print("FATAL: lint findings diverge between identical passes")
         return 1
-    started = time.perf_counter()
-    s_findings = lint_paths(
-        paths,
-        baseline=None,
-        excludes=list(DEFAULT_EXCLUDES),
-        rules=DIST_RULES,
-    )
-    s_rules_seconds = round(time.perf_counter() - started, 4)
 
-    # Dynamic half of S1: replay the pinned verify corpus, pickle-round-
-    # trip every payload actually sent, and check the observation against
-    # the static closure. Both failure modes are hard failures — a payload
-    # that does not pickle would only have surfaced on a remote shard.
-    from ..verify.boundary_audit import audit_corpus, static_payload_types
+    # Replay the pinned verify corpus and pickle-round-trip every payload
+    # actually sent: one that does not pickle would fail only on the
+    # socket transport, so any failure is fatal.
+    from ..verify.boundary_audit import audit_corpus
 
     started = time.perf_counter()
     audit = audit_corpus()
-    static_types = static_payload_types(str(repo_root / "src"))
-    unseen = sorted(audit.observed_types - static_types)
     audit_seconds = round(time.perf_counter() - started, 4)
 
     slowest = max(passes)
@@ -254,17 +238,11 @@ def run_lint_bench(
         "pass_wall_max_seconds": slowest,
         "files_per_second": round(len(files) / slowest) if slowest else 0,
         "findings": len(findings_per_pass[0]),
-        "s_rules": {
-            "rules": [rule.id for rule in DIST_RULES],
-            "pass_wall_seconds": s_rules_seconds,
-            "findings": len(s_findings),
-        },
-        "s1_cross_validation": {
+        "pickle_audit": {
             "corpus_entries": audit.entries_run,
             "payloads_round_tripped": audit.payloads_sent,
             "round_trip_failures": len(audit.failures),
             "observed_types": sorted(audit.observed_types),
-            "observed_not_in_static_closure": unseen,
             "wall_seconds": audit_seconds,
         },
         "budget_seconds": LINT_BUDGET_SECONDS,
@@ -274,39 +252,30 @@ def run_lint_bench(
             "one whole-program pass parses every file once into a shared "
             "ProjectGraph, then runs the file-local and inter-procedural "
             "rules against it; the budget keeps full-tree linting viable "
-            "as a pre-commit hook and a CI gate; s_rules times the "
-            "distribution-safety subset CI runs separately via --only; "
-            "s1_cross_validation pickle-round-trips every payload the "
-            "pinned verify corpus sends and checks it against the static "
-            "S1 payload closure"
+            "as a pre-commit hook and a CI gate; pickle_audit "
+            "pickle-round-trips every payload the pinned verify corpus sends"
         ),
     }
     Path(output).write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"lint: {len(files)} files, passes {passes[0]:.2f}s / "
-        f"{passes[1]:.2f}s (S-rules alone {s_rules_seconds:.2f}s), "
+        f"{passes[1]:.2f}s, "
         f"{report['findings']} finding(s), "
         f"budget {LINT_BUDGET_SECONDS:.0f}s "
         f"{'met' if budget_met else 'EXCEEDED'}"
     )
     print(
-        f"lint: S1 cross-validation round-tripped {audit.payloads_sent} "
+        f"lint: pickle audit round-tripped {audit.payloads_sent} "
         f"payload(s) over {audit.entries_run} pinned entries, "
         f"{len(audit.failures)} failure(s)"
     )
     print(f"wrote {output}")
-    if audit.failures or unseen:
-        if audit.failures:
-            for failure in audit.failures:
-                print(
-                    f"FATAL: payload {failure.message_type} from corpus "
-                    f"entry '{failure.entry}' failed the pickle "
-                    f"round-trip: {failure.error}"
-                )
-        if unseen:
+    if audit.failures:
+        for failure in audit.failures:
             print(
-                "FATAL: runtime sent payload types outside the static S1 "
-                f"closure: {', '.join(unseen)}"
+                f"FATAL: payload {failure.message_type} from corpus "
+                f"entry '{failure.entry}' failed the pickle "
+                f"round-trip: {failure.error}"
             )
         return 1
     if not budget_met:

@@ -1,124 +1,36 @@
-"""Process-boundary analysis: what crosses, and what agents share.
+"""Cross-agent aliasing: mutable state every agent of a builder shares.
 
-The sharded runtime (ROADMAP: thousands of agents across worker processes
-and hosts) changes two ground rules the in-process simulators never
-enforce: everything handed to a transport or executor must *serialize*,
-and no two agents may reach the same mutable object. This module computes
-both properties statically over the :class:`~repro.lint.graph.ProjectGraph`
-and memoises them per graph (``graph.cached``), so the S-rules
-(:mod:`repro.lint.rules_dist`) and the bench-side pickle round-trip audit
-share one analysis:
-
-* :func:`boundary_closures` — every expression that crosses a process or
-  serialization boundary (transport/mailbox ``send``, ``pickle.dumps``,
-  executor ``submit``, ``Process`` spawn, pool ``initargs``, message
-  payload construction), with the transitive *hazard closure* of the
-  values it can carry: lambdas, closures over locals, open OS handles,
-  RNG streams, generators, thread primitives. Rule S1 reports crossings
-  whose closure is non-empty; the lint bench's dynamic cross-validation
-  pickles every payload actually sent in a pinned trial corpus and checks
-  the observed behaviour against this closure.
-* :func:`transported_payload_types` — the message classes the analysis
-  saw being constructed as payloads; the dynamic audit asserts every
-  message type observed on the wire is in this set (static coverage is a
-  superset of runtime reality).
-* :func:`shared_agent_state` — an alias fixpoint over agent builders: a
-  mutable object passed loop-invariantly into more than one
-  :class:`~repro.runtime.agent.SimulatedAgent` constructor, stored as
-  agent state, and mutated by agent code is reachable from two agents at
-  once — it only works because the agents share a process. Rule S3
-  reports each such (builder, class, attribute) triple.
+The in-process simulators let agents reach the same mutable object; the
+socket transport and any sharded runtime do not, because each process has
+its own copy. :func:`shared_agent_state` is an alias fixpoint over agent
+builders: a mutable object passed loop-invariantly into more than one
+:class:`~repro.runtime.agent.SimulatedAgent` constructor, stored as agent
+state, and mutated by agent code is reachable from two agents at once — it
+only works because the agents share a process. Rule S3
+(:mod:`repro.lint.rules_dist`) reports each such (builder, class,
+attribute) triple. The result is memoised per graph (``graph.cached``).
 
 Like the rest of the lint layer the analysis is name-based and
-conservative in one direction only: a hazard is reported when the value's
-construction is visible; values of unknown provenance are assumed clean
-(S1 certifies what it can see, the runtime audit catches what it cannot).
+conservative in one direction only: an alias is reported when the
+builder's loop and the constructor's ``self.attr = param`` are visible;
+values of unknown provenance are assumed private.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .dataflow import _bind_arguments, iter_functions
 from .effects import (
     AGENT_BASE,
-    MESSAGE_SUFFIX,
     MUTATING_METHODS,
     READ_ONLY_METHODS,
     READ_ONLY_PREFIXES,
     _resolve_method,
 )
 from .graph import ClassInfo, FunctionInfo, ModuleInfo, ProjectGraph
-
-#: Receiver-identifier fragments that mark a serializing channel: calling
-#: ``.send(...)`` on one of these hands the arguments to another process.
-CHANNEL_FRAGMENTS = ("transport", "mailbox", "sock", "conn", "pipe", "channel")
-
-#: Receiver-identifier fragments that mark an executor (``.submit`` /
-#: ``.map`` ship the callable and its arguments to a worker process).
-EXECUTOR_FRAGMENTS = ("pool", "executor")
-
-#: Hazard kinds, ordered by how categorically they break serialization.
-HAZARD_KINDS = ("lambda", "closure", "handle", "rng", "generator", "lock")
-
-#: Call heads (terminal name or attribute) that create an OS handle.
-_HANDLE_CALLS = frozenset(
-    {"open", "socket", "create_connection", "socketpair", "urlopen",
-     "Popen", "TemporaryFile", "NamedTemporaryFile", "memory_map", "mmap"}
-)
-
-#: Call heads that create (or derive) an RNG stream. A stream duplicated
-#: across a process boundary forks — both sides draw the same numbers,
-#: which silently breaks trial reproducibility even though the object
-#: itself pickles.
-_RNG_CALLS = frozenset({"Random", "derive_rng", "SystemRandom", "getstate"})
-
-#: Call heads that create thread-synchronization primitives.
-_LOCK_CALLS = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
-     "Event", "Barrier"}
-)
-
-#: Identifier spellings treated as an RNG value wherever they appear in a
-#: crossing expression (``self.rng``, ``rng``, ``agent_rng`` ...).
-_RNG_NAME_SUFFIXES = ("rng",)
-
-_FunctionNode = ast.AST  # FunctionDef | AsyncFunctionDef | Module
-
-
-@dataclass(frozen=True)
-class Hazard:
-    """One unserializable (or fork-hazardous) value inside a closure."""
-
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """One boundary-crossing call site and its hazard closure."""
-
-    path: str
-    scope: Optional[str]
-    line: int
-    #: "send" | "submit" | "spawn" | "pickle" | "initargs" | "payload"
-    kind: str
-    #: Human-readable call head, e.g. ``mailbox.send`` or ``OkMessage``.
-    label: str
-    node: ast.Call
-    hazards: Tuple[Hazard, ...]
-
 
 @dataclass(frozen=True)
 class SharedMutable:
@@ -135,337 +47,6 @@ class SharedMutable:
     node: ast.Call
     #: ``Class.method -> self.attr.mutator`` descriptions, sorted.
     mutations: Tuple[str, ...]
-
-
-# -- hazard classification ----------------------------------------------------
-
-
-def _call_head(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _is_rng_name(identifier: str) -> bool:
-    lowered = identifier.lower()
-    return any(
-        lowered == suffix or lowered.endswith("_" + suffix)
-        for suffix in _RNG_NAME_SUFFIXES
-    )
-
-
-class _ValueEnv:
-    """Name -> hazard kinds, built by one forward pass over a function."""
-
-    def __init__(self) -> None:
-        self.kinds: Dict[str, FrozenSet[str]] = {}
-
-    def bind(self, name: str, kinds: FrozenSet[str]) -> None:
-        if kinds:
-            self.kinds[name] = kinds
-        else:
-            self.kinds.pop(name, None)
-
-
-def _shallow_walk(root: ast.AST) -> Iterator[ast.AST]:
-    """Walk *root* without descending into nested def/class bodies.
-
-    The nested definitions themselves are yielded (so an env pass can bind
-    their names); their bodies belong to other analysis units —
-    :func:`~repro.lint.dataflow.iter_functions` hands each function out
-    exactly once.
-    """
-    queue: List[ast.AST] = [root]
-    while queue:
-        node = queue.pop()
-        yield node
-        if node is not root and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        queue.extend(ast.iter_child_nodes(node))
-
-
-def _build_env(
-    function: _FunctionNode, graph: ProjectGraph, module: ModuleInfo
-) -> _ValueEnv:
-    env = _ValueEnv()
-    for statement in _shallow_walk(function):
-        if statement is not function and isinstance(
-            statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            # A def nested in a function is a closure over its locals —
-            # module-level functions pickle by reference, these do not.
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                env.bind(statement.name, frozenset({"closure"}))
-            continue
-        if isinstance(statement, ast.Assign):
-            kinds = classify_expr(statement.value, env, graph, module)
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    env.bind(target.id, kinds)
-        elif isinstance(statement, ast.AnnAssign) and statement.value:
-            if isinstance(statement.target, ast.Name):
-                env.bind(
-                    statement.target.id,
-                    classify_expr(statement.value, env, graph, module),
-                )
-        elif isinstance(statement, ast.With):
-            for item in statement.items:
-                kinds = classify_expr(
-                    item.context_expr, env, graph, module
-                )
-                if item.optional_vars is not None and isinstance(
-                    item.optional_vars, ast.Name
-                ):
-                    env.bind(item.optional_vars.id, kinds)
-    return env
-
-
-def classify_expr(
-    expr: ast.expr,
-    env: _ValueEnv,
-    graph: ProjectGraph,
-    module: ModuleInfo,
-    _depth: int = 0,
-) -> FrozenSet[str]:
-    """The hazard kinds *expr* may evaluate to (empty = assumed clean)."""
-    if _depth > 4:
-        return frozenset()
-    if isinstance(expr, ast.Lambda):
-        return frozenset({"lambda"})
-    if isinstance(expr, (ast.GeneratorExp,)):
-        return frozenset({"generator"})
-    if isinstance(expr, ast.Name):
-        kinds = env.kinds.get(expr.id)
-        if kinds:
-            return kinds
-        if _is_rng_name(expr.id):
-            return frozenset({"rng"})
-        return frozenset()
-    if isinstance(expr, ast.Attribute):
-        if _is_rng_name(expr.attr):
-            return frozenset({"rng"})
-        return frozenset()
-    if isinstance(expr, ast.Starred):
-        return classify_expr(expr.value, env, graph, module, _depth)
-    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-        kinds: Set[str] = set()
-        for element in expr.elts:
-            kinds |= classify_expr(element, env, graph, module, _depth + 1)
-        return frozenset(kinds)
-    if isinstance(expr, ast.Dict):
-        kinds = set()
-        for value in expr.values:
-            if value is not None:
-                kinds |= classify_expr(value, env, graph, module, _depth + 1)
-        return frozenset(kinds)
-    if isinstance(expr, ast.IfExp):
-        return classify_expr(
-            expr.body, env, graph, module, _depth + 1
-        ) | classify_expr(expr.orelse, env, graph, module, _depth + 1)
-    if isinstance(expr, ast.Call):
-        head = _call_head(expr.func)
-        if head is None:
-            return frozenset()
-        if head in _HANDLE_CALLS:
-            return frozenset({"handle"})
-        if head in _RNG_CALLS:
-            return frozenset({"rng"})
-        if head in _LOCK_CALLS:
-            return frozenset({"lock"})
-        # A call to a project function: fold the hazards of its returns
-        # (one-level summaries, depth-limited — the serialization closure).
-        if isinstance(expr.func, ast.Name):
-            target = graph.resolve_function(module, expr.func.id)
-            if target is not None:
-                return _return_hazards(target, graph, _depth + 1)
-            # Constructing a project class whose fields we do not model:
-            # assumed clean (the runtime audit covers instances).
-        return frozenset()
-    return frozenset()
-
-
-def _return_hazards(
-    function: FunctionInfo, graph: ProjectGraph, depth: int
-) -> FrozenSet[str]:
-    """Hazards of every ``return`` expression of *function* (memoised)."""
-    memo: Dict[str, FrozenSet[str]] = graph.cached(  # type: ignore[assignment]
-        "boundary-return-hazards", dict
-    )
-    key = f"{function.module.path}:{function.qualname}"
-    if key in memo:
-        return memo[key]
-    memo[key] = frozenset()  # cycle guard
-    node = function.node
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return frozenset()
-    env = _build_env(node, graph, function.module)
-    kinds: Set[str] = set()
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.Return) and inner.value is not None:
-            kinds |= classify_expr(
-                inner.value, env, graph, function.module, depth
-            )
-    result = frozenset(kinds)
-    memo[key] = result
-    return result
-
-
-# -- crossing discovery -------------------------------------------------------
-
-
-def _identifier_of(expr: ast.expr) -> Optional[str]:
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
-def _crossing_exprs(call: ast.Call) -> Optional[Tuple[str, List[ast.expr]]]:
-    """(kind, expressions that cross) if *call* is a boundary site."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        receiver = _identifier_of(func.value)
-        lowered = (receiver or "").lower()
-        if func.attr == "send" and any(
-            fragment in lowered for fragment in CHANNEL_FRAGMENTS
-        ):
-            return "send", list(call.args)
-        if func.attr in ("submit", "map") and any(
-            fragment in lowered for fragment in EXECUTOR_FRAGMENTS
-        ):
-            return "submit", list(call.args)
-        if func.attr == "dumps" and receiver == "pickle":
-            return "pickle", list(call.args[:1])
-    head = _call_head(func)
-    if head == "Process":
-        crossing: List[ast.expr] = []
-        for keyword in call.keywords:
-            if keyword.arg == "target":
-                crossing.append(keyword.value)
-            elif keyword.arg in ("args", "kwargs"):
-                crossing.extend(_unpack_display(keyword.value))
-        if crossing:
-            return "spawn", crossing
-    for keyword in call.keywords:
-        if keyword.arg == "initargs":
-            crossing = list(_unpack_display(keyword.value))
-            for other in call.keywords:
-                if other.arg == "initializer":
-                    crossing.append(other.value)
-            return "initargs", crossing
-    if (
-        head is not None
-        and head.endswith(MESSAGE_SUFFIX)
-        and head != MESSAGE_SUFFIX
-    ):
-        crossing = list(call.args) + [
-            keyword.value
-            for keyword in call.keywords
-            if keyword.arg is not None
-        ]
-        return "payload", crossing
-    return None
-
-
-def _unpack_display(expr: ast.expr) -> Iterator[ast.expr]:
-    if isinstance(expr, (ast.Tuple, ast.List)):
-        yield from expr.elts
-    else:
-        yield expr
-
-
-def _module_crossings(
-    graph: ProjectGraph, module: ModuleInfo
-) -> List[Crossing]:
-    crossings: List[Crossing] = []
-    units: List[Tuple[_FunctionNode, _ValueEnv]] = [
-        (module.tree, _build_env(module.tree, graph, module))
-    ]
-    for function, _cls, _enclosing in iter_functions(module):
-        node = function.node
-        units.append((node, _build_env(node, graph, module)))
-    seen: Set[int] = set()
-    for unit, env in units:
-        # Shallow: every call is scanned exactly once, under the env of
-        # the function (or module) that owns it — nested defs are their
-        # own units via iter_functions.
-        for inner in _shallow_walk(unit):
-            if not isinstance(inner, ast.Call) or id(inner) in seen:
-                continue
-            matched = _crossing_exprs(inner)
-            if matched is None:
-                continue
-            seen.add(id(inner))
-            kind, exprs = matched
-            hazards: List[Hazard] = []
-            for expr in exprs:
-                for hazard_kind in sorted(
-                    classify_expr(expr, env, graph, module)
-                ):
-                    hazards.append(
-                        Hazard(
-                            kind=hazard_kind,
-                            detail=ast.unparse(expr),
-                        )
-                    )
-            crossings.append(
-                Crossing(
-                    path=module.path,
-                    scope=module.scope,
-                    line=inner.lineno,
-                    kind=kind,
-                    label=ast.unparse(inner.func),
-                    node=inner,
-                    hazards=tuple(hazards),
-                )
-            )
-    return crossings
-
-
-def boundary_closures(graph: ProjectGraph) -> List[Crossing]:
-    """Every boundary crossing in *graph*, with hazard closures (memoised)."""
-
-    def compute() -> List[Crossing]:
-        crossings: List[Crossing] = []
-        for path in sorted(graph.modules):
-            crossings.extend(
-                _module_crossings(graph, graph.modules[path])
-            )
-        return crossings
-
-    return graph.cached("boundary-closures", compute)  # type: ignore[return-value]
-
-
-def transported_payload_types(graph: ProjectGraph) -> FrozenSet[str]:
-    """Message class names the static analysis saw crossing a boundary.
-
-    The dynamic pickle audit checks that every message type observed on
-    the wire during the pinned trial corpus is in this set — i.e. the
-    static serialization closure covers runtime reality.
-    """
-    names: Set[str] = set()
-    for crossing in boundary_closures(graph):
-        if crossing.kind == "payload":
-            head = _call_head(crossing.node.func)
-            if head is not None:
-                names.add(head)
-        else:
-            # Wire frames: Envelope(..., message, ...) style wrappers
-            # constructed directly in the send argument.
-            for argument in crossing.node.args:
-                if isinstance(argument, ast.Call):
-                    head = _call_head(argument.func)
-                    if head is not None and head[:1].isupper():
-                        names.add(head)
-    return frozenset(names)
-
-
-# -- agent alias analysis -----------------------------------------------------
 
 
 def _agent_classes(graph: ProjectGraph) -> Set[str]:
@@ -648,7 +229,7 @@ def shared_agent_state(graph: ProjectGraph) -> List[SharedMutable]:
         found: List[SharedMutable] = []
         for path in sorted(graph.modules):
             module = graph.modules[path]
-            for function, _cls, _enclosing in iter_functions(module):
+            for function in iter_functions(module):
                 node = function.node
                 if not isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -729,12 +310,4 @@ def _shared_from_call(
         )
 
 
-__all__ = [
-    "Crossing",
-    "Hazard",
-    "SharedMutable",
-    "boundary_closures",
-    "classify_expr",
-    "shared_agent_state",
-    "transported_payload_types",
-]
+__all__ = ["SharedMutable", "shared_agent_state"]

@@ -31,11 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Whole-program invariant checker: determinism (D1-D4), agent "
-            "isolation (P1/P2), protocol conformance (A1/A2), metric "
-            "accounting (M1), reordering safety (R1-R3), hot-path "
-            "allocation discipline (H1-H4), distribution safety for the "
-            "sharded runtime (S1-S5), plus trace cross-validation "
+            "Whole-program invariant checker: payload immutability (P2), "
+            "agent/transport separation (A1), metric accounting (M1), "
+            "view-counter discipline (R1), hot-path allocation discipline "
+            "(H1-H4), out-of-process safety (S2/S3), plus trace "
+            "cross-validation "
             "(--check-trace). See CONTRIBUTING.md for the rule catalogue, "
             "or --explain RULE for one entry with examples."
         ),
@@ -85,27 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-hints", action="store_true", help="omit fix hints"
     )
     parser.add_argument(
-        "--only",
-        default=None,
-        metavar="RULE[,RULE...]",
-        help=(
-            "run only these rule ids (comma-separated, repeatable) — e.g. "
-            "--only S1,S2,S3,S4,S5 for the distribution-safety pass; "
-            "suppression hygiene (X0) always runs"
-        ),
-        action="append",
-    )
-    parser.add_argument(
-        "--skip",
-        default=None,
-        metavar="RULE[,RULE...]",
-        help=(
-            "run every rule except these ids (comma-separated, "
-            "repeatable); combined with --only, --skip subtracts"
-        ),
-        action="append",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
     )
     parser.add_argument(
@@ -145,49 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def _parse_rule_list(
-    values: Optional[List[str]], flag: str
-) -> Optional[List[str]]:
-    """Flatten repeatable comma-separated rule ids; None when unset."""
-    if not values:
-        return None
-    known = {rule.id for rule in ALL_RULES}
-    selected: List[str] = []
-    for value in values:
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part not in known:
-                raise SystemExit(_usage_error(flag, part, known))
-            if part not in selected:
-                selected.append(part)
-    return selected
-
-
-def _usage_error(flag: str, rule_id: str, known: set) -> int:
-    print(
-        f"repro-lint: {flag} got unknown rule {rule_id!r} "
-        f"(known: {', '.join(sorted(known))})",
-        file=sys.stderr,
-    )
-    return 2
-
-
-def select_rules(
-    only: Optional[List[str]], skip: Optional[List[str]]
-):
-    """The rule subset for --only/--skip (catalogue order preserved)."""
-    rules = ALL_RULES
-    if only is not None:
-        wanted = set(only)
-        rules = tuple(rule for rule in rules if rule.id in wanted)
-    if skip is not None:
-        dropped = set(skip)
-        rules = tuple(rule for rule in rules if rule.id not in dropped)
-    return rules
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -234,15 +170,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     baseline = load_baseline(baseline_path) if baseline_path else set()
 
     excludes = args.exclude if args.exclude else list(DEFAULT_EXCLUDES)
-    rules = select_rules(
-        _parse_rule_list(args.only, "--only"),
-        _parse_rule_list(args.skip, "--skip"),
-    )
 
     if args.write_baseline:
-        findings = lint_paths(
-            args.paths, baseline=None, excludes=excludes, rules=rules
-        )
+        findings = lint_paths(args.paths, baseline=None, excludes=excludes)
         target = baseline_path or BASELINE_FILENAME
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(format_baseline(findings))
@@ -253,21 +183,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.check_baseline_shrink:
-        findings = lint_paths(
-            args.paths, baseline=None, excludes=excludes, rules=rules
-        )
+        findings = lint_paths(args.paths, baseline=None, excludes=excludes)
         current = {baseline_key(finding) for finding in findings}
         new = sorted(current - baseline)
         stale = sorted(baseline - current)
-        if rules != ALL_RULES:
-            # A rule subset sees a subset of findings: entries produced by
-            # unselected rules are not "stale", and growth is still growth.
-            selected_ids = {rule.id for rule in rules} | {"X0"}
-            stale = [
-                entry
-                for entry in stale
-                if entry.split("\t", 1)[0] in selected_ids
-            ]
         for entry in new:
             print(f"NEW    {entry}")
         for entry in stale:
@@ -288,9 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("repro-lint: baseline holds (no growth).")
         return 0
 
-    findings = lint_paths(
-        args.paths, baseline=baseline, excludes=excludes, rules=rules
-    )
+    findings = lint_paths(args.paths, baseline=baseline, excludes=excludes)
 
     if args.format == "json":
         _emit(to_json(findings), args.output)

@@ -1,45 +1,25 @@
 """A lightweight flow-sensitive dataflow layer over the project graph.
 
-Three analyses, shared by the whole-program rules (D4/P2/A1):
-
-* **Seed taint** — is an expression derived (through assignments, closures,
-  dataclass fields, f-strings, and calls) from an explicit function
-  parameter? Rule D4 uses this to demand that every RNG master seed in
-  simulated code traces back to a seed argument rather than a literal or
-  hidden entropy.
-* **RNG-factory summaries** — a fixpoint over the call graph classifying
-  every function/class of the run: does calling it produce an RNG, which of
-  its parameters feed RNG master seeds, and does it ever seed from
-  something that is *not* a parameter? This is what lets D4 see through
-  helper/factory boundaries (``build_x_agents`` → ``derive_rng``).
-* **Send/mutation event streams** — per function, every transport-style
-  send, every mutation of a local name, and every rebinding, each tagged
-  with its line and enclosing loops. Rule P2's escape analysis is a simple
-  ordering query over these streams ("was this name mutated after being
-  handed to a send?").
+Per function, every transport-style send, every mutation of a local name,
+and every rebinding, each tagged with its line and enclosing loops. Rule
+P2's escape analysis is a simple ordering query over these streams ("was
+this name mutated after being handed to a send?"). The module also holds
+the function walk and the call-argument binding the whole-program rules
+share.
 
 All of it is deliberately approximate. The contract with the rules: err on
 the side of **not** reporting (a finding must be explainable to the author
 from the quoted line), and let per-line ``disable=`` pragmas cover the
 residue.
-
-Expensive whole-program results are memoised on the
-:class:`~repro.lint.graph.ProjectGraph` (see :meth:`ProjectGraph.cached`),
-so N rules over M files share one computation per run.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
-from .graph import ClassInfo, FunctionInfo, ModuleInfo, ProjectGraph
-
-#: Functions (by bare name) that derive seeds/streams from a master seed;
-#: their first argument is the master. Matched by name so fixture files
-#: exercise the analysis without importing the real runtime.
-SEED_DERIVERS = ("derive_rng", "derive_seed")
+from .graph import ClassInfo, FunctionInfo, ModuleInfo
 
 #: Attribute-call names treated as handing a payload to a transport.
 SEND_ATTRS = frozenset({"send", "post", "put", "put_nowait", "heappush"})
@@ -54,392 +34,6 @@ MUTATOR_METHODS = frozenset(
 )
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-# =============================================================================
-# Seed taint
-# =============================================================================
-
-
-@dataclass
-class FactorySummary:
-    """What calling one function/class means for RNG provenance."""
-
-    #: Calling this produces (or transitively produces) an RNG or seed.
-    creates_rng: bool = False
-    #: Parameter names whose value flows into an RNG master seed.
-    seed_params: Tuple[str, ...] = ()
-    #: The factory seeds an RNG from something that is not one of its own
-    #: parameters (a literal, entropy, the wall clock, ...).
-    unseeded: bool = False
-
-
-@dataclass
-class SeedContext:
-    """Everything :func:`is_seed_derived` needs to judge one expression."""
-
-    module: Optional[ModuleInfo]
-    graph: ProjectGraph
-    summaries: Dict[Tuple[str, str], FactorySummary]
-    #: Names currently known to be seed-derived (parameters, closure
-    #: parameters, and locals assigned from seed-derived expressions).
-    names: Set[str] = field(default_factory=set)
-    #: The enclosing class, for ``self.<field>`` judgements.
-    class_info: Optional[ClassInfo] = None
-
-
-def summary_key(info: Union[FunctionInfo, ClassInfo]) -> Tuple[str, str]:
-    name = info.qualname if isinstance(info, FunctionInfo) else info.name
-    return (info.module.path, name)
-
-
-def is_seed_derived(expr: ast.expr, ctx: SeedContext, _depth: int = 0) -> bool:
-    """Whether *expr* traces back to an explicit parameter.
-
-    Taint propagates through arithmetic, f-strings, conditionals,
-    containers, and calls (a call with a seed-derived argument yields a
-    seed-derived value — the common ``f(seed, "tag")`` derivation shape).
-    Constants never qualify: a literal master seed is exactly the
-    provenance laundering D4 exists to reject.
-    """
-    if _depth > 12:
-        return False
-    if isinstance(expr, ast.Name):
-        return expr.id in ctx.names
-    if isinstance(expr, ast.Attribute):
-        if isinstance(expr.value, ast.Name) and expr.value.id in (
-            "self", "cls"
-        ):
-            return _field_is_seed_derived(expr.attr, ctx)
-        return is_seed_derived(expr.value, ctx, _depth + 1)
-    if isinstance(expr, ast.IfExp):
-        return is_seed_derived(expr.body, ctx, _depth + 1) and is_seed_derived(
-            expr.orelse, ctx, _depth + 1
-        )
-    if isinstance(expr, ast.BoolOp):
-        return all(
-            is_seed_derived(value, ctx, _depth + 1) for value in expr.values
-        )
-    if isinstance(expr, ast.BinOp):
-        return is_seed_derived(expr.left, ctx, _depth + 1) or is_seed_derived(
-            expr.right, ctx, _depth + 1
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return is_seed_derived(expr.operand, ctx, _depth + 1)
-    if isinstance(expr, ast.JoinedStr):
-        return any(
-            is_seed_derived(value, ctx, _depth + 1) for value in expr.values
-        )
-    if isinstance(expr, ast.FormattedValue):
-        return is_seed_derived(expr.value, ctx, _depth + 1)
-    if isinstance(expr, (ast.Tuple, ast.List)):
-        return any(is_seed_derived(item, ctx, _depth + 1) for item in expr.elts)
-    if isinstance(expr, ast.Starred):
-        return is_seed_derived(expr.value, ctx, _depth + 1)
-    if isinstance(expr, ast.Subscript):
-        return is_seed_derived(expr.value, ctx, _depth + 1)
-    if isinstance(expr, ast.Call):
-        return any(
-            is_seed_derived(arg, ctx, _depth + 1) for arg in expr.args
-        ) or any(
-            keyword.value is not None
-            and is_seed_derived(keyword.value, ctx, _depth + 1)
-            for keyword in expr.keywords
-        )
-    return False
-
-
-def _field_is_seed_derived(attr: str, ctx: SeedContext) -> bool:
-    """``self.<attr>`` is seed-derived when the class takes it at
-    construction: a dataclass field, or an ``__init__`` assignment from a
-    parameter-derived expression."""
-    info = ctx.class_info
-    if info is None:
-        return False
-    if info.is_dataclass and attr in info.fields:
-        return True
-    init = info.methods.get("__init__")
-    if init is None:
-        return False
-    # Memoised per graph, not per process: fixture tests reuse fake paths
-    # across distinct sources, so a module-global cache would go stale.
-    cache = ctx.graph.cached(
-        "param-derived-fields",
-        lambda: {},
-    )
-    assert isinstance(cache, dict)
-    key = summary_key(init)
-    if key not in cache:
-        cache[key] = _param_derived_fields(init, ctx.graph)
-    return attr in cache[key]
-
-
-def _param_derived_fields(init: FunctionInfo, graph: ProjectGraph) -> Set[str]:
-    env: Set[str] = set(init.params)
-    fields: Set[str] = set()
-    ctx = SeedContext(
-        module=init.module, graph=graph, summaries={}, names=env
-    )
-    node = init.node
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    for statement in ast.walk(node):
-        if not isinstance(statement, ast.Assign):
-            continue
-        for target in statement.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and is_seed_derived(statement.value, ctx)
-            ):
-                fields.add(target.attr)
-    return fields
-
-
-def build_seed_env(
-    function: _FunctionNode,
-    enclosing_params: Sequence[str] = (),
-) -> Set[str]:
-    """Names seed-derived *somewhere* in the function: its parameters, the
-    enclosing functions' parameters (closures), and locals assigned from
-    expressions over those. One ordered pass; rebinding a name to a
-    non-derived value removes it again."""
-    env: Set[str] = set(enclosing_params)
-    for arg in _all_args(function):
-        env.add(arg)
-    ctx = SeedContext(
-        module=None,  # type: ignore[arg-type]
-        graph=ProjectGraph(),
-        summaries={},
-        names=env,
-    )
-    for statement in _ordered_statements(function):
-        value: Optional[ast.expr] = None
-        targets: List[ast.expr] = []
-        if isinstance(statement, ast.Assign):
-            value, targets = statement.value, statement.targets
-        elif isinstance(statement, ast.AnnAssign) and statement.value:
-            value, targets = statement.value, [statement.target]
-        if value is None:
-            continue
-        derived = is_seed_derived(value, ctx)
-        for target in targets:
-            names = (
-                [target]
-                if isinstance(target, ast.Name)
-                else list(target.elts)
-                if isinstance(target, (ast.Tuple, ast.List))
-                else []
-            )
-            for item in names:
-                if isinstance(item, ast.Name):
-                    if derived:
-                        env.add(item.id)
-                    else:
-                        env.discard(item.id)
-    return env
-
-
-def _all_args(function: _FunctionNode) -> List[str]:
-    args = function.args
-    names = [arg.arg for arg in args.posonlyargs]
-    names += [arg.arg for arg in args.args]
-    names += [arg.arg for arg in args.kwonlyargs]
-    if args.vararg is not None:
-        names.append(args.vararg.arg)
-    if args.kwarg is not None:
-        names.append(args.kwarg.arg)
-    return names
-
-
-def _ordered_statements(function: _FunctionNode) -> Iterator[ast.stmt]:
-    """Statements of *function* in source order, nested bodies included,
-    without descending into nested function/class definitions."""
-
-    def visit(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
-        for statement in body:
-            yield statement
-            if isinstance(
-                statement,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                continue
-            for field_name in ("body", "orelse", "finalbody"):
-                inner = getattr(statement, field_name, None)
-                if inner:
-                    yield from visit(inner)
-            for handler in getattr(statement, "handlers", ()) or ():
-                yield from visit(handler.body)
-
-    return visit(function.body)
-
-
-# -- RNG creation sites --------------------------------------------------------
-
-
-#: Sentinel for "the creation takes no master seed at all" (``Random()``).
-NO_MASTER = object()
-
-
-def rng_master_of(
-    call: ast.Call, module: ModuleInfo
-) -> Optional[Union[ast.expr, object]]:
-    """If *call* creates an RNG/seed directly, its master-seed expression.
-
-    Returns ``None`` when the call is not an RNG creation, the master
-    expression when it is, and :data:`NO_MASTER` for an argument-less
-    ``random.Random()`` (seeded from OS entropy — never reproducible).
-    Recognised shapes: ``random.Random(...)`` (import-aware),
-    ``Random(...)`` imported from :mod:`random`, and the repo's
-    ``derive_rng``/``derive_seed``.
-    """
-    func = call.func
-    is_creation = False
-    if isinstance(func, ast.Attribute) and func.attr == "Random":
-        if (
-            isinstance(func.value, ast.Name)
-            and module.import_modules.get(func.value.id) == "random"
-        ):
-            is_creation = True
-    elif isinstance(func, ast.Name):
-        if func.id == "Random":
-            origin = module.import_names.get("Random")
-            if origin is not None and origin[0] == "random":
-                is_creation = True
-        elif func.id in SEED_DERIVERS:
-            is_creation = True
-    if not is_creation:
-        return None
-    if call.args:
-        return call.args[0]
-    for keyword in call.keywords:
-        if keyword.arg in ("master", "x", "seed"):
-            return keyword.value
-    return NO_MASTER
-
-
-# -- factory summaries ---------------------------------------------------------
-
-
-def compute_factory_summaries(
-    graph: ProjectGraph,
-) -> Dict[Tuple[str, str], FactorySummary]:
-    """Fixpoint classification of every function/class as an RNG factory.
-
-    A function is a factory when it creates an RNG (directly or via another
-    factory). Its ``seed_params`` are the parameters that feed master
-    seeds; ``unseeded`` marks factories whose creations use a non-parameter
-    master. Classes are summarised through ``__init__`` (their constructor
-    call is the factory call). Convergence is quick: the chain depth is the
-    call-graph depth of factory helpers, two or three in practice.
-    """
-    summaries: Dict[Tuple[str, str], FactorySummary] = {}
-    units: List[Tuple[Tuple[str, str], FunctionInfo]] = []
-    for function in graph.all_functions():
-        units.append((summary_key(function), function))
-    for cls in graph.all_classes():
-        init = cls.methods.get("__init__")
-        if init is not None:
-            units.append((summary_key(cls), init))
-
-    for _round in range(8):
-        changed = False
-        for key, function in units:
-            summary = _summarise(function, graph, summaries)
-            if summaries.get(key) != summary:
-                summaries[key] = summary
-                changed = True
-        if not changed:
-            break
-    return summaries
-
-
-def _summarise(
-    function: FunctionInfo,
-    graph: ProjectGraph,
-    summaries: Dict[Tuple[str, str], FactorySummary],
-) -> FactorySummary:
-    node = function.node
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    params = set(function.params)
-    env = build_seed_env(node)
-    # ast.walk below sees calls inside nested closures too; fold those
-    # closures' own seed environments in so a `rng_factory` helper seeding
-    # from its enclosing builder's parameter is not misread as unseeded.
-    for statement in ast.walk(node):
-        if statement is not node and isinstance(
-            statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            env |= build_seed_env(statement, enclosing_params=tuple(env))
-    ctx = SeedContext(
-        module=function.module, graph=graph, summaries=summaries, names=env
-    )
-    #: name -> value expression, for one level of local chasing.
-    assigned: Dict[str, ast.expr] = {}
-    for statement in _ordered_statements(node):
-        if isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    assigned[target.id] = statement.value
-
-    creates = False
-    unseeded = False
-    seed_params: Set[str] = set()
-
-    def master_params(master: ast.expr, _depth: int = 0) -> Set[str]:
-        found: Set[str] = set()
-        if _depth > 6:
-            return found
-        for name_node in ast.walk(master):
-            if isinstance(name_node, ast.Name):
-                if name_node.id in params:
-                    found.add(name_node.id)
-                elif name_node.id in assigned:
-                    found |= master_params(assigned[name_node.id], _depth + 1)
-        return found
-
-    for inner in ast.walk(node):
-        if not isinstance(inner, ast.Call):
-            continue
-        master = rng_master_of(inner, function.module)
-        if master is not None:
-            creates = True
-            if master is NO_MASTER or not is_seed_derived(master, ctx):  # type: ignore[arg-type]
-                unseeded = True
-            else:
-                seed_params |= master_params(master)  # type: ignore[arg-type]
-            continue
-        callee = _resolve_callable(inner, function.module, graph)
-        if callee is None:
-            continue
-        callee_summary = summaries.get(summary_key(callee))
-        if callee_summary is None or not callee_summary.creates_rng:
-            continue
-        creates = True
-        for param_name, argument in _bind_arguments(inner, callee):
-            if param_name in callee_summary.seed_params:
-                if is_seed_derived(argument, ctx):
-                    seed_params |= master_params(argument)
-                else:
-                    unseeded = True
-    return FactorySummary(
-        creates_rng=creates,
-        seed_params=tuple(sorted(seed_params)),
-        unseeded=unseeded,
-    )
-
-
-def _resolve_callable(
-    call: ast.Call, module: ModuleInfo, graph: ProjectGraph
-) -> Optional[Union[FunctionInfo, ClassInfo]]:
-    """The project function or class a call's bare name resolves to."""
-    func = call.func
-    if not isinstance(func, ast.Name):
-        return None
-    resolved_function = graph.resolve_function(module, func.id)
-    if resolved_function is not None:
-        return resolved_function
-    return graph.resolve_class(module, func.id)
 
 
 def _bind_arguments(
@@ -471,28 +65,13 @@ def _bind_arguments(
     return bound
 
 
-def factory_summaries(
-    graph: ProjectGraph,
-) -> Dict[Tuple[str, str], FactorySummary]:
-    """The per-run memoised result of :func:`compute_factory_summaries`."""
-    return graph.cached(  # type: ignore[return-value]
-        "factory-summaries", lambda: compute_factory_summaries(graph)
-    )
+def iter_functions(module: ModuleInfo) -> Iterator[FunctionInfo]:
+    """Every function of *module*: module functions, methods, and (one
+    level of) functions nested in either."""
 
-
-def iter_functions(
-    module: ModuleInfo,
-) -> Iterator[Tuple[FunctionInfo, Optional[ClassInfo], Tuple[str, ...]]]:
-    """Every function of *module* with its class and closure parameters.
-
-    Yields ``(function, enclosing class or None, enclosing-function
-    parameter names)`` — module functions, methods, and (one level of)
-    nested functions, which inherit the enclosing parameters for seed-env
-    purposes (the repo's ``rng_factory`` closures).
-    """
     def nested(
         outer: FunctionInfo, cls: Optional[ClassInfo]
-    ) -> Iterator[Tuple[FunctionInfo, Optional[ClassInfo], Tuple[str, ...]]]:
+    ) -> Iterator[FunctionInfo]:
         outer_node = outer.node
         assert isinstance(outer_node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for statement in ast.walk(outer_node):
@@ -507,14 +86,14 @@ def iter_functions(
                 module=module,
                 class_name=cls.name if cls else None,
             )
-            yield inner, cls, tuple(outer.params)
+            yield inner
 
     for function in module.functions.values():
-        yield function, None, ()
+        yield function
         yield from nested(function, None)
     for cls in module.classes.values():
         for method in cls.methods.values():
-            yield method, cls, ()
+            yield method
             yield from nested(method, cls)
 
 

@@ -15,14 +15,11 @@ commutativity matrix over handler pairs. A *handler* is the body of an
 reaches through ``self._method()`` calls within the class (bases included,
 resolved name-based through the project graph).
 
-Two consumers share the result (memoised per
-:class:`~repro.lint.graph.ProjectGraph` via :meth:`~ProjectGraph.cached`):
-
-* the R1/R2/R3 lint rules (:mod:`repro.lint.rules_effects`), which flag
-  statically-detectable interleaving hazards; and
-* the DPOR schedule explorer (:mod:`repro.verify`), which uses the matrix
-  to prune equivalent delivery orders — deliveries to the same agent whose
-  handlers commute need only be explored in one order.
+The result is memoised per :class:`~repro.lint.graph.ProjectGraph` (via
+:meth:`~ProjectGraph.cached`). Its consumer is the DPOR schedule explorer
+(:mod:`repro.verify`), which uses the matrix to prune equivalent delivery
+orders — deliveries to the same agent whose handlers commute need only be
+explored in one order. Rule S2 reuses the dispatch discovery.
 
 The analysis is deliberately conservative: an attribute method it cannot
 classify as read-only counts as a write, so "commutes" is only reported
@@ -83,11 +80,6 @@ MUTATING_METHODS = frozenset(
     }
 )
 
-#: Attributes whose writes *commit a decision* — the agent's announced
-#: value or rank. A handler writing these inside the per-message dispatch
-#: acts on possibly half-absorbed state; see rule R2.
-DECISION_ATTRS = frozenset({"value", "priority", "phase"})
-
 #: The base class whose subclass closure defines "agent code".
 AGENT_BASE = "SimulatedAgent"
 
@@ -108,11 +100,6 @@ class HandlerEffect:
     scope: Optional[str]
     path: str
     line: int
-
-    @property
-    def decision_writes(self) -> FrozenSet[str]:
-        """The decision attributes this handler writes."""
-        return self.writes & DECISION_ATTRS
 
     def conflicts_with(self, other: "HandlerEffect") -> FrozenSet[str]:
         """The attributes on which this handler conflicts with *other*.
@@ -403,43 +390,6 @@ def _expand_self_calls(
         queue.extend(
             call for call in sorted(local.self_calls) if call not in visited
         )
-
-
-def method_footprint(
-    graph: ProjectGraph, module: ModuleInfo, cls: ClassInfo, name: str
-) -> Optional[Tuple[FrozenSet[str], FrozenSet[str], Set[str]]]:
-    """The transitive (reads, writes, visited methods) of one method.
-
-    Used by rule R3 to check consultation paths; returns None when the
-    method cannot be resolved in the class or its graph-visible bases.
-    """
-    method = _resolve_method(graph, module, cls, name)
-    if method is None:
-        return None
-    footprint = _Footprint()
-    node = method.node
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    _collect_statements(node.body, footprint)
-    visited: Set[str] = {name}
-    queue = sorted(footprint.self_calls)
-    while queue:
-        callee = queue.pop()
-        if callee in visited:
-            continue
-        visited.add(callee)
-        target = _resolve_method(graph, module, cls, callee)
-        if target is None:
-            continue
-        local = _Footprint()
-        target_node = target.node
-        assert isinstance(
-            target_node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        )
-        _collect_statements(target_node.body, local)
-        footprint.reads |= local.reads
-        footprint.writes |= local.writes
-        queue.extend(sorted(local.self_calls))
-    return frozenset(footprint.reads), frozenset(footprint.writes), visited
 
 
 def _resolve_method(

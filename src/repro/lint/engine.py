@@ -1,9 +1,9 @@
 """Walking files, applying rules, suppressions and the baseline.
 
-Scoping: a rule like D1 only applies under ``algorithms/`` — the engine
+Scoping: a rule like M1 only applies under ``algorithms/`` — the engine
 computes every file's *repro-relative* path (the part after ``src/repro/``)
 and hands it to the rules. Files outside the package (tests, tools) get no
-scope, so only repo-wide checks (P1's frozen-message half) run there; a
+scope, so no directory-scoped rule runs there; a
 ``# repro-lint: module=<relpath>`` pragma can pin a scope explicitly, which
 is how the fixture files under ``tests/lint/fixtures/`` exercise
 directory-scoped rules.
@@ -171,8 +171,9 @@ def lint_paths(
 
     Builds the :class:`~repro.lint.graph.ProjectGraph` **once** over every
     selected file and shares it across all rules and files — each file is
-    parsed a single time, and whole-program analyses (the RNG-factory
-    fixpoint) are memoised on the graph. This sharing is what keeps a
+    parsed a single time, and whole-program analyses (handler effects,
+    S3's shared-state aliases, the H rules' allocation sites) are memoised
+    on the graph. This sharing is what keeps a
     full-tree run inside the bench budget (see ``BENCH_lint.json``).
     """
     findings: List[Finding] = []

@@ -23,56 +23,6 @@ class Explanation:
 
 
 EXPLANATIONS: Dict[str, Explanation] = {
-    "D1": Explanation(
-        rationale=(
-            "Process-global random.* calls draw from interpreter-wide "
-            "state, so trial results depend on import order and on every "
-            "other component that touched the global RNG. Each agent and "
-            "each trial must own a seeded random.Random so runs replay "
-            "bit-identically."
-        ),
-        bad="value = random.choice(self.domain.values)",
-        good="value = self.rng.choice(self.domain.values)",
-    ),
-    "D2": Explanation(
-        rationale=(
-            "Wall-clock reads (time.time, datetime.now, perf counters) "
-            "inside the simulated world leak host timing into results, "
-            "breaking replay determinism. Simulated time is the cycle "
-            "counter; host time belongs only to the harness."
-        ),
-        bad="started = time.time()",
-        good="started_cycle = self.network.cycle",
-    ),
-    "D3": Explanation(
-        rationale=(
-            "Set iteration order varies with insertion history and hash "
-            "randomization. Iterating a set to pick values or recipients "
-            "makes the search trajectory depend on PYTHONHASHSEED."
-        ),
-        bad="for neighbor in self.neighbors: send(neighbor, msg)",
-        good="for neighbor in sorted(self.neighbors): send(neighbor, msg)",
-    ),
-    "D4": Explanation(
-        rationale=(
-            "Every random.Random must be seeded from a value traceable to "
-            "an explicit parameter (master seed, trial seed). An RNG built "
-            "from a literal or from nothing silently re-uses one stream "
-            "across trials and hides the seed from the experiment record."
-        ),
-        bad="self.rng = random.Random()",
-        good="self.rng = random.Random(seed)",
-    ),
-    "P1": Explanation(
-        rationale=(
-            "Agents only interact through messages; a handler that "
-            "mutates a received message reaches into another agent's "
-            "state, which a real distributed system cannot do. Messages "
-            "are frozen dataclasses — build a new one instead."
-        ),
-        bad="message.view[sender] = value",
-        good="updated = replace(message, view=new_view)",
-    ),
     "P2": Explanation(
         rationale=(
             "A payload mutated after send changes what the receiver "
@@ -94,16 +44,6 @@ EXPLANATIONS: Dict[str, Explanation] = {
         bad="self.transport.deliver(peer, message)",
         good="outgoing.append((peer, message))",
     ),
-    "A2": Explanation(
-        rationale=(
-            "Event-queue keys that tie (or that compare unlike types) "
-            "make heap pop order depend on insertion order. Keys must be "
-            "totally ordered and carry the agent id as the final "
-            "tie-break so every backend pops identically."
-        ),
-        bad="heappush(queue, (deliver_at, message))",
-        good="heappush(queue, (deliver_at, seq, agent_id, message))",
-    ),
     "M1": Explanation(
         rationale=(
             "The paper's headline measure is constraint checks. A "
@@ -122,26 +62,6 @@ EXPLANATIONS: Dict[str, Explanation] = {
         ),
         bad="self.view._values[sender] = value",
         good="self.view.update(sender, value, counter)",
-    ),
-    "R2": Explanation(
-        rationale=(
-            "Handlers that commit decisions (value changes, nogood "
-            "sends) must produce the same outcome under any legal "
-            "message reordering, or the DPOR explorer reports schedule-"
-            "dependent results. Read all pending input before deciding."
-        ),
-        bad="def on_ok(self, msg): self.pick_value()  # per-message commit",
-        good="def step(self, batch): ...; self.pick_value()  # once per cycle",
-    ),
-    "R3": Explanation(
-        rationale=(
-            "Methods named like consultations (violated_*, count_*, "
-            "is_*) are called from paths that assume the store is "
-            "unchanged afterwards; a mutation hidden inside one "
-            "invalidates the store's caches and replay parity."
-        ),
-        bad="def violated_higher(self, ...): self._cache.clear(); ...",
-        good="def violated_higher(self, ...): ...  # read-only; mutate in add()",
     ),
     "H1": Explanation(
         rationale=(
@@ -198,22 +118,6 @@ EXPLANATIONS: Dict[str, Explanation] = {
             "ranked = sorted(pairs, key=_BY_SCORE)"
         ),
     ),
-    "S1": Explanation(
-        rationale=(
-            "Everything that crosses a process boundary — message "
-            "payloads, pool tasks, worker init arguments — must pickle. "
-            "Lambdas, closures over locals, open file/socket handles and "
-            "live RNG objects do not (or, for RNGs, ship state that then "
-            "diverges), so they fail only at shard time, on a remote "
-            "host. Ship plain data and registry names; rebuild behaviour "
-            "on the receiving side."
-        ),
-        bad="pool.submit(lambda: solve(problem, rng))",
-        good=(
-            "pool.submit(solve_by_name, problem, algorithm_name, seed)\n"
-            "# worker rebuilds the spec and derives its own RNG stream"
-        ),
-    ),
     "S2": Explanation(
         rationale=(
             "A blocking call (sleep, file or socket I/O, input) inside "
@@ -244,36 +148,6 @@ EXPLANATIONS: Dict[str, Explanation] = {
             "# collector merges logs at cycle boundaries"
         ),
     ),
-    "S4": Explanation(
-        rationale=(
-            "id() values and unseeded hash() of str/bytes differ across "
-            "processes and hosts (address layout, PYTHONHASHSEED), so a "
-            "heap key, sort key or tie-break built from them makes "
-            "shards disagree on ordering — and the run unreproducible. "
-            "Order by stable domain keys: agent id, sequence number, "
-            "cycle."
-        ),
-        bad="heappush(queue, (priority, id(message), message))",
-        good="heappush(queue, (priority, seq, agent_id, message))",
-    ),
-    "S5": Explanation(
-        rationale=(
-            "An emitted message type with no handler is silently dropped "
-            "at the receiver — on one host that shows up in a trace, "
-            "across hosts it is just a hang (the APO completeness "
-            "analyses show such protocol holes are fatal). A handler for "
-            "a never-sent type is dead protocol surface that drifts out "
-            "of date. Emit and dispatch sets must match exactly."
-        ),
-        bad=(
-            "send(peer, ProbeMessage(...))  "
-            "# no isinstance(ProbeMessage) anywhere"
-        ),
-        good=(
-            "elif isinstance(message, ProbeMessage):\n"
-            "    outgoing.extend(self._on_probe(message))"
-        ),
-    ),
     "X0": Explanation(
         rationale=(
             "A '# repro-lint: disable=RULE' without a ' -- reason' "
@@ -283,10 +157,10 @@ EXPLANATIONS: Dict[str, Explanation] = {
             "module or function would silently drop code from the H-rule "
             "hot set. X0 itself cannot be disabled."
         ),
-        bad="x = random.random()  # repro-lint: disable=D1",
+        bad="ok = nogood.prohibits(view)  # repro-lint: disable=M1",
         good=(
-            "x = random.random()  "
-            "# repro-lint: disable=D1 -- harness-only jitter, not simulated"
+            "ok = nogood.prohibits(view)  "
+            "# repro-lint: disable=M1 -- oracle check, never in a trial"
         ),
     ),
 }

@@ -75,17 +75,6 @@ class FunctionInfo:
             names.append(args.kwarg.arg)
         return names
 
-    def param_index(self, name: str) -> Optional[int]:
-        """The positional index of parameter *name* (None for kw-only)."""
-        args = self.node.args  # type: ignore[attr-defined]
-        positional = [arg.arg for arg in args.posonlyargs] + [
-            arg.arg for arg in args.args
-        ]
-        try:
-            return positional.index(name)
-        except ValueError:
-            return None
-
     def __repr__(self) -> str:
         return f"FunctionInfo({self.module.scope or self.module.path}::{self.qualname})"
 
@@ -316,15 +305,6 @@ class ProjectGraph:
             return None
         return target.classes.get(origin[1])
 
-    def all_functions(self) -> List[FunctionInfo]:
-        """Every module-level function and method in the run."""
-        out: List[FunctionInfo] = []
-        for module in self.modules.values():
-            out.extend(module.functions.values())
-            for cls in module.classes.values():
-                out.extend(cls.methods.values())
-        return out
-
     def all_classes(self) -> List[ClassInfo]:
         out: List[ClassInfo] = []
         for module in self.modules.values():
@@ -353,8 +333,8 @@ class ProjectGraph:
         """Memoise *compute()* under *key* for the lifetime of the graph.
 
         Rules share one graph per run; expensive whole-program analyses
-        (the RNG-factory fixpoint, per-function dataflow) are computed once
-        and reused by every rule and every file.
+        (handler effects, shared-state aliases, allocation sites) are
+        computed once and reused by every rule and every file.
         """
         if key not in self._analysis_cache:
             self._analysis_cache[key] = compute()  # type: ignore[operator]

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .graph import ClassInfo, FunctionInfo, ModuleInfo, ProjectGraph
+from .graph import ClassInfo, FunctionInfo, ProjectGraph
 
 try:  # Python 3.11+
     import tomllib

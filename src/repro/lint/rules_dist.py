@@ -1,18 +1,11 @@
-"""The distribution-safety rules: S1-S5.
+"""The distribution-safety rules: S2 and S3.
 
-The in-process simulators are forgiving in ways the sharded runtime (and
-the socket transport already in the tree) are not: objects cross "process
-boundaries" by reference, agents alias each other's state freely, host
-identity functions look stable, and a mis-matched protocol merely drops a
-message instead of wedging a remote peer. These rules certify the
-properties that must hold before any agent is moved out of process:
+The in-process simulators are forgiving in ways the socket transport (one
+process per agent) is not: a handler may block the whole process, and
+agents may alias each other's state freely. These rules check the two
+properties that must hold before an agent is moved out of process:
 
 =====  ======================================================================
-S1     Serialization closure. Everything handed to a transport send, an
-       executor submission, a process spawn, or a message payload must
-       pickle — no lambdas, local closures, open OS handles, generators,
-       thread locks, or (because a duplicated stream forks the trial's
-       randomness) RNG objects anywhere in the transitive value closure.
 S2     Non-blocking handlers. Agent code reachable from message-handler
        dispatch must not block: ``sleep``, console input, file or socket
        I/O stall the whole shard, not one agent. Waiting is expressed by
@@ -22,44 +15,22 @@ S3     No cross-agent aliasing. A mutable object passed loop-invariantly
        mutated by agent code only works because those agents share one
        process. Each agent owns its mutable state; cross-agent aggregation
        belongs to the harness.
-S4     Host-independent ordering. ``id()`` and unseeded ``hash()`` differ
-       per process and per host; dict iteration order is insertion order,
-       which differs per replica. None of them may feed a sort key, heap
-       key, or min/max tie-break in simulated code.
-S5     Protocol conformance. Within an algorithm family, every message
-       type a role emits has a handler on the roles that can receive it,
-       and no handler exists for a type nobody sends — an emit-without-
-       handler wedges the distributed run (the message is consumed
-       without effect, quiescence accounting still charges it), a
-       handler-without-emit is dead protocol surface that hides exactly
-       that bug.
 =====  ======================================================================
 
-S1 and S3 consume the boundary analysis in :mod:`repro.lint.boundary`;
-S2 and S5 reuse the dispatch-discovery machinery of
-:mod:`repro.lint.effects`. The lint bench cross-validates S1 dynamically:
-every payload sent in a pinned trial corpus is pickle-round-tripped and
-checked against the static closure (see ``repro.experiments.bench``).
+S3 consumes the alias analysis in :mod:`repro.lint.boundary`; S2 reuses
+the dispatch-discovery machinery of :mod:`repro.lint.effects`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from .boundary import boundary_closures, shared_agent_state
-from .effects import (
-    AGENT_BASE,
-    _isinstance_message_types,
-    _resolve_method,
-)
+from .boundary import shared_agent_state
+from .effects import AGENT_BASE, _resolve_method
 from .findings import Finding
 from .graph import ClassInfo, ModuleInfo, ProjectGraph
-from .rules import SIMULATED_DIRS, Rule, _in_dirs
-
-#: Where S4's ordering-key discipline applies: the simulated world plus
-#: the pure layers it computes with.
-ORDERING_DIRS = SIMULATED_DIRS + ("core/", "learning/")
+from .rules import Rule, _in_dirs
 
 #: Blocking call heads by module-ish receiver: ``time.sleep`` etc.
 _BLOCKING_ATTR_CALLS = {
@@ -82,64 +53,6 @@ _BLOCKING_METHODS = frozenset(
 
 #: Blocking bare-name calls.
 _BLOCKING_NAMES = frozenset({"input", "open", "sleep", "create_connection"})
-
-#: Ordering sinks whose ``key=`` S4 inspects.
-_KEYED_SINKS = frozenset({"sorted", "min", "max", "sort", "nsmallest",
-                          "nlargest"})
-
-_HOST_DEPENDENT = frozenset({"id", "hash"})
-
-
-def _hazard_article(kind: str) -> str:
-    return {
-        "lambda": "a lambda",
-        "closure": "a closure over locals",
-        "handle": "an open OS handle",
-        "rng": "an RNG stream",
-        "generator": "a generator",
-        "lock": "a thread-synchronization primitive",
-    }.get(kind, kind)
-
-
-class SerializationClosureRule(Rule):
-    """S1 — everything crossing a process boundary must serialize."""
-
-    id = "S1"
-    title = "serializable boundary closures"
-
-    def applies(self, scope: Optional[str]) -> bool:
-        return scope is not None
-
-    def check(
-        self,
-        tree: ast.Module,
-        path: str,
-        scope: Optional[str],
-        lines: Sequence[str],
-        graph: ProjectGraph,
-    ) -> Iterator[Finding]:
-        hint = (
-            "ship data, not machinery: replace the captured object with a "
-            "picklable description (registry label, seed, plain fields) "
-            "and rebuild it on the far side — exactly how algorithm specs "
-            "travel by name"
-        )
-        for crossing in boundary_closures(graph):
-            if crossing.path != path:
-                continue
-            for hazard in crossing.hazards:
-                yield self._finding(
-                    crossing.node, path, lines,
-                    f"{crossing.kind} boundary '{crossing.label}' carries "
-                    f"{_hazard_article(hazard.kind)} ('{hazard.detail}') — "
-                    "it cannot cross a process boundary"
-                    + (
-                        " without forking the stream"
-                        if hazard.kind == "rng"
-                        else ""
-                    ),
-                    hint,
-                )
 
 
 class BlockingHandlerRule(Rule):
@@ -277,257 +190,4 @@ class SharedAgentStateRule(Rule):
             )
 
 
-class HostDependentOrderRule(Rule):
-    """S4 — no host-dependent value feeds an ordering decision."""
-
-    id = "S4"
-    title = "host-independent ordering keys"
-
-    def applies(self, scope: Optional[str]) -> bool:
-        return _in_dirs(scope, ORDERING_DIRS)
-
-    def check(
-        self,
-        tree: ast.Module,
-        path: str,
-        scope: Optional[str],
-        lines: Sequence[str],
-        graph: ProjectGraph,
-    ) -> Iterator[Finding]:
-        hint = (
-            "order by stable, replayable keys: ids assigned by the "
-            "problem, explicit sequence numbers, or structural sort keys "
-            "(stable_nogood_key) — id()/hash() change per process and "
-            "dict order is per-replica insertion history"
-        )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_keyed_sink(node, path, lines, hint)
-                yield from self._check_heap_push(node, path, lines, hint)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._check_dict_iteration(
-                    node, path, lines, hint
-                )
-
-    def _check_keyed_sink(
-        self,
-        call: ast.Call,
-        path: str,
-        lines: Sequence[str],
-        hint: str,
-    ) -> Iterator[Finding]:
-        head: Optional[str] = None
-        if isinstance(call.func, ast.Name):
-            head = call.func.id
-        elif isinstance(call.func, ast.Attribute):
-            head = call.func.attr
-        if head not in _KEYED_SINKS:
-            return
-        for keyword in call.keywords:
-            if keyword.arg != "key":
-                continue
-            culprit = self._host_dependent_use(keyword.value)
-            if culprit is not None:
-                yield self._finding(
-                    call, path, lines,
-                    f"'{head}' orders by host-dependent '{culprit}' — the "
-                    "result differs between processes and across "
-                    "interpreter restarts",
-                    hint,
-                )
-
-    def _check_heap_push(
-        self,
-        call: ast.Call,
-        path: str,
-        lines: Sequence[str],
-        hint: str,
-    ) -> Iterator[Finding]:
-        head: Optional[str] = None
-        if isinstance(call.func, ast.Name):
-            head = call.func.id
-        elif isinstance(call.func, ast.Attribute):
-            head = call.func.attr
-        if head not in ("heappush", "heappushpop", "heapreplace"):
-            return
-        if len(call.args) < 2:
-            return
-        culprit = self._host_dependent_use(call.args[1])
-        if culprit is not None:
-            yield self._finding(
-                call, path, lines,
-                f"heap key contains host-dependent '{culprit}' — pop "
-                "order would differ per process",
-                hint,
-            )
-
-    def _check_dict_iteration(
-        self,
-        loop: ast.For,
-        path: str,
-        lines: Sequence[str],
-        hint: str,
-    ) -> Iterator[Finding]:
-        iterator = loop.iter
-        if not (
-            isinstance(iterator, ast.Call)
-            and isinstance(iterator.func, ast.Attribute)
-            and iterator.func.attr in ("items", "keys", "values")
-        ):
-            return
-        for inner in ast.walk(loop):
-            if (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, (ast.Name, ast.Attribute))
-            ):
-                head = (
-                    inner.func.id
-                    if isinstance(inner.func, ast.Name)
-                    else inner.func.attr
-                )
-                if head in ("heappush", "heappushpop", "heapreplace"):
-                    yield self._finding(
-                        loop, path, lines,
-                        "dict-iteration order feeds a heap — insertion "
-                        "history differs per replica, so pop order is not "
-                        "reproducible across processes; iterate "
-                        "sorted(...) instead",
-                        hint,
-                    )
-                    return
-
-    @staticmethod
-    def _host_dependent_use(key: ast.expr) -> Optional[str]:
-        """'id(...)'/'hash(...)' text if *key* depends on one, else None."""
-        if isinstance(key, ast.Name) and key.id in _HOST_DEPENDENT:
-            return key.id
-        for node in ast.walk(key):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in _HOST_DEPENDENT
-            ):
-                return f"{node.func.id}({ast.unparse(node.args[0]) if node.args else ''})"
-        return None
-
-
-class ProtocolConformanceRule(Rule):
-    """S5 — emitted and handled message types match within a family."""
-
-    id = "S5"
-    title = "protocol conformance"
-
-    def applies(self, scope: Optional[str]) -> bool:
-        return _in_dirs(scope, ("algorithms/",))
-
-    def check(
-        self,
-        tree: ast.Module,
-        path: str,
-        scope: Optional[str],
-        lines: Sequence[str],
-        graph: ProjectGraph,
-    ) -> Iterator[Finding]:
-        module = graph.module_at(path)
-        if module is None:
-            return
-        agent_classes: Set[str] = graph.cached(  # type: ignore[assignment]
-            "simulated-agent-closure",
-            lambda: graph.subclasses_of(AGENT_BASE),
-        )
-        family = self._family_classes(graph, module, agent_classes)
-        if not family:
-            return
-        emitted: Dict[str, ast.AST] = {}
-        handled: Dict[str, ast.AST] = {}
-        for cls in family:
-            for method in self._family_methods(graph, cls):
-                for inner in ast.walk(method.node):
-                    if isinstance(inner, ast.Call):
-                        name = self._message_construction(inner)
-                        if name is not None:
-                            emitted.setdefault(name, inner)
-                    elif isinstance(inner, ast.If):
-                        for name in _isinstance_message_types(inner.test):
-                            handled.setdefault(name, inner)
-        if not emitted and not handled:
-            return
-        for name in sorted(set(emitted) - set(handled)):
-            yield self._finding(
-                emitted[name], path, lines,
-                f"this algorithm family emits {name} but registers no "
-                "handler for it — on a remote peer the delivery would be "
-                "consumed without effect and the protocol wedges",
-                "add an isinstance dispatch branch for the type on every "
-                "role that can receive it, or stop emitting it",
-            )
-        for name in sorted(set(handled) - set(emitted)):
-            yield self._finding(
-                handled[name], path, lines,
-                f"this algorithm family handles {name} but never emits "
-                "it — dead protocol surface that hides a missing or "
-                "misnamed emission",
-                "emit the type somewhere in the family or delete the "
-                "handler branch",
-            )
-
-    @staticmethod
-    def _family_classes(
-        graph: ProjectGraph,
-        module: ModuleInfo,
-        agent_classes: Set[str],
-    ) -> List[ClassInfo]:
-        """Agent classes defined in *module* plus those it instantiates."""
-        family: Dict[str, ClassInfo] = {}
-        for cls in module.classes.values():
-            if cls.name in agent_classes and cls.name != AGENT_BASE:
-                family[cls.name] = cls
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in agent_classes
-                and node.func.id != AGENT_BASE
-            ):
-                resolved = graph.resolve_class(module, node.func.id)
-                if resolved is not None:
-                    family.setdefault(resolved.name, resolved)
-        return [family[name] for name in sorted(family)]
-
-    @staticmethod
-    def _family_methods(graph: ProjectGraph, cls: ClassInfo):
-        """Methods of *cls* and its graph-visible bases (excluding the
-        abstract agent base, whose helpers are family-neutral)."""
-        seen: Set[str] = set()
-        stack = [cls]
-        visited_classes = {cls.name}
-        while stack:
-            current = stack.pop()
-            for name, method in current.methods.items():
-                if name not in seen:
-                    seen.add(name)
-                    yield method
-            for base_name in current.bases:
-                if base_name == AGENT_BASE:
-                    continue
-                base = graph.resolve_class(current.module, base_name)
-                if base is not None and base.name not in visited_classes:
-                    visited_classes.add(base.name)
-                    stack.append(base)
-
-    @staticmethod
-    def _message_construction(call: ast.Call) -> Optional[str]:
-        if isinstance(call.func, ast.Name):
-            name = call.func.id
-            if name.endswith("Message") and name != "Message":
-                return name
-        return None
-
-
-DIST_RULES: Tuple[Rule, ...] = (
-    SerializationClosureRule(),
-    BlockingHandlerRule(),
-    SharedAgentStateRule(),
-    HostDependentOrderRule(),
-    ProtocolConformanceRule(),
-)
+DIST_RULES: Tuple[Rule, ...] = (BlockingHandlerRule(), SharedAgentStateRule())

@@ -1,19 +1,10 @@
-"""The whole-program rules: D4, P2, A1, A2.
+"""The whole-program rules: P2, A1 and R1.
 
-These are the checks PR 2's file-local rules could not express — each one
-consults the :class:`~repro.lint.graph.ProjectGraph` and the
-:mod:`~repro.lint.dataflow` layer rather than a single AST:
+These are checks a single AST cannot express: each one consults the
+:class:`~repro.lint.graph.ProjectGraph` (and P2 the
+:mod:`~repro.lint.dataflow` event streams):
 
 =====  ======================================================================
-D4     RNG provenance. Every RNG (or derived seed) created in simulated
-       code must trace its master seed to an explicit parameter — across
-       assignments, closures, dataclass fields, and factory helpers. A
-       literal master ("``Random(42)``") silently couples every trial to
-       one hidden stream; an entropy master ("``Random()``") destroys
-       reproducibility outright. The taint engine sees through factories:
-       ``build_agents(seed)`` → ``derive_rng(seed, ...)`` is fine, and
-       ``build_agents(99)`` is flagged *at the call site* that launders
-       the provenance.
 P2     Mutation after send. A payload handed to ``send``/``post``/
        ``heappush`` is shared structure from that line on; mutating it
        afterwards rewrites a message already in flight — the in-process
@@ -27,50 +18,31 @@ A1     Agent/transport separation. Agents interact with the world only
        transport, mailbox, network, or inbox from agent code breaks the
        cost accounting and the read-phase discipline the simulators
        guarantee.
-A2     Total heap order. Event-queue keys in ``runtime/`` must carry a
-       deterministic tie-break (send sequence) *and* an agent id before
-       any message payload; otherwise equal timestamps fall through to
-       comparing payload objects — unorderable at best, hash-order
-       nondeterminism at worst.
+R1     View-counter bypass. Neighbor state lives in an
+       :class:`~repro.core.assignment.AgentView`, whose ``update`` guards
+       every write with the priority counter that the store's priority-key
+       cache invalidates on. Reaching around the API — touching the view's
+       private internals or item-assigning into it — records unstable
+       neighbor state without bumping that counter, so a reordered
+       delivery can leave the store reading a stale cache.
 =====  ======================================================================
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
-from .dataflow import (
-    NO_MASTER,
-    SeedContext,
-    _bind_arguments,
-    _resolve_callable,
-    build_seed_env,
-    collect_events,
-    factory_summaries,
-    is_seed_derived,
-    iter_functions,
-    rng_master_of,
-    summary_key,
-)
+from .dataflow import collect_events, iter_functions
 from .findings import Finding
-from .graph import ClassInfo, ModuleInfo, ProjectGraph
-from .rules import RANDOM_SOURCE_MODULE, SIMULATED_DIRS, Rule, _in_dirs
+from .graph import ClassInfo, ProjectGraph
+from .rules import SIMULATED_DIRS, Rule, _in_dirs
 
 #: Identifier fragments that mark transport-layer objects (A1).
 TRANSPORT_FRAGMENTS = ("transport", "mailbox", "network", "inbox", "socket")
 
-#: Identifier fragments marking a deterministic tie-break component (A2).
-SEQUENCE_FRAGMENTS = ("seq", "count", "tick", "serial")
-
-#: Identifiers naming an agent-id component of a heap key (A2).
-AGENT_ID_NAMES = frozenset(
-    {"sender", "recipient", "agent", "agent_id", "owner", "src", "dst",
-     "origin", "target"}
-)
-
-#: Identifiers that look like a message payload inside a heap key (A2).
-PAYLOAD_NAMES = frozenset({"message", "msg", "payload", "item", "event"})
+#: Self-attributes treated as holding an AgentView (R1, name-based).
+VIEW_ATTR_FRAGMENT = "view"
 
 #: Annotation heads that denote mutable containers (P2's shallow-freeze
 #: half). ``Optional``/``Union`` are looked through.
@@ -81,132 +53,6 @@ MUTABLE_ANNOTATIONS = frozenset(
 )
 
 _WRAPPER_ANNOTATIONS = frozenset({"Optional", "Union", "Final", "ClassVar"})
-
-_ElementPredicate = Callable[[str], bool]
-
-
-def _function_calls(
-    function: ast.AST,
-) -> Iterator[ast.Call]:
-    """Calls lexically in *function*'s own body, nested defs excluded
-    (nested functions are visited as their own unit)."""
-
-    def visit(node: ast.AST) -> Iterator[ast.Call]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(child, ast.Call):
-                yield child
-            yield from visit(child)
-
-    if isinstance(function, ast.Call):
-        yield function
-    yield from visit(function)
-
-
-class RngProvenanceRule(Rule):
-    """D4 — RNG master seeds must derive from an explicit parameter."""
-
-    id = "D4"
-    title = "RNG provenance taint"
-
-    def applies(self, scope: Optional[str]) -> bool:
-        return (
-            _in_dirs(scope, SIMULATED_DIRS) and scope != RANDOM_SOURCE_MODULE
-        )
-
-    def check(
-        self,
-        tree: ast.Module,
-        path: str,
-        scope: Optional[str],
-        lines: Sequence[str],
-        graph: ProjectGraph,
-    ) -> Iterator[Finding]:
-        module = graph.module_at(path)
-        if module is None:
-            return
-        summaries = factory_summaries(graph)
-        hint = (
-            "thread the trial seed in as a parameter and derive the stream "
-            "from it (derive_rng(seed, *tags)); a literal or implicit "
-            "master detaches this RNG from the trial's reproducible state"
-        )
-        # Module level: statements outside any def share an empty seed env.
-        ctx = SeedContext(
-            module=module, graph=graph, summaries=summaries, names=set()
-        )
-        for call in _function_calls(module.tree):
-            yield from self._check_call(call, ctx, path, lines, hint)
-        for function, class_info, enclosing in iter_functions(module):
-            env = build_seed_env(function.node, enclosing)  # type: ignore[arg-type]
-            ctx = SeedContext(
-                module=module,
-                graph=graph,
-                summaries=summaries,
-                names=env,
-                class_info=class_info,
-            )
-            for call in _function_calls(function.node):
-                yield from self._check_call(call, ctx, path, lines, hint)
-
-    def _check_call(
-        self,
-        call: ast.Call,
-        ctx: SeedContext,
-        path: str,
-        lines: Sequence[str],
-        hint: str,
-    ) -> Iterator[Finding]:
-        assert ctx.module is not None
-        master = rng_master_of(call, ctx.module)
-        if master is NO_MASTER:
-            yield self._finding(
-                call, path, lines,
-                "RNG created with no master seed — it is seeded from OS "
-                "entropy, so no two runs can agree",
-                hint,
-            )
-            return
-        if master is not None:
-            if not is_seed_derived(master, ctx):  # type: ignore[arg-type]
-                yield self._finding(
-                    call, path, lines,
-                    "RNG master seed does not derive from an explicit seed "
-                    "parameter — provenance ends at "
-                    f"'{ast.unparse(master)}'",  # type: ignore[arg-type]
-                    hint,
-                )
-            return
-        callee = _resolve_callable(call, ctx.module, ctx.graph)
-        if callee is None:
-            return
-        summary = ctx.summaries.get(summary_key(callee))
-        if summary is None or not summary.creates_rng:
-            return
-        if summary.unseeded:
-            yield self._finding(
-                call, path, lines,
-                f"call to '{ast.unparse(call.func)}', which seeds an RNG "
-                "from a non-parameter source — the nondeterminism is "
-                "inherited here",
-                hint,
-            )
-            return
-        for param, argument in _bind_arguments(call, callee):
-            if param in summary.seed_params and not is_seed_derived(
-                argument, ctx
-            ):
-                yield self._finding(
-                    call, path, lines,
-                    f"'{ast.unparse(call.func)}' feeds parameter "
-                    f"'{param}' into an RNG master seed, but the argument "
-                    f"'{ast.unparse(argument)}' does not derive from a "
-                    "seed parameter",
-                    hint,
-                )
 
 
 class MutationAfterSendRule(Rule):
@@ -235,7 +81,7 @@ class MutationAfterSendRule(Rule):
             "mutating it — the socket transport pickles at send time and "
             "would silently disagree with the in-process one"
         )
-        for function, _class_info, _enclosing in iter_functions(module):
+        for function in iter_functions(module):
             node = function.node
             assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             events = collect_events(node)
@@ -375,14 +221,14 @@ class AgentTransportRule(Rule):
                         )
 
 
-class HeapKeyOrderRule(Rule):
-    """A2 — event-queue keys are totally ordered and carry an agent id."""
+class ViewCounterBypassRule(Rule):
+    """R1 — neighbor state goes through AgentView's counter-guarded API."""
 
-    id = "A2"
-    title = "totally ordered heap keys"
+    id = "R1"
+    title = "view-counter bypass"
 
     def applies(self, scope: Optional[str]) -> bool:
-        return _in_dirs(scope, ("runtime/",))
+        return _in_dirs(scope, ("algorithms/",))
 
     def check(
         self,
@@ -392,85 +238,80 @@ class HeapKeyOrderRule(Rule):
         lines: Sequence[str],
         graph: ProjectGraph,
     ) -> Iterator[Finding]:
-        hint = (
-            "shape the key as (time, sequence, agent ids..., payload): the "
-            "monotone send sequence makes the order total before comparison "
-            "can ever reach the unorderable payload, and the agent id keeps "
-            "it meaningful across transports"
+        module = graph.module_at(path)
+        if module is None:
+            return
+        agent_classes: Set[str] = graph.cached(  # type: ignore[assignment]
+            "simulated-agent-closure",
+            lambda: graph.subclasses_of("SimulatedAgent"),
         )
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+        hint = (
+            "go through AgentView.update/forget — they bump the priority "
+            "counter that the store's priority-key cache invalidates on; "
+            "raw writes leave the cache serving stale keys after a "
+            "reordered delivery"
+        )
+        for cls in module.classes.values():
+            if cls.name not in agent_classes:
                 continue
-            func = node.func
-            is_push = (
-                isinstance(func, ast.Attribute) and func.attr == "heappush"
-            ) or (isinstance(func, ast.Name) and func.id == "heappush")
-            if not is_push or len(node.args) < 2:
-                continue
-            key = node.args[1]
-            if not isinstance(key, ast.Tuple):
-                yield self._finding(
-                    node, path, lines,
-                    "heap key is not a tuple — ordering falls back to "
-                    "comparing the pushed object itself, which is not "
-                    "totally ordered across runs",
-                    hint,
-                )
-                continue
-            sequence_at = self._first_index(key, self._is_sequence_like)
-            agent_at = self._first_index(key, self._is_agent_like)
-            payload_at = self._first_index(key, self._is_payload_like)
-            if sequence_at is None:
-                yield self._finding(
-                    node, path, lines,
-                    "heap key has no deterministic tie-break component — "
-                    "equal timestamps compare the remaining elements, and "
-                    "nothing monotone separates them",
-                    hint,
-                )
-            elif payload_at is not None and payload_at < sequence_at:
-                yield self._finding(
-                    node, path, lines,
-                    "heap key compares the message payload before the "
-                    "tie-break sequence — equal timestamps reach the "
-                    "unorderable payload first",
-                    hint,
-                )
-            if agent_at is None:
-                yield self._finding(
-                    node, path, lines,
-                    "heap key does not include an agent id — deliveries "
-                    "cannot be attributed deterministically per agent, and "
-                    "cross-transport replays lose the channel identity",
-                    hint,
-                )
+            for method in cls.methods.values():
+                for node in ast.walk(method.node):
+                    finding = self._check_node(
+                        node, cls, method.name, path, lines, hint
+                    )
+                    if finding is not None:
+                        yield finding
 
-    @staticmethod
-    def _first_index(
-        key: ast.Tuple, predicate: _ElementPredicate
-    ) -> Optional[int]:
-        for index, element in enumerate(key.elts):
-            name = _simple_name(element)
-            if name is not None and predicate(name.lower()):
-                return index
+    def _check_node(
+        self,
+        node: ast.AST,
+        cls: ClassInfo,
+        method_name: str,
+        path: str,
+        lines: Sequence[str],
+        hint: str,
+    ) -> Optional[Finding]:
+        # self.<view>.<_private> in any context: internals are off-limits.
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            view_attr = _view_attribute(node.value)
+            if view_attr is not None:
+                return self._finding(
+                    node, path, lines,
+                    f"{cls.name}.{method_name} reaches into the view's "
+                    f"internals ('{view_attr}.{node.attr}') — neighbor "
+                    "state read or written without the view-counter guard",
+                    hint,
+                )
+        # self.<view>[...] = ... (or del): item writes bypass update().
+        if isinstance(node, ast.Subscript) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            view_attr = _view_attribute(node.value)
+            if view_attr is not None:
+                return self._finding(
+                    node, path, lines,
+                    f"{cls.name}.{method_name} item-assigns into "
+                    f"'{view_attr}' — the write skips AgentView.update's "
+                    "change detection and counter bump",
+                    hint,
+                )
         return None
 
-    @staticmethod
-    def _is_sequence_like(name: str) -> bool:
-        return any(fragment in name for fragment in SEQUENCE_FRAGMENTS)
 
-    @staticmethod
-    def _is_agent_like(name: str) -> bool:
-        return name in AGENT_ID_NAMES or "agent" in name
-
-    @staticmethod
-    def _is_payload_like(name: str) -> bool:
-        return name in PAYLOAD_NAMES
+def _view_attribute(node: ast.expr) -> Optional[str]:
+    """``attr`` if *node* is ``self.<attr>`` and attr names a view."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and VIEW_ATTR_FRAGMENT in node.attr.lower()
+    ):
+        return node.attr
+    return None
 
 
 PROGRAM_RULES: Tuple[Rule, ...] = (
-    RngProvenanceRule(),
     MutationAfterSendRule(),
     AgentTransportRule(),
-    HeapKeyOrderRule(),
+    ViewCounterBypassRule(),
 )

@@ -2,7 +2,7 @@
 
 Two forms are recognised:
 
-* ``# repro-lint: disable=D1 -- justification text`` — suppress the named
+* ``# repro-lint: disable=M1 -- justification text`` — suppress the named
   rule(s) on this line (or, when the comment stands alone on its line, on
   the next code line). The justification after ``--`` is **mandatory**: a
   suppression is a claim that the invariant holds for a reason the checker

@@ -1,6 +1,6 @@
 """Cross-validation of recorded traces: ``repro lint --check-trace``.
 
-The static rules (D4/P2/A1/A2) argue the runtime *should* be deterministic
+The static rules (P2/A1) argue the runtime *should* be deterministic
 and causally ordered; this module checks the claim against runtime
 evidence. It replays a :class:`~repro.runtime.trace.TraceRecorder` JSONL
 file and asserts the invariants the event-driven runtime promises:

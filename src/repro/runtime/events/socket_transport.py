@@ -359,13 +359,18 @@ def _route(
             events = selector.select(timeout=min(0.05, deadline - now))
             progressed = False
             for key, _mask in events:
-                _agent_id, mailbox = key.data
+                agent_id, mailbox = key.data
                 while True:
                     try:
                         item = mailbox.recv(timeout=0)
-                    except EOFError:
-                        selector.unregister(key.fileobj)
-                        item = None
+                    except (EOFError, OSError):
+                        # Workers hold their socket open until Stop, which
+                        # is only sent after routing ends: an EOF or a reset
+                        # here is a dead worker, not a finished one.
+                        raise SimulationError(
+                            f"the worker process of agent {agent_id} "
+                            "closed its connection mid-run (it died)"
+                        ) from None
                     if item is None:
                         break
                     progressed = True
@@ -423,7 +428,13 @@ def _handle(
             )
         state.in_flight += 1
         state.forwarded += 1
-        target.send(item)
+        try:
+            target.send(item)
+        except OSError as error:
+            raise SimulationError(
+                f"cannot forward to agent {item.recipient}: its worker "
+                f"process is gone ({error})"
+            ) from error
     elif isinstance(item, Report):
         state.in_flight -= item.consumed
         state.reported[item.agent_id] = item

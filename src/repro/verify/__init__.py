@@ -1,7 +1,7 @@
 """The dynamic half of the interleaving verifier: ``repro verify``.
 
-The static half (:mod:`repro.lint.effects` + rules R1/R2/R3) predicts which
-message handlers commute; this package *tests* those predictions by driving
+The static half (:mod:`repro.lint.effects`) predicts which message handlers
+commute; this package *tests* those predictions by driving
 :class:`~repro.runtime.events.EventDrivenSimulator` through systematically
 chosen delivery orders on a pinned corpus of small instances.
 
@@ -34,7 +34,6 @@ from .boundary_audit import (
     PayloadRecorder,
     audit_corpus,
     audit_entry,
-    static_payload_types,
 )
 from .invariants import check_determinism, check_run
 
@@ -54,5 +53,4 @@ __all__ = [
     "explore_corpus",
     "explore_entry",
     "repo_commutativity_matrix",
-    "static_payload_types",
 ]

@@ -1,31 +1,21 @@
-"""Dynamic cross-validation of the S1 serialization-closure analysis.
+"""Pickle round-trip audit of every payload the pinned corpus sends.
 
-S1 (:mod:`repro.lint.rules_dist`) statically claims that everything
-crossing a process boundary — in particular every message payload — is
-free of unpicklable values. This module is the runtime half of that
-claim, in the same spirit as ``--check-trace`` for the event engine: it
+Everything crossing a process boundary — every message payload on the
+socket transport — must pickle. This module checks that on real runs: it
 replays the verifier's pinned corpus (:data:`~repro.verify.corpus.
 PINNED_CORPUS`) with an observing tracer, pickle-round-trips **every
-payload actually sent**, and checks the observation against the static
-analysis two ways:
-
-* *superset* — every message type observed on the wire is in
-  :func:`~repro.lint.boundary.transported_payload_types`' static closure
-  (the analysis saw every crossing the runtime exercised);
-* *agreement* — on an S1-clean tree no observed payload may fail the
-  pickle round-trip (a failure would be a hazard the static closure
-  missed, and fails CI loudly rather than on a remote shard).
+payload actually sent**, and reports each failure and the set of message
+types observed on the wire.
 
 The corpus is pinned (instance seed, algorithm, agent seed), so the set
-of payloads audited is reproducible run-to-run and the guarantee is not
-probabilistic hand-waving about "typical" traffic.
+of payloads audited is reproducible run-to-run.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..algorithms.registry import algorithm_by_name
 from ..experiments.runner import run_trial
@@ -118,28 +108,10 @@ def audit_corpus(
     return merged
 
 
-def static_payload_types(source_root: str = "src/") -> FrozenSet[str]:
-    """S1's static view: every type name the analysis sees crossing a wire.
-
-    Built the same way the lint engine builds its graph (one parse of the
-    tree under *source_root*), then reduced to the payload-type closure of
-    :mod:`repro.lint.boundary`. The audit asserts this is a superset of
-    what the corpus actually put on the wire.
-    """
-    from ..lint.boundary import transported_payload_types
-    from ..lint.engine import DEFAULT_EXCLUDES, iter_python_files
-    from ..lint.graph import ProjectGraph
-
-    files = iter_python_files([source_root], excludes=list(DEFAULT_EXCLUDES))
-    graph = ProjectGraph.build(files)
-    return frozenset(transported_payload_types(graph))
-
-
 __all__ = [
     "AuditReport",
     "PayloadRecorder",
     "RoundTripFailure",
     "audit_corpus",
     "audit_entry",
-    "static_payload_types",
 ]

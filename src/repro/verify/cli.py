@@ -4,8 +4,7 @@ Two modes:
 
 * default (no ``--explore``) — print the statically derived handler-effect
   footprints and commutativity matrix for the repo's agent classes: the
-  quick way to see what the explorer will and won't prune, and what rules
-  R1/R2/R3 reason about.
+  quick way to see what the explorer will and won't prune.
 * ``--explore`` — run the DPOR schedule explorer over the pinned corpus
   (or a ``--only`` subset), print the per-entry exploration report, and
   exit 1 if any invariant was violated on any explored interleaving.
@@ -20,12 +19,7 @@ from typing import List, Optional
 
 from ..core.exceptions import ReproError
 from .corpus import corpus_by_name
-from .explorer import (
-    DEFAULT_BUDGET,
-    ExplorationReport,
-    explore_corpus,
-    repo_commutativity_matrix,
-)
+from .explorer import DEFAULT_BUDGET, ExplorationReport, explore_corpus
 
 
 def build_parser() -> argparse.ArgumentParser:

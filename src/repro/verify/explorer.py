@@ -24,8 +24,7 @@ Two enabled deliveries are *independent* when executing them in either
 order provably reaches the same state:
 
 * different recipients — handler effects are confined to the recipient's
-  state (rule A2 enforces the agent/transport separation statically), so
-  cross-agent deliveries commute;
+  state, so cross-agent deliveries commute;
 * same recipient — commute iff the handler-effect footprints
   (:func:`repro.lint.effects.commutativity_matrix`) do not conflict for
   that (agent class, message type, message type) triple. An (unknown
@@ -219,8 +218,7 @@ def repo_commutativity_matrix() -> CommutativityMatrix:
 
     Parses ``src/repro`` into a fresh
     :class:`~repro.lint.graph.ProjectGraph` and runs the handler-effect
-    pass — the same analysis that powers lint rule R2, so the explorer
-    prunes with exactly what the static layer proved.
+    pass, so the explorer prunes with exactly what that pass proved.
     """
     graph = ProjectGraph.build(_repo_source_paths())
     return commutativity_matrix(handler_effects(graph))

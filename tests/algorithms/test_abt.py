@@ -1,7 +1,5 @@
 """ABT: the static-order ancestor with agent-view nogoods."""
 
-import pytest
-
 from repro.algorithms.abt import AbtAgent, build_abt_agents
 from repro.algorithms.registry import abt
 from repro.core import DisCSP, Nogood, integer_domain

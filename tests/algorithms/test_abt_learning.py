@@ -4,7 +4,6 @@ import pytest
 
 from repro.algorithms.abt import AbtAgent, ABT_LEARNING_MODES
 from repro.algorithms.registry import abt
-from repro.core import Nogood
 from repro.core.exceptions import ModelError
 from repro.experiments.runner import run_trial
 from repro.problems.binary_csp import nqueens_discsp

@@ -7,10 +7,8 @@ harmless (never violated once reality diverges), and the add-link
 machinery keeps late-joining watchers informed.
 """
 
-import pytest
-
 from repro.algorithms.awc import AwcAgent
-from repro.core import DisCSP, Nogood, integer_domain
+from repro.core import Nogood
 from repro.learning import learning_method
 from repro.problems.coloring import coloring_discsp
 from repro.problems.graphs import Graph

@@ -12,7 +12,7 @@ raise instead.
 import pytest
 
 from repro.algorithms.registry import awc
-from repro.experiments.runner import run_cell, run_trial
+from repro.experiments.runner import run_cell
 from repro.problems.sat.generators import unique_solution_3sat
 from repro.problems.sat.to_discsp import sat_to_discsp
 

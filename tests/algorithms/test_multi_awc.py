@@ -6,11 +6,10 @@ from repro.algorithms.multi_awc import (
     MultiVariableAwcAgent,
     build_multi_awc_agents,
 )
-from repro.core import CSP, DisCSP, Nogood, integer_domain
+from repro.core import DisCSP
 from repro.core.exceptions import ModelError
 from repro.learning import learning_method
 from repro.problems.coloring import coloring_csp, random_coloring_instance
-from repro.problems.graphs import Graph
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.simulator import SynchronousSimulator
 

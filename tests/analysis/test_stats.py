@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis.stats import (
-    Comparison,
     compare,
     mean,
     measure,

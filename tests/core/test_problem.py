@@ -7,7 +7,7 @@ import pytest
 from repro.core.exceptions import ModelError
 from repro.core.nogood import Nogood
 from repro.core.problem import CSP, DisCSP, random_assignment
-from repro.core.variables import Domain, integer_domain
+from repro.core.variables import integer_domain
 
 
 def two_var_csp():

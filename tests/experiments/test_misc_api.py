@@ -1,7 +1,5 @@
 """Small experiment-harness APIs not covered elsewhere."""
 
-import pytest
-
 from repro.experiments.paper import (
     FAMILY_TITLES,
     reference_for_table,

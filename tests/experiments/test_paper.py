@@ -19,7 +19,6 @@ from repro.experiments.paper import (
 )
 from repro.experiments.reference import ALL_TABLES
 from repro.solvers.backtracking import solve_csp
-from repro.solvers.dpll import DpllSolver
 
 
 class TestScales:

@@ -55,14 +55,14 @@ class TestTableFormatting:
         text = self.make_table().format_text(reference)
         assert "paper cycle" in text
         # The reference value appears on the matching row only.
-        lines = [l for l in text.splitlines() if "AWC+No" in l]
+        lines = [line for line in text.splitlines() if "AWC+No" in line]
         assert lines and lines[0].rstrip().endswith("100")
 
     def test_nan_reference_rendered_as_dash(self):
         nan = float("nan")
         reference = {(60, "AWC+No"): (nan, nan, 0.0)}
         text = self.make_table().format_text(reference)
-        no_line = [l for l in text.splitlines() if "AWC+No" in l][0]
+        no_line = [line for line in text.splitlines() if "AWC+No" in line][0]
         assert "-" in no_line
 
     def test_row_for_lookup(self):

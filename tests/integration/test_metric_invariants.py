@@ -9,7 +9,7 @@ accounting layer against drift when algorithms evolve.
 
 import pytest
 
-from repro.algorithms.registry import abt, algorithm_by_name, awc, db
+from repro.algorithms.registry import algorithm_by_name
 from repro.experiments.runner import random_initial_assignment
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.metrics import MetricsCollector

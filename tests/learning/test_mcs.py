@@ -1,7 +1,5 @@
 """Mcs-based learning: minimal conflict sets by deletion."""
 
-import pytest
-
 from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood
 from repro.core.store import CheckCounter, NogoodStore

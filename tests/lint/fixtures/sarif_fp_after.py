@@ -6,7 +6,6 @@ offending statement moved to a different line — but the statements
 themselves are untouched, so the SARIF partialFingerprints must be
 byte-identical to the 'before' revision.
 """
-import random
 
 
 def shuffle_seed(options):
@@ -14,9 +13,9 @@ def shuffle_seed(options):
     return len(options)
 
 
-def pick(options):
-    return random.choice(options)
+def pick(nogood, view):
+    return nogood.prohibits(view)
 
 
-def roll():
-    return random.random()
+def roll(bucket, view):
+    return bucket.is_violated(view)

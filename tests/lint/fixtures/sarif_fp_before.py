@@ -1,11 +1,10 @@
 # repro-lint: module=algorithms/fixture_sarif_fp.py
 """Golden pair, half one: the 'before' revision of a dirty module."""
-import random
 
 
-def pick(options):
-    return random.choice(options)
+def pick(nogood, view):
+    return nogood.prohibits(view)
 
 
-def roll():
-    return random.random()
+def roll(bucket, view):
+    return bucket.is_violated(view)

@@ -1,10 +1,9 @@
 # repro-lint: module=algorithms/fixture_x0.py
-import random
 
 
-def bad():
-    return random.random()  # repro-lint: disable=D1
+def bad(nogood, view):
+    return nogood.prohibits(view)  # repro-lint: disable=M1
 
 
-def unknown():
-    return random.random()  # repro-lint: disable=Z9 -- no such rule
+def unknown(nogood, view):
+    return nogood.prohibits(view)  # repro-lint: disable=Z9 -- no such rule

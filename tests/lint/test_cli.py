@@ -42,7 +42,9 @@ class TestOutput:
     def test_list_rules_prints_the_catalogue(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D1", "D2", "D3", "P1", "M1", "X0"):
+        from repro.lint.catalogue import KNOWN_RULE_IDS
+
+        for rule_id in sorted(KNOWN_RULE_IDS) + ["X0"]:
             assert rule_id in out
 
 
@@ -151,60 +153,4 @@ class TestReproSubcommand:
 
     def test_repro_lint_list_rules(self, capsys):
         assert repro_main(["lint", "--list-rules"]) == 0
-        assert "D1" in capsys.readouterr().out
-
-
-class TestRuleSelectors:
-    S1_FIXTURE = str(FIXTURES / "s1_boundary.py")
-    X0_FIXTURE = str(FIXTURES / "x0_bad_suppressions.py")
-
-    def test_only_restricts_to_the_named_rules(self, capsys):
-        assert lint_main([self.S1_FIXTURE, "--only", "S1"] + NO_EXCLUDE) == 1
-        assert "S1" in capsys.readouterr().out
-
-    def test_only_another_rule_silences_the_file(self, capsys):
-        assert lint_main([self.S1_FIXTURE, "--only", "M1"] + NO_EXCLUDE) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_skip_subtracts_a_rule(self, capsys):
-        assert lint_main([DIRTY, "--skip", "M1"] + NO_EXCLUDE) == 0
-
-    def test_selectors_accept_comma_lists_over_many_paths(self, capsys):
-        code = lint_main(
-            [DIRTY, self.S1_FIXTURE, "--only", "M1,S1"] + NO_EXCLUDE
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert " M1 " in out and " S1 " in out
-
-    def test_unknown_rule_is_a_usage_error(self, capsys):
-        import pytest
-
-        with pytest.raises(SystemExit) as excinfo:
-            lint_main([DIRTY, "--only", "Z9"] + NO_EXCLUDE)
-        assert excinfo.value.code == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_suppression_hygiene_runs_even_under_only(self, capsys):
-        # X0 lives in the engine, not the catalogue: no subset disables it.
-        assert lint_main([self.X0_FIXTURE, "--only", "S1"] + NO_EXCLUDE) == 1
-        assert "X0" in capsys.readouterr().out
-
-    def test_baseline_shrink_skips_unselected_stale_entries(
-        self, tmp_path, capsys
-    ):
-        baseline = str(tmp_path / "baseline.txt")
-        lint_main(
-            [DIRTY, "--write-baseline", "--baseline", baseline] + NO_EXCLUDE
-        )
-        capsys.readouterr()
-        # The M1 entries are invisible to an S-rules pass; they must not
-        # show up as STALE, and the pass must still hold.
-        code = lint_main(
-            [DIRTY, "--check-baseline-shrink", "--baseline", baseline,
-             "--only", "S1,S2,S3,S4,S5"] + NO_EXCLUDE
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "STALE" not in out
-        assert "holds" in out
+        assert "M1" in capsys.readouterr().out

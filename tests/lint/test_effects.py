@@ -55,10 +55,6 @@ class TestFootprints:
         assert effect.reads == {"replies"}
         assert effect.writes == {"replies"}
 
-    def test_decision_writes_subset(self):
-        table = probe_table()
-        assert not table["ProbeAgent"]["OkMessage"].decision_writes
-
 
 class TestMatrix:
     def test_disjoint_footprints_commute(self):

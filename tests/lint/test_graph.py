@@ -1,8 +1,5 @@
-"""The shared project graph and dataflow layer underneath the rules."""
+"""The shared project graph underneath the rules."""
 
-import random
-
-from repro.lint.dataflow import compute_factory_summaries, summary_key
 from repro.lint.graph import ProjectGraph
 
 
@@ -82,49 +79,3 @@ class TestProjectGraph:
         cls = graph.module_at("src/repro/runtime/msg.py").classes["Ping"]
         assert cls.is_dataclass and cls.frozen
         assert "payload" in cls.fields
-
-
-class TestFactorySummaries:
-    def test_summary_tracks_seed_parameters_through_helpers(self):
-        graph = graph_of(
-            (
-                "src/repro/algorithms/factory.py",
-                "from random import Random\n\n"
-                "def make(seed):\n    return Random(seed)\n\n"
-                "def indirect(trial_seed):\n    return make(trial_seed)\n\n"
-                "def broken():\n    return Random()\n",
-                "algorithms/factory.py",
-            )
-        )
-        module = graph.module_at("src/repro/algorithms/factory.py")
-        summaries = compute_factory_summaries(graph)
-
-        make = summaries[summary_key(module.functions["make"])]
-        assert make.creates_rng and make.seed_params == ("seed",)
-        assert not make.unseeded
-
-        indirect = summaries[summary_key(module.functions["indirect"])]
-        assert indirect.creates_rng
-        assert indirect.seed_params == ("trial_seed",)
-
-        broken = summaries[summary_key(module.functions["broken"])]
-        assert broken.creates_rng and broken.unseeded
-
-    def test_non_rng_functions_are_not_factories(self):
-        graph = graph_of(
-            (
-                "src/repro/algorithms/plain.py",
-                "def add(a, b):\n    return a + b\n",
-                "algorithms/plain.py",
-            )
-        )
-        module = graph.module_at("src/repro/algorithms/plain.py")
-        summary = compute_factory_summaries(graph).get(
-            summary_key(module.functions["add"])
-        )
-        assert summary is None or not summary.creates_rng
-
-    def test_real_random_module_is_untouched(self):
-        # The dataflow layer only reads ASTs; the interpreter's random
-        # module keeps working (guards against accidental monkeypatching).
-        assert isinstance(random.Random(0).random(), float)

@@ -9,7 +9,7 @@ from repro.lint.cli import main as lint_main
 from repro.lint.output import SARIF_VERSION, to_json, to_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures"
-DIRTY = str(FIXTURES / "a2_heap_keys.py")
+DIRTY = str(FIXTURES / "m1_uncounted_checks.py")
 CLEAN = str(FIXTURES / "clean_runtime.py")
 NO_EXCLUDE = ["--exclude", "*__never__*"]
 
@@ -22,7 +22,7 @@ class TestSarif:
         (run,) = log["runs"]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         (rule,) = run["tool"]["driver"]["rules"]
-        assert rule["id"] == "A2"
+        assert rule["id"] == "M1"
         assert rule["defaultConfiguration"]["level"] == "error"
         assert rule["shortDescription"]["text"]
 
@@ -32,9 +32,9 @@ class TestSarif:
         results = log["runs"][0]["results"]
         assert len(results) == len(findings)
         first = results[0]
-        assert first["ruleId"] == "A2"
+        assert first["ruleId"] == "M1"
         location = first["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("a2_heap_keys.py")
+        assert location["artifactLocation"]["uri"].endswith("m1_uncounted_checks.py")
         assert "\\" not in location["artifactLocation"]["uri"]
         assert location["region"]["startLine"] == findings[0].line
         assert (
@@ -44,7 +44,7 @@ class TestSarif:
 
     def test_rule_index_is_consistent(self):
         findings = lint_file(DIRTY) + lint_file(
-            str(FIXTURES / "d4_rng_provenance.py")
+            str(FIXTURES / "p2_mutation_after_send.py")
         )
         log = to_sarif(findings)
         rules = log["runs"][0]["tool"]["driver"]["rules"]
@@ -101,7 +101,7 @@ class TestJson:
         findings = lint_file(DIRTY)
         payload = json.loads(to_json(findings))
         assert len(payload) == len(findings)
-        assert payload[0]["rule"] == "A2"
+        assert payload[0]["rule"] == "M1"
         assert set(payload[0]) == {
             "path", "line", "column", "rule", "message", "hint", "source",
         }

@@ -1,8 +1,8 @@
-"""The whole-program rules (D4/P2/A1/A2) against their fixtures.
+"""The whole-program rules (P2/A1) against their fixtures.
 
 Same golden pattern as ``test_rules.py``: each dirty fixture pins exact
 (rule, line) pairs, and each fixture carries clean counterexamples that
-must stay silent — the taint/escape analyses are judged as much by what
+must stay silent — the escape analyses are judged as much by what
 they ignore as by what they flag.
 """
 
@@ -19,30 +19,6 @@ def findings_of(name):
 
 def located(findings):
     return sorted((finding.rule, finding.line) for finding in findings)
-
-
-class TestD4RngProvenance:
-    def test_flags_every_provenance_break(self):
-        findings = findings_of("d4_rng_provenance.py")
-        assert located(findings) == [
-            ("D4", 16),  # Random() — OS entropy
-            ("D4", 20),  # Random(42) — literal master
-            ("D4", 24),  # Random() inside the factory
-            ("D4", 29),  # call inheriting the factory's nondeterminism
-            ("D4", 33),  # factory fed a literal instead of the seed
-        ]
-
-    def test_taint_flows_through_factories_and_assignments(self):
-        lines = [f.line for f in findings_of("d4_rng_provenance.py")]
-        for clean_line in (8, 12, 34, 35, 41):
-            assert clean_line not in lines
-
-    def test_messages_name_the_offending_expression(self):
-        by_line = {f.line: f for f in findings_of("d4_rng_provenance.py")}
-        assert "'42'" in by_line[20].message
-        assert "unseeded_factory" in by_line[29].message
-        assert "'seed'" in by_line[33].message and "'99'" in by_line[33].message
-        assert "derive_rng" in by_line[16].hint
 
 
 class TestP2MutationAfterSend:
@@ -82,25 +58,6 @@ class TestA1AgentTransport:
         by_line = {f.line: f for f in findings_of("a1_agent_transport.py")}
         assert "LeakyAgent.step" in by_line[11].message
         assert "Outgoing" in by_line[11].hint
-
-
-class TestA2HeapKeys:
-    def test_flags_each_ordering_defect(self):
-        findings = findings_of("a2_heap_keys.py")
-        assert located(findings) == [
-            ("A2", 8),   # bare payload, no key tuple
-            ("A2", 12),  # no tie-break sequence
-            ("A2", 16),  # payload compared before the sequence
-            ("A2", 20),  # no agent id
-        ]
-
-    def test_canonical_key_shape_passes(self):
-        lines = [f.line for f in findings_of("a2_heap_keys.py")]
-        assert 24 not in lines
-
-    def test_hint_describes_the_canonical_shape(self):
-        findings = findings_of("a2_heap_keys.py")
-        assert all("(time, sequence," in f.hint for f in findings)
 
 
 class TestCleanFixtures:

@@ -22,83 +22,6 @@ def located(findings):
     return sorted((finding.rule, finding.line) for finding in findings)
 
 
-class TestD1UnseededRandom:
-    def test_flags_global_calls_and_from_imports(self):
-        findings = findings_of("d1_global_random.py")
-        assert located(findings) == [("D1", 3), ("D1", 8)]
-
-    def test_messages_explain_the_invariant(self):
-        findings = findings_of("d1_global_random.py")
-        by_line = {finding.line: finding for finding in findings}
-        assert "process-global" in by_line[8].message
-        assert "derive_rng" in by_line[8].hint
-
-    def test_justified_suppression_is_honoured(self):
-        lines = [finding.line for finding in findings_of("d1_global_random.py")]
-        assert 12 not in lines  # the disabled call
-
-    def test_explicit_random_instances_are_fine(self):
-        lines = [finding.line for finding in findings_of("d1_global_random.py")]
-        assert 16 not in lines  # rng.choice on an explicit Random
-
-
-class TestD2WallClock:
-    def test_flags_every_wall_clock_read(self):
-        findings = findings_of("d2_wall_clock.py")
-        assert located(findings) == [
-            ("D2", 5),   # from time import perf_counter
-            ("D2", 9),   # time.time()
-            ("D2", 13),  # time.perf_counter()
-            ("D2", 17),  # datetime.datetime.now()
-            ("D2", 21),  # dt.utcnow()
-        ]
-
-
-class TestD3SetIteration:
-    def test_flags_order_sensitive_iteration(self):
-        findings = findings_of("d3_set_iteration.py")
-        assert located(findings) == [
-            ("D3", 5),   # for over a set literal
-            ("D3", 7),   # for over .pairs
-            ("D3", 12),  # list comprehension escaping to the caller
-        ]
-
-    def test_order_insensitive_sinks_pass(self):
-        lines = [finding.line for finding in findings_of("d3_set_iteration.py")]
-        for safe_line in (16, 17, 19):  # sorted / sum / set.update
-            assert safe_line not in lines
-
-
-class TestP1AgentIsolation:
-    def test_flags_unfrozen_message_and_mutations(self):
-        findings = findings_of("p1_agent_isolation.py")
-        assert located(findings) == [
-            ("P1", 6),   # class BrokenMessage (unfrozen dataclass)
-            ("P1", 17),  # message.payload = 0
-            ("P1", 18),  # setattr(message, ...)
-            ("P1", 23),  # note.payload += 2 (annotated parameter)
-        ]
-
-    def test_frozen_message_passes(self):
-        findings = findings_of("p1_agent_isolation.py")
-        assert not any(
-            "GoodMessage" in finding.message for finding in findings
-        )
-
-    def test_frozen_check_is_repo_wide(self):
-        # No module= pragma needed: an unfrozen *Message anywhere is flagged.
-        from repro.lint import lint_source
-
-        source = (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class StrayMessage:\n"
-            "    x: int\n"
-        )
-        findings = lint_source(source, "tools/anywhere.py")
-        assert [finding.rule for finding in findings] == ["P1"]
-
-
 class TestM1UncountedChecks:
     def test_flags_prohibits_and_non_store_receivers(self):
         findings = findings_of("m1_uncounted_checks.py")
@@ -119,10 +42,10 @@ class TestX0BadSuppressions:
     def test_unjustified_and_unknown_disables_are_findings(self):
         findings = findings_of("x0_bad_suppressions.py")
         assert located(findings) == [
-            ("D1", 6),   # the disable is void, so D1 still fires
-            ("D1", 10),
-            ("X0", 6),   # disable without justification
-            ("X0", 10),  # disable of an unknown rule
+            ("M1", 5),   # the disable is void, so M1 still fires
+            ("M1", 9),
+            ("X0", 5),   # disable without justification
+            ("X0", 9),   # disable of an unknown rule
         ]
 
     def test_x0_explains_the_expected_form(self):

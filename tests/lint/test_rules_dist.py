@@ -1,11 +1,11 @@
-"""The distribution-safety rules S1-S5 against their fixtures.
+"""The out-of-process safety rules S2 and S3 against their fixtures.
 
 Same golden pattern as ``test_rules_effects.py``: dirty lines pinned
 exactly, clean counterexamples asserted silent. On top of that, the
 S-rule findings over the dirty fixtures are pinned as a golden SARIF
 snapshot (the artifact CI uploads to code scanning), and the true-
-positive fixes this analyzer forced in the real tree are pinned as
-regressions: the whole shipped tree must stay S-rule-clean, and agents
+positive fix this analyzer forced in the real tree is pinned as a
+regression: the whole shipped tree must stay S-rule-clean, and agents
 must not regrow a reference to the shared metrics collector.
 """
 
@@ -20,18 +20,11 @@ from repro.lint.rules_dist import DIST_RULES
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).parents[2]
 
-DIRTY = [
-    "s1_boundary.py",
-    "s2_blocking.py",
-    "s3_shared_state.py",
-    "s4_host_order.py",
-    "s5_protocol.py",
-]
+DIRTY = ["s2_blocking.py", "s3_shared_state.py"]
 
 
 def s_findings_of(name):
-    """Only the S-rule findings — fixtures may trip other catalogues too
-    (the S4 heap cases are also A2-dirty, which is fine and theirs)."""
+    """Only the S-rule findings — fixtures may trip other catalogues too."""
     return [
         finding
         for finding in lint_file(str(FIXTURES / name))
@@ -41,30 +34,6 @@ def s_findings_of(name):
 
 def located(findings):
     return sorted((finding.rule, finding.line) for finding in findings)
-
-
-class TestSerializationClosure:
-    def test_every_boundary_kind_is_flagged(self):
-        assert located(s_findings_of("s1_boundary.py")) == [
-            ("S1", 14),  # lambda through transport.send
-            ("S1", 19),  # RNG stream through pool.submit
-            ("S1", 24),  # open handle through channel.send
-            ("S1", 29),  # thread lock in Process(args=...)
-            ("S1", 36),  # local closure into pickle.dumps
-        ]
-
-    def test_plain_data_crossings_stay_silent(self):
-        lines = [f.line for f in s_findings_of("s1_boundary.py")]
-        for clean_line in (41, 42):  # tuple of label+seed / seed submit
-            assert clean_line not in lines
-
-    def test_hazard_kind_is_named_in_the_message(self):
-        messages = {f.line: f.message for f in s_findings_of("s1_boundary.py")}
-        assert "lambda" in messages[14]
-        assert "RNG stream" in messages[19]
-        assert "OS handle" in messages[24]
-        assert "thread-synchronization" in messages[29]
-        assert "closure over locals" in messages[36]
 
 
 class TestBlockingHandler:
@@ -93,32 +62,6 @@ class TestSharedAgentState:
         assert 36 not in lines  # LogAgent gets a private log per agent
 
 
-class TestHostDependentOrder:
-    def test_identity_hash_and_dict_order_sinks_flagged(self):
-        assert located(s_findings_of("s4_host_order.py")) == [
-            ("S4", 7),   # sorted(key=id)
-            ("S4", 12),  # hash(str(...)) in a heap key
-            ("S4", 16),  # dict iteration feeding a heap
-        ]
-
-    def test_stable_keys_stay_silent(self):
-        lines = [f.line for f in s_findings_of("s4_host_order.py")]
-        for clean_line in (21, 25, 26):
-            assert clean_line not in lines
-
-
-class TestProtocolConformance:
-    def test_both_directions_of_the_mismatch_flagged(self):
-        findings = s_findings_of("s5_protocol.py")
-        assert located(findings) == [("S5", 10), ("S5", 12)]
-        by_line = {f.line: f.message for f in findings}
-        assert "handles PongMessage but never emits" in by_line[10]
-        assert "emits PingMessage but registers no handler" in by_line[12]
-
-    def test_balanced_family_stays_silent(self):
-        assert s_findings_of("s5_protocol_clean.py") == []
-
-
 class TestGoldenSarif:
     def test_s_rule_findings_match_the_snapshot(self):
         findings = []
@@ -132,7 +75,7 @@ class TestGoldenSarif:
 
 
 class TestTruePositiveFixes:
-    """The findings S1-S5 raised on the real tree, pinned as fixed.
+    """The finding S3 raised on the real tree, pinned as fixed.
 
     The metrics aliasing fix (agents keep a private GenerationLog; the
     collector merges at cycle boundaries) was proven bit-identical on

@@ -1,10 +1,7 @@
-"""The interleaving rules R1/R2/R3 against their fixtures.
+"""The interleaving rule R1 against its fixture.
 
 Golden pattern as in ``test_rules.py``: dirty lines pinned exactly, clean
-counterexamples asserted silent. The R2 case doubles as the static half of
-the verifier's acceptance criterion — the same racy fixture the DPOR
-explorer must catch dynamically (``tests/verify/test_explorer.py``) must be
-flagged here without running anything.
+counterexamples asserted silent.
 """
 
 from pathlib import Path
@@ -12,7 +9,6 @@ from pathlib import Path
 from repro.lint import lint_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RACY = Path(__file__).parents[1] / "verify" / "fixtures" / "racy_agent.py"
 
 
 def findings_of(name):
@@ -27,48 +23,24 @@ class TestEffectRules:
     def test_flags_every_interleaving_hazard(self):
         findings = findings_of("r_effect_rules.py")
         assert located(findings) == [
-            ("R1", 15),  # view internals: agent_view._entries
-            ("R1", 17),  # item-assign into the view
-            ("R2", 30),  # OkMessage vs NogoodMessage conflict on 'value'
-            ("R2", 30),  # two OkMessage deliveries, same dispatch
-            ("R3", 60),  # is_consistent mutates the store transitively
+            ("R1", 13),  # view internals: agent_view._entries
+            ("R1", 15),  # item-assign into the view
         ]
 
     def test_clean_counterexamples_stay_silent(self):
         lines = [f.line for f in findings_of("r_effect_rules.py")]
         # absorb() uses the counter-guarded API / non-view containers.
-        for clean_line in (22, 24):
+        for clean_line in (20, 22):
             assert clean_line not in lines
-        # StagedAgent absorbs per message and decides once after the loop.
-        assert not any(39 <= line <= 55 for line in lines)
-        # count_open only consults.
-        assert not any(line >= 67 for line in lines)
 
     def test_messages_explain_the_hazard(self):
-        by_rule = {}
-        for finding in findings_of("r_effect_rules.py"):
-            by_rule.setdefault(finding.rule, finding)
-        assert "agent_view._entries" in by_rule["R1"].message
-        assert "do not commute" in by_rule["R2"].message
-        assert "decision state" in by_rule["R2"].message
-        assert "_absorb_and_check" in by_rule["R3"].message
+        (first, _second) = findings_of("r_effect_rules.py")
+        assert "agent_view._entries" in first.message
 
     def test_rules_scope_to_algorithms(self):
-        from repro.lint.rules_effects import EFFECT_RULES
+        from repro.lint.catalogue import rule_by_id
 
-        for rule in EFFECT_RULES:
-            assert rule.applies("algorithms/awc.py")
-            assert not rule.applies("runtime/engine.py")
-            assert not rule.applies(None)
-
-
-class TestSeededRaceStatically:
-    """The acceptance fixture: R2 must catch it without running it."""
-
-    def test_racy_agent_flagged_by_r2(self):
-        findings = lint_file(str(RACY))
-        assert [(f.rule, f.line) for f in findings] == [("R2", 39)]
-        [finding] = findings
-        assert "RacyAgent" in finding.message
-        assert "committed" in finding.message and "value" in finding.message
-        assert "delivery order" in finding.message
+        rule = rule_by_id("R1")
+        assert rule.applies("algorithms/awc.py")
+        assert not rule.applies("runtime/engine.py")
+        assert not rule.applies(None)

@@ -1,7 +1,7 @@
 """Property-based tests over the core data structures (hypothesis)."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import given
 
 from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood, union_nogoods

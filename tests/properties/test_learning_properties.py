@@ -1,7 +1,7 @@
 """Property-based tests of the learning methods on random deadends."""
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood

@@ -3,7 +3,7 @@
 from repro.algorithms.awc import build_awc_agents
 from repro.learning import learning_method
 from repro.problems.coloring import random_coloring_instance
-from repro.runtime.messages import NogoodMessage, OkMessage
+from repro.runtime.messages import OkMessage
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.trace import (

@@ -1,4 +1,4 @@
-"""The API-docs generator tool."""
+"""The API-docs generator tool and the ``repro bench`` smoke run."""
 
 import importlib.util
 import sys
@@ -54,12 +54,11 @@ class TestGenerator:
             target.write_text(before)
 
 
-def run_bench_smoke(tmp_path, *arguments, warning_filter=None):
-    """Run the shim in a subprocess; returns the CompletedProcess."""
+def run_bench(tmp_path, *arguments):
+    """Run ``repro.cli bench`` in a subprocess; returns the CompletedProcess."""
     import os
     import subprocess
 
-    script = TOOL.parent / "bench_smoke.py"
     env = dict(os.environ)
     src = str(TOOL.parent.parent / "src")
     env["PYTHONPATH"] = (
@@ -67,11 +66,8 @@ def run_bench_smoke(tmp_path, *arguments, warning_filter=None):
         if env.get("PYTHONPATH")
         else src
     )
-    interpreter = [sys.executable]
-    if warning_filter is not None:
-        interpreter += ["-W", warning_filter]
     return subprocess.run(
-        interpreter + [str(script), *arguments],
+        [sys.executable, "-m", "repro.cli", "bench", *arguments],
         capture_output=True,
         text=True,
         timeout=600,
@@ -85,9 +81,7 @@ class TestBenchSmoke:
         import json
 
         out = tmp_path / "bench.json"
-        result = run_bench_smoke(
-            tmp_path, "--jobs", "2", "--output", str(out)
-        )
+        result = run_bench(tmp_path, "--jobs", "2", "--output", str(out))
         assert result.returncode == 0, result.stdout + result.stderr
         report = json.loads(out.read_text())
         assert report["results_identical"] is True
@@ -96,74 +90,3 @@ class TestBenchSmoke:
             report["parallel"]["totals"]["trials"]
         )
         assert len(report["sequential"]["cells"]) == len(report["grid"])
-
-
-class TestBenchSmokeShim:
-    """The deprecation shim itself: warning discipline and exit codes."""
-
-    def test_deprecation_warning_fires_exactly_once(self, tmp_path):
-        # --help exits before any benchmarking, so only the shim's own
-        # warning can appear; -W always prints every emission.
-        result = run_bench_smoke(
-            tmp_path, "--help", warning_filter="always"
-        )
-        assert result.returncode == 0, result.stderr
-        emissions = result.stderr.count("bench_smoke.py is deprecated")
-        assert emissions == 1, result.stderr
-
-    def test_warning_is_a_deprecation_warning(self, tmp_path):
-        # Escalating DeprecationWarning to an error must abort the shim
-        # before main() runs — proving the category, not just the text.
-        result = run_bench_smoke(
-            tmp_path, "--help", warning_filter="error::DeprecationWarning"
-        )
-        assert result.returncode != 0
-        assert "DeprecationWarning" in result.stderr
-
-    def test_usage_error_exit_code_is_forwarded(self, tmp_path):
-        result = run_bench_smoke(tmp_path, "--axis", "bogus")
-        assert result.returncode == 2, result.stdout + result.stderr
-        assert "invalid choice" in result.stderr
-
-
-class TestBenchSmokeForwarding:
-    """The shim forwards every argument verbatim — it parses nothing."""
-
-    @pytest.fixture()
-    def shim_module(self):
-        script = TOOL.parent / "bench_smoke.py"
-        spec = importlib.util.spec_from_file_location("bench_smoke", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_forward_defaults_to_process_argv(self, shim_module, monkeypatch):
-        seen = []
-        monkeypatch.setattr(shim_module, "main", lambda argv: seen.append(argv) or 0)
-        monkeypatch.setattr(sys, "argv", ["bench_smoke.py", "--axis", "lint", "--gate"])
-        assert shim_module.forward() == 0
-        assert seen == [["--axis", "lint", "--gate"]]
-
-    def test_forward_hands_unknown_flags_to_bench_unchanged(
-        self, shim_module, monkeypatch
-    ):
-        # A flag the shim has never heard of reaches bench's parser as-is;
-        # bench (not the shim) decides it is a usage error.
-        seen = []
-        monkeypatch.setattr(shim_module, "main", lambda argv: seen.append(argv) or 0)
-        assert shim_module.forward(["--some-future-flag", "7"]) == 0
-        assert seen == [["--some-future-flag", "7"]]
-
-    def test_gate_flag_reaches_bench(self, tmp_path):
-        # --gate with an unreadable baseline proves the flag survived the
-        # shim: only bench's gate logic knows this failure mode.
-        out = tmp_path / "lint.json"
-        result = run_bench_smoke(
-            tmp_path,
-            "--axis", "lint",
-            "--output", str(out),
-            "--gate", str(tmp_path / "missing-baseline.json"),
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "gate baseline" in result.stdout
-        assert "does not exist" in result.stdout

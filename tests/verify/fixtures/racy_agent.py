@@ -1,12 +1,12 @@
 # repro-lint: module=algorithms/racy_agent.py
-"""The seeded interleaving bug both verifier layers must catch.
+"""The seeded interleaving bug the schedule explorer must catch.
 
 ``RacyAgent`` commits its decision state on the *first* ``ok?`` it sees —
 the classic absorb-vs-commit race: two messages from distinct senders race
 to the same recipient, and whichever the transport delivers first decides
-the final assignment. Statically, the ``OkMessage`` handler's footprint
-conflicts with itself (reads and writes ``committed``, writes the decision
-attribute ``value``), so rule R2 must flag the dispatch branch. Dynamically,
+the final assignment. The ``OkMessage`` handler's footprint conflicts with
+itself (reads and writes ``committed``, writes the decision attribute
+``value``), so the commutativity matrix cannot prune the race away.
 :func:`build_racy_setup` wires the race so that one delivery order solves
 the instance and the other ends quiescent and unsolved — the explorer must
 report the outcome divergence.

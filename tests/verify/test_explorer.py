@@ -1,8 +1,8 @@
 """The DPOR explorer: pruning, invariants, and the seeded race.
 
 The acceptance test of the whole verifier lives here: the deliberately racy
-agent in ``tests/verify/fixtures/racy_agent.py`` (flagged statically by R2
-in ``tests/lint/test_rules_effects.py``) must be caught *dynamically* — the
+agent in ``tests/verify/fixtures/racy_agent.py`` must be caught
+*dynamically* — the
 explorer has to find the two delivery orders and report the outcome
 divergence.
 """

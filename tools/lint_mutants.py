@@ -1,0 +1,391 @@
+"""Run the lint mutation corpus: which checks catch each seeded defect.
+
+``tests/lint/mutants.json`` registers one or more seeded defects per
+repro-lint rule: exact ``old`` -> ``new`` text edits to real product code,
+each in the shape the rule's ``repro lint --explain`` entry calls bad. For
+every defect this script copies a source tree to a temporary directory,
+applies the edits and records
+
+* whether the defect's own rule flags it, and which other rules do;
+* the first tier-1 test that fails (the suite minus ``tests/lint/``, whose
+  tests exercise the linter rather than the product, and minus the
+  ``docs/api.md`` staleness test, see ``TIER1``);
+* the verdict of every non-lint gate (see ``GATES``).
+
+A gate counts only if it passes on the unmutated copy in the same run; the
+table records the unmutated verdicts next to the mutants'. Mutants are
+measured ``JOBS`` at a time, so every catch is confirmed afterwards, one
+mutant at a time: the first failing tier-1 test is re-run alone (if it
+passes, tier-1 is re-run without it, so a flaky test cannot hide a later
+failure), and a gate that failed only on its timing threshold is re-run
+twice more. A catch that does not repeat is recorded as ``flaky`` or
+``noise`` and not counted. The verdict table is written into the corpus file under ``evidence.<label>``, with a
+hash of the registered defects so a table cannot silently describe a
+different corpus. Offline, not part of tier-1; about 40 minutes on a
+2-core Xeon host:
+
+    python tools/lint_mutants.py --label final
+    python tools/lint_mutants.py --label parent --tree ../parent-checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "lint" / "mutants.json"
+
+#: The non-lint gates: name -> command, run from the copy's root. The
+#: S1 static-closure subset check is left out on purpose: it *is* S1's
+#: analysis, so only the dynamic pickle round-trip counts.
+GATES: Dict[str, Sequence[str]] = {
+    "explore": ("-m", "repro.verify", "--explore", "--no-naive"),
+    "alloc": (
+        "-m", "repro.cli", "bench", "--axis", "alloc",
+        "--output", "{tmp}/alloc.json", "--gate", "BENCH_alloc.json",
+    ),
+    "retention": (
+        "-m", "repro.cli", "bench", "--axis", "retention",
+        "--output", "{tmp}/retention.json", "--gate", "BENCH_kb_memory.json",
+    ),
+    "soak": (
+        "-m", "repro.cli", "soak", "--episodes", "20", "--pool", "4",
+        "--n", "15", "--budget", "24", "--max-cycles", "500",
+        "--policy", "keep-all,lru", "--output", "{tmp}/soak.json",
+    ),
+    "pickle": (
+        "-c",
+        "import sys; from repro.verify.boundary_audit import audit_corpus; "
+        "sys.exit(1 if audit_corpus().failures else 0)",
+    ),
+    "perfbench-learn": (
+        "perfbench/run.py", "--workload", "learn", "--seed", "0",
+        "--seconds", "0",
+    ),
+    "perfbench-nolearn": (
+        "perfbench/run.py", "--workload", "nolearn", "--seed", "0",
+        "--seconds", "0",
+    ),
+    "perfbench-breakout": (
+        "perfbench/run.py", "--workload", "breakout", "--seed", "0",
+        "--seconds", "0",
+    ),
+}
+
+#: Tier-1 minus ``tests/lint/`` and the api-docs staleness test: a mutant
+#: that changes a public signature fails that test only because
+#: ``docs/api.md`` is out of date, not because the defect was detected.
+TIER1 = (
+    "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+    "--ignore=tests/lint",
+    "--deselect=tests/test_tools.py::TestGenerator::test_generated_file_is_current",
+)
+
+#: A mutant's command may take this many times the unmutated run (plus a
+#: floor) before it is stopped and recorded as a timeout, which counts as
+#: no catch: a slow suite names no failing check.
+TIMEOUT_FACTOR = 4.0
+TIMEOUT_FLOOR_S = 60.0
+
+#: Mutants measured at once.
+JOBS = 2
+
+_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+
+#: How ``repro bench --gate`` reports a threshold (not a correctness) miss.
+_THRESHOLD_MISS = "regressed more than"
+
+#: Extra runs a threshold-only gate failure must fail again to count.
+CONFIRM_RUNS = 2
+
+
+def corpus_hash(defects: Sequence[dict]) -> str:
+    """The registration hash every verdict table carries."""
+    text = json.dumps(list(defects), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def apply_defect(tree: Path, defect: dict) -> None:
+    """Apply every edit of *defect* under *tree*; each ``old`` occurs once."""
+    path = tree / defect["file"]
+    text = path.read_text()
+    for edit in defect["edits"]:
+        count = text.count(edit["old"])
+        if count != 1:
+            raise ValueError(
+                f"{defect['id']}: edit text occurs {count} times in "
+                f"{defect['file']}"
+            )
+        text = text.replace(edit["old"], edit["new"])
+    path.write_text(text)
+
+
+def copy_tree(source: Path) -> Path:
+    target = Path(tempfile.mkdtemp(prefix="lint-mutant-"))
+    shutil.copytree(
+        source,
+        target / "tree",
+        ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".repro_cache", ".pytest_cache",
+            ".hypothesis", ".benchmarks", ".perfbench_tmp",
+        ),
+    )
+    return target
+
+
+def run(
+    tree: Path, args: Sequence[str], timeout: float
+) -> Tuple[str, float, str]:
+    """Run ``python *args`` in *tree*: (pass|fail|timeout, seconds, output)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("REPRO_JOBS", None)
+    started = time.perf_counter()
+    try:
+        done = subprocess.run(
+            [sys.executable, *args],
+            cwd=tree,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - started, ""
+    verdict = "pass" if done.returncode == 0 else "fail"
+    return verdict, time.perf_counter() - started, done.stdout + done.stderr
+
+
+def lint_rules(tree: Path) -> Tuple[List[str], Dict[str, int]]:
+    """The tree's rule ids and its findings per rule over src/ and tests/."""
+    _, _, listing = run(tree, ("-m", "repro.lint", "--list-rules"), 120)
+    rule_ids = re.findall(r"^([A-Z]\d)\b", listing, re.MULTILINE)
+    _, _, output = run(
+        tree,
+        ("-m", "repro.lint", "src/", "tests/", "--format", "json"),
+        300,
+    )
+    start = output.find("[")
+    findings = json.loads(output[start:output.rfind("]") + 1])
+    counts: Dict[str, int] = {}
+    for finding in findings:
+        counts[finding["rule"]] = counts.get(finding["rule"], 0) + 1
+    return rule_ids, counts
+
+
+def run_gate(
+    tree: Path, name: str, scratch: str, timeouts: Dict[str, float]
+) -> Tuple[str, float, str]:
+    filled = [arg.replace("{tmp}", scratch) for arg in GATES[name]]
+    return run(tree, filled, timeouts[name])
+
+
+def measure(tree: Path, timeouts: Dict[str, float]) -> dict:
+    """Lint findings, the first tier-1 failure and each gate's verdict."""
+    scratch = tempfile.mkdtemp(prefix="lint-gate-")
+    try:
+        rule_ids, findings = lint_rules(tree)
+        verdict, seconds, output = run(tree, TIER1, timeouts["tier1"])
+        failure = _FIRST_FAILURE.search(output)
+        tier1 = {
+            "verdict": verdict,
+            "seconds": round(seconds, 1),
+            "first_failure": failure.group(1) if failure else None,
+        }
+        gates = {}
+        for name in GATES:
+            verdict, seconds, output = run_gate(tree, name, scratch, timeouts)
+            fatal = [
+                line for line in output.splitlines() if "FATAL" in line
+            ]
+            gates[name] = {
+                "verdict": verdict,
+                "seconds": round(seconds, 1),
+                "threshold_only": bool(fatal)
+                and all(_THRESHOLD_MISS in line for line in fatal),
+            }
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return {
+        "rules": rule_ids,
+        "findings": findings,
+        "tier1": tier1,
+        "gates": gates,
+    }
+
+
+def verdict_row(defect: dict, clean: dict, mutant: dict) -> dict:
+    """Which catchers flag *defect*, judged against the clean copy."""
+    new_findings = sorted(
+        rule
+        for rule, count in mutant["findings"].items()
+        if count > clean["findings"].get(rule, 0)
+    )
+    if defect["rule"] not in clean["rules"]:
+        own = None  # the rule is not in this tree's catalogue
+    else:
+        own = defect["rule"] in new_findings
+    catchers = []
+    if clean["tier1"]["verdict"] == "pass" and (
+        mutant["tier1"]["verdict"] == "fail"
+    ):
+        catchers.append("tier1")
+    for name, gate in mutant["gates"].items():
+        if clean["gates"][name]["verdict"] == "pass" and (
+            gate["verdict"] == "fail"
+        ):
+            catchers.append(name)
+    return {
+        "rule_flags": own,
+        "lint_rules": new_findings,
+        "tier1_first_failure": mutant["tier1"]["first_failure"],
+        "tier1": mutant["tier1"]["verdict"],
+        "tier1_flaky": [],
+        "gates": {name: gate["verdict"] for name, gate in mutant["gates"].items()},
+        "non_lint_catchers": catchers,
+    }
+
+
+def confirm(
+    source: Path, defect: dict, row: dict, mutant: dict,
+    timeouts: Dict[str, float],
+) -> None:
+    """Re-check *row*'s catches on a fresh copy, with nothing else running."""
+    copy = copy_tree(source)
+    scratch = tempfile.mkdtemp(prefix="lint-gate-")
+    try:
+        tree = copy / "tree"
+        apply_defect(tree, defect)
+        test = row["tier1_first_failure"]
+        if "tier1" in row["non_lint_catchers"] and test is not None:
+            row["non_lint_catchers"].remove("tier1")
+            row["tier1"] = "flaky"
+            # ``-x`` stops at the first failure, so a flaky test can hide a
+            # real one behind it: re-run the suite without the tests that
+            # did not fail again alone.
+            for _ in range(1 + CONFIRM_RUNS):
+                verdict, _, _ = run(
+                    tree,
+                    ("-m", "pytest", "-q", "-p", "no:cacheprovider", test),
+                    timeouts["tier1"],
+                )
+                if verdict == "fail":
+                    row["non_lint_catchers"].insert(0, "tier1")
+                    row["tier1"] = "fail"
+                    row["tier1_first_failure"] = test
+                    break
+                row["tier1_flaky"].append(test)
+                deselect = [f"--deselect={name}" for name in row["tier1_flaky"]]
+                verdict, _, output = run(
+                    tree, (*TIER1, *deselect), timeouts["tier1"]
+                )
+                failure = _FIRST_FAILURE.search(output)
+                if verdict != "fail" or failure is None:
+                    break
+                test = failure.group(1)
+        for name, gate in mutant["gates"].items():
+            if name not in row["non_lint_catchers"] or not gate[
+                "threshold_only"
+            ]:
+                continue
+            for _ in range(CONFIRM_RUNS):
+                verdict, _, _ = run_gate(tree, name, scratch, timeouts)
+                if verdict != "fail":
+                    row["non_lint_catchers"].remove(name)
+                    row["gates"][name] = "noise"
+                    break
+    finally:
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--tree",
+        type=Path,
+        default=ROOT,
+        help="source tree to mutate (default: this checkout)",
+    )
+    parser.add_argument(
+        "--label",
+        required=True,
+        help="name of the verdict table to write, e.g. parent or final",
+    )
+    args = parser.parse_args(argv)
+    corpus = json.loads(CORPUS.read_text())
+    defects = corpus["defects"]
+
+    clean_copy = copy_tree(args.tree)
+    try:
+        generous = {name: 1800.0 for name in ("tier1", *GATES)}
+        clean = measure(clean_copy / "tree", generous)
+    finally:
+        shutil.rmtree(clean_copy, ignore_errors=True)
+    timeouts = {
+        "tier1": max(
+            TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * clean["tier1"]["seconds"]
+        ),
+    }
+    for name, gate in clean["gates"].items():
+        timeouts[name] = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * gate["seconds"])
+    print(
+        f"clean copy: tier-1 {clean['tier1']['verdict']}, gates "
+        + ", ".join(f"{n} {g['verdict']}" for n, g in clean["gates"].items()),
+        flush=True,
+    )
+
+    def one(defect: dict) -> Tuple[dict, dict]:
+        copy = copy_tree(args.tree)
+        try:
+            apply_defect(copy / "tree", defect)
+            mutant = measure(copy / "tree", timeouts)
+        finally:
+            shutil.rmtree(copy, ignore_errors=True)
+        return verdict_row(defect, clean, mutant), mutant
+
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        measured = list(pool.map(one, defects))
+    rows = {}
+    for defect, (row, mutant) in zip(defects, measured):
+        confirm(args.tree, defect, row, mutant, timeouts)
+        rows[defect["id"]] = row
+        print(
+            f"{defect['id']}: rule {row['rule_flags']}, lint "
+            f"{row['lint_rules']}, caught by {row['non_lint_catchers']}",
+            flush=True,
+        )
+
+    corpus = json.loads(CORPUS.read_text())
+    if corpus_hash(corpus["defects"]) != corpus_hash(defects):
+        print("the corpus changed while it was measured; nothing written")
+        return 1
+    corpus.setdefault("evidence", {})[args.label] = {
+        "corpus_sha256": corpus_hash(defects),
+        "rules": clean["rules"],
+        "clean": {
+            "tier1": clean["tier1"]["verdict"],
+            "gates": {
+                name: gate["verdict"] for name, gate in clean["gates"].items()
+            },
+        },
+        "rows": rows,
+    }
+    CORPUS.write_text(json.dumps(corpus, indent=2) + "\n")
+    print(f"wrote evidence.{args.label} to {CORPUS.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
