@@ -71,8 +71,8 @@ class AwcAgent(SingleVariableAgent):
         super().__init__(agent_id, problem, rng, initial_value, variable)
         self.learning = learning
         # The agent keeps only its own append-only log, never the shared
-        # collector: aliasing a collector that agents mutate would pin all
-        # agents to one process (lint rule S3).
+        # collector: a collector alias would outlive reset_episode's swap
+        # to a fresh collector (lint rule S3).
         self.generation_log = metrics.generation_log_for(agent_id)
         self.priority = 0
         self.view = AgentView()

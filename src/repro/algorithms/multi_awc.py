@@ -149,7 +149,8 @@ class MultiVariableAwcAgent(SimulatedAgent):
         """Carryover left by a capped intra-round drain awaits another step.
 
         The synchronous simulator revisits every agent each cycle, so a
-        ``intra_round_cap`` overflow is retried automatically; the
+        ``intra_round_cap`` overflow is retried automatically, and it reads
+        this signal before calling an idle network quiescent; the
         event-driven engine activates only on mail and needs this signal to
         schedule a wakeup.
         """

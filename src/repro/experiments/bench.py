@@ -214,15 +214,6 @@ def run_lint_bench(
         print("FATAL: lint findings diverge between identical passes")
         return 1
 
-    # Replay the pinned verify corpus and pickle-round-trip every payload
-    # actually sent: one that does not pickle would fail only on the
-    # socket transport, so any failure is fatal.
-    from ..verify.boundary_audit import audit_corpus
-
-    started = time.perf_counter()
-    audit = audit_corpus()
-    audit_seconds = round(time.perf_counter() - started, 4)
-
     slowest = max(passes)
     budget_met = slowest <= LINT_BUDGET_SECONDS
     report = {
@@ -238,13 +229,6 @@ def run_lint_bench(
         "pass_wall_max_seconds": slowest,
         "files_per_second": round(len(files) / slowest) if slowest else 0,
         "findings": len(findings_per_pass[0]),
-        "pickle_audit": {
-            "corpus_entries": audit.entries_run,
-            "payloads_round_tripped": audit.payloads_sent,
-            "round_trip_failures": len(audit.failures),
-            "observed_types": sorted(audit.observed_types),
-            "wall_seconds": audit_seconds,
-        },
         "budget_seconds": LINT_BUDGET_SECONDS,
         "budget_met": budget_met,
         "results_identical": True,
@@ -252,8 +236,7 @@ def run_lint_bench(
             "one whole-program pass parses every file once into a shared "
             "ProjectGraph, then runs the file-local and inter-procedural "
             "rules against it; the budget keeps full-tree linting viable "
-            "as a pre-commit hook and a CI gate; pickle_audit "
-            "pickle-round-trips every payload the pinned verify corpus sends"
+            "as a pre-commit hook and a CI gate"
         ),
     }
     Path(output).write_text(json.dumps(report, indent=2) + "\n")
@@ -264,20 +247,7 @@ def run_lint_bench(
         f"budget {LINT_BUDGET_SECONDS:.0f}s "
         f"{'met' if budget_met else 'EXCEEDED'}"
     )
-    print(
-        f"lint: pickle audit round-tripped {audit.payloads_sent} "
-        f"payload(s) over {audit.entries_run} pinned entries, "
-        f"{len(audit.failures)} failure(s)"
-    )
     print(f"wrote {output}")
-    if audit.failures:
-        for failure in audit.failures:
-            print(
-                f"FATAL: payload {failure.message_type} from corpus "
-                f"entry '{failure.entry}' failed the pickle "
-                f"round-trip: {failure.error}"
-            )
-        return 1
     if not budget_met:
         print(
             f"FATAL: full-tree lint took {slowest:.2f}s, over the "

@@ -22,9 +22,9 @@ check-count parity are guarded by running them, not by lint.
   agent-handler and store-consultation surfaces (see
   :mod:`repro.lint.hotpaths` and the escape analysis in
   :mod:`repro.lint.alloc`).
-* **Out-of-process safety** — rules S2 (no blocking calls reachable from
+* **Handler discipline** — rules S2 (no blocking calls reachable from
   message handlers) and S3 (no mutable state aliased by every agent a
-  builder creates) guard what the socket transport needs.
+  builder creates) keep agent code to computing and returning messages.
 
 File-local rules work from a single AST; the whole-program rules share a
 :class:`ProjectGraph` (one parse per file, import resolution, subclass

@@ -1,12 +1,11 @@
 """Cross-agent aliasing: mutable state every agent of a builder shares.
 
-The in-process simulators let agents reach the same mutable object; the
-socket transport and any sharded runtime do not, because each process has
-its own copy. :func:`shared_agent_state` is an alias fixpoint over agent
-builders: a mutable object passed loop-invariantly into more than one
-:class:`~repro.runtime.agent.SimulatedAgent` constructor, stored as agent
-state, and mutated by agent code is reachable from two agents at once — it
-only works because the agents share a process. Rule S3
+The simulators let agents reach the same mutable object, and nothing in a
+trial's counts shows it. :func:`shared_agent_state` is an alias fixpoint
+over agent builders: a mutable object passed loop-invariantly into more
+than one :class:`~repro.runtime.agent.SimulatedAgent` constructor, stored
+as agent state, and mutated by agent code is reachable from two agents at
+once — they are coupled through state no message carries. Rule S3
 (:mod:`repro.lint.rules_dist`) reports each such (builder, class,
 attribute) triple. The result is memoised per graph (``graph.cached``).
 

@@ -26,7 +26,7 @@ EXPLANATIONS: Dict[str, Explanation] = {
     "P2": Explanation(
         rationale=(
             "A payload mutated after send changes what the receiver "
-            "observes retroactively — impossible over a real wire. "
+            "observes retroactively: transports queue the object itself. "
             "Everything reachable from a sent message must be immutable "
             "from the send onward."
         ),
@@ -121,9 +121,9 @@ EXPLANATIONS: Dict[str, Explanation] = {
     "S2": Explanation(
         rationale=(
             "A blocking call (sleep, file or socket I/O, input) inside "
-            "message-handler dispatch stalls the whole shard: one worker "
-            "thread hosts many agents, and the simulated cycle cannot "
-            "close until every handler returns. Handlers compute and "
+            "message-handler dispatch stalls the simulator loop: the "
+            "cycle cannot close until every handler returns, and no "
+            "count shows it, only wall time. Handlers compute and "
             "return outgoing messages; I/O belongs to the harness."
         ),
         bad="def step(self, msgs):\n    time.sleep(0.01)  # throttle",
@@ -131,12 +131,11 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "S3": Explanation(
         rationale=(
-            "A mutable object aliased by two agents (a shared collector, "
-            "list or dict that agent code mutates) only works because "
-            "the agents happen to share a process; on the sharded "
-            "runtime each process has its own copy and the writes "
-            "silently diverge. Give each agent private state and merge "
-            "at a harness-owned boundary."
+            "A mutable object aliased by every agent (a shared collector, "
+            "list or dict that agent code mutates) outlives the harness "
+            "swapping that state: given a fresh collector per soak "
+            "episode, such agents write to the old one. Give each agent "
+            "private state and merge at a harness-owned boundary."
         ),
         bad=(
             "for aid in problem.agents:\n"

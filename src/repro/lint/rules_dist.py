@@ -1,20 +1,19 @@
-"""The distribution-safety rules: S2 and S3.
+"""The handler-discipline rules: S2 and S3.
 
-The in-process simulators are forgiving in ways the socket transport (one
-process per agent) is not: a handler may block the whole process, and
-agents may alias each other's state freely. These rules check the two
-properties that must hold before an agent is moved out of process:
+The simulators forgive two things no reported count shows: a handler may
+block, and agents may alias each other's state. These rules check that
+agent code only computes and returns messages:
 
 =====  ======================================================================
 S2     Non-blocking handlers. Agent code reachable from message-handler
        dispatch must not block: ``sleep``, console input, file or socket
-       I/O stall the whole shard, not one agent. Waiting is expressed by
-       returning and acting on the next delivery.
+       I/O stall the simulator loop, seen only in wall time. Waiting is
+       expressed by returning and acting on the next delivery.
 S3     No cross-agent aliasing. A mutable object passed loop-invariantly
        into every agent a builder creates, stored as agent state, and
-       mutated by agent code only works because those agents share one
-       process. Each agent owns its mutable state; cross-agent aggregation
-       belongs to the harness.
+       mutated by agent code outlives the harness swapping that state
+       (soak's per-episode collector). Each agent owns its mutable state;
+       cross-agent aggregation belongs to the harness.
 =====  ======================================================================
 
 S3 consumes the alias analysis in :mod:`repro.lint.boundary`; S2 reuses
@@ -80,10 +79,9 @@ class BlockingHandlerRule(Rule):
             lambda: graph.subclasses_of(AGENT_BASE),
         )
         hint = (
-            "a handler that blocks stalls every agent sharing the worker "
-            "process; return instead and act when the next delivery "
-            "arrives — the simulators and the socket transport both "
-            "redeliver"
+            "a handler that blocks stalls the simulator loop and every "
+            "agent of the cycle; return instead and act when the next "
+            "delivery arrives — both engines redeliver"
         )
         for cls in module.classes.values():
             if cls.name not in agent_classes or cls.name == AGENT_BASE:
@@ -102,7 +100,7 @@ class BlockingHandlerRule(Rule):
                             f"blocking call '{label}' is reachable from "
                             f"message-handler dispatch "
                             f"({cls.name}.{method_name}) — one slow agent "
-                            "would stall its whole worker process",
+                            "stalls every agent of the cycle",
                             hint,
                         )
 
@@ -173,8 +171,8 @@ class SharedAgentStateRule(Rule):
         hint = (
             "give each agent its own mutable state and let the harness "
             "aggregate (per-agent logs merged at cycle end, like the "
-            "check counters) — sharding puts these agents in different "
-            "processes where the alias silently becomes N divergent copies"
+            "check counters) — the alias outlives any swap of that state, "
+            "as when the soak harness hands each episode a fresh collector"
         )
         for shared in shared_agent_state(graph):
             if shared.path != path:
@@ -185,7 +183,7 @@ class SharedAgentStateRule(Rule):
                 f"aliases one '{shared.argument}' (stored as "
                 f"self.{shared.attr}) and agent code mutates it "
                 f"({'; '.join(shared.mutations)}) — cross-agent shared "
-                "mutable state only works in a single process",
+                "mutable state couples agents outside their messages",
                 hint,
             )
 

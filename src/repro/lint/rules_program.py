@@ -7,9 +7,8 @@ These are checks a single AST cannot express: each one consults the
 =====  ======================================================================
 P2     Mutation after send. A payload handed to ``send``/``post``/
        ``heappush`` is shared structure from that line on; mutating it
-       afterwards rewrites a message already in flight — the in-process
-       transport tolerates the aliasing, the socket transport's pickle
-       boundary does not, and the two diverge. The second half flags
+       afterwards rewrites a message already in flight: the transports
+       queue the object itself until delivery. The second half flags
        *shallow* freezes: a ``frozen=True`` payload dataclass with a
        mutable-container field is the same bug one level down.
 A1     Agent/transport separation. Agents interact with the world only
@@ -78,8 +77,8 @@ class MutationAfterSendRule(Rule):
         escape_hint = (
             "a sent object is shared with the transport; copy before "
             "sending (copy-on-send) or rebuild the payload instead of "
-            "mutating it — the socket transport pickles at send time and "
-            "would silently disagree with the in-process one"
+            "mutating it — the transport queues the object itself and "
+            "delivers whatever it holds at delivery time"
         )
         for function in iter_functions(module):
             node = function.node
@@ -116,8 +115,8 @@ class MutationAfterSendRule(Rule):
                     "shallow, so the container can still be mutated after "
                     "the instance is sent",
                     "freeze the collection too: a Tuple[...] (of pairs for "
-                    "mappings) or frozenset keeps in-process and socket "
-                    "transports byte-identical",
+                    "mappings) or frozenset keeps the payload immutable "
+                    "all the way down",
                 )
 
 

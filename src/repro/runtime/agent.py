@@ -85,7 +85,8 @@ class SimulatedAgent(ABC):
 
         The synchronous simulator steps every agent every cycle, so an
         agent with leftover internal work (e.g. the multi-variable AWC
-        agent's intra-round carryover queue) is always revisited. The
+        agent's intra-round carryover queue) is always revisited, and an
+        idle network is not quiescence while any agent reports it. The
         event-driven engine activates agents only on message arrival;
         agents that buffer work across steps must override this so the
         engine schedules a wakeup at the next timestamp. The default is

@@ -5,17 +5,15 @@ The second execution backend next to the synchronous cycle simulator
 activates agents only when mail arrives, with the message medium behind a
 small :class:`~repro.runtime.events.transport.Transport` protocol — a
 deterministic in-process priority-queue transport (the default; with unit
-latency it reproduces the synchronous simulator trial-for-trial) and a
-multiprocess socket transport for genuinely concurrent agents. See the
-module docstrings of :mod:`~repro.runtime.events.engine` and
-:mod:`~repro.runtime.events.socket_transport` for the execution and
-metrics semantics, and ``EXPERIMENTS.md`` for how the logical-time
-measures relate to the paper's ``cycle``/``maxcck``.
+latency it reproduces the synchronous simulator trial-for-trial) and the
+verifier's schedule-controlled transport. See the module docstring of
+:mod:`~repro.runtime.events.engine` for the execution and metrics
+semantics, and ``EXPERIMENTS.md`` for how the logical-time measures relate
+to the paper's ``cycle``/``maxcck``.
 """
 
 from .controlled import ChoicePoint, ScheduledTransport
-from .engine import ACTIVATION_MODES, EventDrivenSimulator
-from .socket_transport import run_socket_trial
+from .engine import EventDrivenSimulator
 from .transport import (
     Delivery,
     InProcessTransport,
@@ -28,7 +26,6 @@ from .transport import (
 )
 
 __all__ = [
-    "ACTIVATION_MODES",
     "ChoicePoint",
     "Delivery",
     "EventDrivenSimulator",
@@ -40,5 +37,4 @@ __all__ = [
     "TransportFactory",
     "UniformLatency",
     "UnitLatency",
-    "run_socket_trial",
 ]

@@ -66,11 +66,6 @@ from ..termination import (
 from ..trace import TraceRecorder
 from .transport import InProcessTransport, Transport
 
-#: Activation policies: "mail" steps only agents with deliveries (plus
-#: wakeups); "all" steps every agent each epoch (a lockstep cross-check).
-ACTIVATION_MODES = ("mail", "all")
-
-
 class EventDrivenSimulator:
     """Runs agents to completion on a discrete-event schedule.
 
@@ -92,15 +87,9 @@ class EventDrivenSimulator:
         metrics: Optional[MetricsCollector] = None,
         detector: Optional[GlobalSolutionDetector] = None,
         tracer: Optional[TraceRecorder] = None,
-        activation: str = "mail",
     ) -> None:
         if max_epochs < 1:
             raise SimulationError(f"max_epochs must be positive: {max_epochs}")
-        if activation not in ACTIVATION_MODES:
-            raise SimulationError(
-                f"unknown activation mode {activation!r}; "
-                f"expected one of {ACTIVATION_MODES}"
-            )
         ids = [agent.id for agent in agents]
         if len(set(ids)) != len(ids):
             raise SimulationError(f"duplicate agent ids: {sorted(ids)}")
@@ -122,7 +111,6 @@ class EventDrivenSimulator:
             else IncrementalSolutionDetector(problem)
         )
         self.tracer = tracer
-        self.activation = activation
         self._tracer_seconds = 0.0
         self._ids = frozenset(ids)
         self._by_id: Dict[AgentId, SimulatedAgent] = {
@@ -220,13 +208,9 @@ class EventDrivenSimulator:
                 )
                 self._tracer_seconds += time.perf_counter() - traced_at
         woken = self._wakeups.pop(now, set())
-        if self.activation == "all":
-            active = self.agents
-        else:
-            active = [
-                self._by_id[agent_id]
-                for agent_id in sorted(set(inbox) | woken)
-            ]
+        active = [
+            self._by_id[agent_id] for agent_id in sorted(set(inbox) | woken)
+        ]
         for agent in active:
             outgoing = agent.step(inbox.get(agent.id, ()))
             self._route(now, agent.id, outgoing)

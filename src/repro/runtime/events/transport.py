@@ -9,9 +9,9 @@ backend pluggable:
   ``(arrival time, send sequence)`` keys. Given a seed it is bit-
   reproducible, so event-driven trials are part of the repo's determinism
   contract exactly like the synchronous simulator's networks.
-* :class:`~repro.runtime.events.socket_transport.SocketRouter` — real
-  sockets between genuinely concurrent agent processes (wall-clock, not
-  deterministic; see its module docstring).
+* :class:`~repro.runtime.events.controlled.ScheduledTransport` — delivers
+  one channel head per epoch in an explicitly chosen order, for the
+  interleaving verifier.
 
 Latency is a separate, equally pluggable axis (:class:`LatencyModel`):
 :class:`UnitLatency` gives the paper's one-unit-per-message medium (parity

@@ -159,7 +159,12 @@ class SynchronousSimulator:
                 self._tracer_seconds += time.perf_counter() - traced_at
             solved = self._solution_found()
             unsolvable = self._any_failure()
-            if not solved and not unsolvable and self.network.is_idle():
+            if (
+                not solved
+                and not unsolvable
+                and self.network.is_idle()
+                and not any(agent.has_pending_work() for agent in self.agents)
+            ):
                 quiescent = True
         capped = (
             not solved

@@ -29,24 +29,14 @@ from .explorer import (
     explore_entry,
     repo_commutativity_matrix,
 )
-from .boundary_audit import (
-    AuditReport,
-    PayloadRecorder,
-    audit_corpus,
-    audit_entry,
-)
 from .invariants import check_determinism, check_run
 
 __all__ = [
-    "AuditReport",
     "PINNED_CORPUS",
     "CorpusEntry",
     "EntryReport",
     "ExplorationReport",
-    "PayloadRecorder",
     "ScheduleRun",
-    "audit_corpus",
-    "audit_entry",
     "check_determinism",
     "check_run",
     "corpus_by_name",

@@ -15,6 +15,7 @@ from repro.runtime.messages import (
 )
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.random_source import derive_rng
+from repro.runtime.simulator import SynchronousSimulator
 
 from ..conftest import clique_graph, cycle_graph, triangle_graph
 
@@ -246,3 +247,23 @@ class TestBuilder:
         for agent in agents:
             agent.initialize()
         assert [a.value for a in agents] == [2, 1, 0]
+
+
+class TestResetEpisode:
+    def test_generations_go_to_the_episode_collector(self):
+        # The soak harness hands every episode a fresh collector; the one
+        # the agents were built with must see none of that episode.
+        problem = coloring_discsp(clique_graph(4), 3)
+        built_with = MetricsCollector()
+        agents = build_awc_agents(
+            problem, learning_method("Rslv"), built_with, seed=1
+        )
+        episode = MetricsCollector()
+        for agent in agents:
+            agent.reset_episode(episode)
+        result = SynchronousSimulator(
+            problem, agents, max_cycles=20000, metrics=episode
+        ).run()
+        assert result.unsolvable
+        assert result.generated_nogoods > 0
+        assert built_with.generated_count == 0

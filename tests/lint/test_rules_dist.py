@@ -1,4 +1,4 @@
-"""The out-of-process safety rules S2 and S3 against their fixtures.
+"""The handler-discipline rules S2 and S3 against their fixtures.
 
 Same golden pattern as ``test_rules_effects.py``: dirty lines pinned
 exactly, clean counterexamples asserted silent. On top of that, the

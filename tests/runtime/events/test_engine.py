@@ -1,4 +1,4 @@
-"""The event-driven simulator's semantics: termination, activation, tracing."""
+"""The event-driven simulator's semantics: termination, validation, tracing."""
 
 import pytest
 
@@ -61,20 +61,6 @@ class TestTermination:
         # Epochs are distinct timestamps, so the clock can only run ahead
         # of (or level with) the epoch count.
         assert result.logical_time >= result.cycles
-
-
-class TestActivation:
-    def test_all_mode_matches_mail_mode_in_parity(self):
-        problem = random_coloring_instance(12, seed=8).to_discsp()
-        mail = build(problem, seed=4, activation="mail").run()
-        lockstep = build(problem, seed=4, activation="all").run()
-        assert (mail.solved, mail.cycles, mail.assignment) == (
-            lockstep.solved, lockstep.cycles, lockstep.assignment,
-        )
-
-    def test_unknown_mode_rejected(self, triangle_3col):
-        with pytest.raises(SimulationError, match="activation"):
-            build(triangle_3col, activation="never")
 
 
 class TestValidation:

@@ -84,29 +84,38 @@ class TestTrialParity:
     def test_multi_variable_agents_match(self):
         # The multi-variable AWC agent holds internal carryover work when
         # the intra-round cap is hit; the engine's wakeup events keep it
-        # running without fresh mail, preserving parity.
-        instance = random_coloring_instance(12, seed=5)
-        csp = coloring_csp(instance.graph, 3)
-        problem = DisCSP(
-            csp, {variable: variable % 4 for variable in csp.variables}
-        )
-        for seed in (1, 2):
-            runs = []
-            for simulator_class in (
-                SynchronousSimulator, EventDrivenSimulator,
-            ):
-                metrics = MetricsCollector()
-                agents = build_multi_awc_agents(
-                    problem,
-                    learning_method("Rslv"),
-                    metrics,
-                    seed,
-                    intra_round_cap=2,
-                )
-                runs.append(
-                    simulator_class(problem, agents, metrics=metrics).run()
-                )
-            assert measures(runs[0]) == measures(runs[1])
+        # running without fresh mail, and the synchronous simulator must
+        # not call an idle network quiescent while that work is pending.
+        # One agent owning every variable sends no network mail at all.
+        cases = [
+            (12, 5, 4, 2, (1, 2)),
+            (10, 0, 1, 1, (1,)),
+        ]
+        for n, instance_seed, num_agents, cap, seeds in cases:
+            instance = random_coloring_instance(n, seed=instance_seed)
+            csp = coloring_csp(instance.graph, 3)
+            problem = DisCSP(
+                csp,
+                {variable: variable % num_agents for variable in csp.variables},
+            )
+            for seed in seeds:
+                runs = []
+                for simulator_class in (
+                    SynchronousSimulator, EventDrivenSimulator,
+                ):
+                    metrics = MetricsCollector()
+                    agents = build_multi_awc_agents(
+                        problem,
+                        learning_method("Rslv"),
+                        metrics,
+                        seed,
+                        intra_round_cap=cap,
+                    )
+                    runs.append(
+                        simulator_class(problem, agents, metrics=metrics).run()
+                    )
+                assert measures(runs[0]) == measures(runs[1])
+                assert runs[0].solved
 
     def test_logical_time_equals_cycles_in_parity(self):
         instances = instances_for("d3c", 15, count=1, seed=0)

@@ -1,9 +1,16 @@
 """The pinned corpus: tiny, reproducible, and strict about its limits."""
 
+import typing
+from collections import Counter
+
 import pytest
 
 from repro.algorithms.multi_awc import MultiVariableAwcAgent
+from repro.algorithms.registry import algorithm_by_name
 from repro.core.exceptions import ModelError
+from repro.experiments.runner import run_trial
+from repro.runtime.messages import Message
+from repro.runtime.trace import TraceRecorder
 from repro.verify.corpus import (
     MAX_NODES,
     PINNED_CORPUS,
@@ -48,3 +55,20 @@ class TestSelection:
     def test_unknown_name_rejected_with_the_known_list(self):
         with pytest.raises(ModelError, match="unknown corpus entries"):
             corpus_by_name(["nope"])
+
+
+class TestTraffic:
+    def test_corpus_sends_every_message_type(self):
+        sent: Counter = Counter()
+        for entry in PINNED_CORPUS:
+            recorder = TraceRecorder()
+            run_trial(
+                entry.problem(),
+                algorithm_by_name(entry.algorithm),
+                entry.agent_seed,
+                max_cycles=entry.max_epochs,
+                tracer=recorder,
+            )
+            sent.update(recorder.message_counts_by_type())
+        declared = {kind.__name__ for kind in typing.get_args(Message)}
+        assert set(sent) == declared

@@ -47,9 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "lint" / "mutants.json"
 
-#: The non-lint gates: name -> command, run from the copy's root. The
-#: S1 static-closure subset check is left out on purpose: it *is* S1's
-#: analysis, so only the dynamic pickle round-trip counts.
+#: The non-lint gates: name -> command, run from the copy's root.
 GATES: Dict[str, Sequence[str]] = {
     "explore": ("-m", "repro.verify", "--explore", "--no-naive"),
     "alloc": (
@@ -64,11 +62,6 @@ GATES: Dict[str, Sequence[str]] = {
         "-m", "repro.cli", "soak", "--episodes", "20", "--pool", "4",
         "--n", "15", "--budget", "24", "--max-cycles", "500",
         "--policy", "keep-all,lru", "--output", "{tmp}/soak.json",
-    ),
-    "pickle": (
-        "-c",
-        "import sys; from repro.verify.boundary_audit import audit_corpus; "
-        "sys.exit(1 if audit_corpus().failures else 0)",
     ),
     "perfbench-learn": (
         "perfbench/run.py", "--workload", "learn", "--seed", "0",
