@@ -148,11 +148,9 @@ class MultiVariableAwcAgent(SimulatedAgent):
     def has_pending_work(self) -> bool:
         """Carryover left by a capped intra-round drain awaits another step.
 
-        The synchronous simulator revisits every agent each cycle, so a
+        The synchronous simulator revisits every agent each cycle, so an
         ``intra_round_cap`` overflow is retried automatically, and it reads
-        this signal before calling an idle network quiescent; the
-        event-driven engine activates only on mail and needs this signal to
-        schedule a wakeup.
+        this signal before calling an idle network quiescent.
         """
         return bool(self._carryover)
 

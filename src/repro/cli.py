@@ -56,16 +56,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "to a sequential run."
         ),
     )
-    parser.add_argument(
-        "--backend",
-        choices=("sync", "events"),
-        default="sync",
-        help=(
-            "trial execution engine: the paper's lockstep cycle simulator "
-            "or the discrete-event engine (in parity mode the tables are "
-            "identical; see docs/api.md on repro.runtime.events)"
-        ),
-    )
     _add_retention_option(parser)
 
 
@@ -93,14 +83,12 @@ def _resolve_scale(name: Optional[str]):
 def _print_table(number: int, args: argparse.Namespace) -> None:
     scale = _resolve_scale(args.scale)
     jobs = getattr(args, "jobs", None)
-    backend = getattr(args, "backend", "sync")
     retention = getattr(args, "retention", None)
     if number == 4:
         for table in run_table4(
             scale=scale,
             seed=args.seed,
             workers=jobs,
-            backend=backend,
             retention=retention,
         ):
             print(table.format_text())
@@ -117,7 +105,6 @@ def _print_table(number: int, args: argparse.Namespace) -> None:
         scale=scale,
         seed=args.seed,
         workers=jobs,
-        backend=backend,
         retention=retention,
     )
     reference = None if args.no_reference else reference_for_table(number)
@@ -167,23 +154,9 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_asynchrony(args: argparse.Namespace) -> int:
-    from .experiments.asynchrony import (
-        run_asynchrony_table,
-        run_event_asynchrony_table,
-    )
+    from .experiments.asynchrony import run_asynchrony_table
 
     scale = _resolve_scale(args.scale)
-    if getattr(args, "backend", "sync") == "events":
-        table = run_event_asynchrony_table(scale=scale, seed=args.seed)
-        print(table.format_text())
-        print(
-            "\nEvent-driven backend: 'cycle' counts epochs (distinct "
-            "delivery times) and maxcck sums per-epoch maxima — the "
-            "logical-time analogues of the paper's measures (see "
-            "EXPERIMENTS.md). The unit row is parity mode; every reported "
-            "solution is verified."
-        )
-        return 0
     table = run_asynchrony_table(scale=scale, seed=args.seed)
     print(table.format_text())
     print(
@@ -280,7 +253,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         algorithm_by_name(args.algorithm),
         seed=args.seed,
         max_cycles=args.max_cycles,
-        backend=args.backend,
         tracer=tracer,
         retention=args.retention,
     )
@@ -378,8 +350,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         forwarded += ["--exclude", pattern]
     if args.check_trace:
         forwarded += ["--check-trace", args.check_trace]
-    if args.no_fifo_check:
-        forwarded.append("--no-fifo-check")
     return lint_main(forwarded)
 
 
@@ -459,8 +429,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments.bench import main as bench_main
 
     forwarded: List[str] = ["--axis", args.axis]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
     if args.output:
         forwarded += ["--output", args.output]
     if args.gate is not None:
@@ -568,13 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--max-cycles", type=int, default=10_000)
     solve.add_argument(
-        "--backend",
-        choices=("sync", "events"),
-        default="sync",
-        help="execution engine (sync: lockstep cycles, events: "
-        "discrete-event; default sync)",
-    )
-    solve.add_argument(
         "--trace-jsonl",
         default=None,
         metavar="PATH",
@@ -624,14 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--output", default=None, metavar="FILE")
     lint.add_argument("--exclude", action="append", default=None)
     lint.add_argument("--check-trace", default=None, metavar="JSONL")
-    lint.add_argument("--no-fifo-check", action="store_true")
     lint.set_defaults(func=_cmd_lint)
 
     verify = sub.add_parser(
         "verify",
         help=(
             "interleaving verifier: handler commutativity matrix and "
-            "DPOR schedule exploration of the event runtime"
+            "DPOR schedule exploration of the simulator"
         ),
     )
     verify.add_argument(
@@ -724,19 +684,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="smoke benchmarks: trial engine, event engine, lint "
-        "analyzer, interleaving verifier, retention subsystem, handler "
-        "allocation churn (writes BENCH_*.json)",
+        help="smoke benchmarks: lint analyzer, interleaving verifier, "
+        "retention subsystem, handler allocation churn (writes "
+        "BENCH_*.json)",
     )
     bench.add_argument(
         "--axis",
-        choices=(
-            "workers", "backend", "lint", "verify", "retention", "alloc",
-        ),
-        default="workers",
-        help="what to compare (see repro.experiments.bench)",
+        choices=("lint", "verify", "retention", "alloc"),
+        required=True,
+        help="what to measure (see repro.experiments.bench)",
     )
-    bench.add_argument("--jobs", type=int, default=None)
     bench.add_argument("--output", default=None, metavar="PATH")
     bench.add_argument(
         "--gate",

@@ -18,15 +18,6 @@ shows how close the growth is to the linear model Figure 2 assumes, and
 the reorder rows demonstrate the algorithms' tolerance to the harshest
 asynchrony (correctness is asserted, not assumed: every solved trial's
 assignment is verified).
-
-The same sweep exists for the event-driven backend
-(:func:`run_event_asynchrony_table`): there the medium is a
-:class:`~repro.runtime.events.transport.Transport` rather than a
-``Network``, latency is per-message logical time rather than per-cycle
-redelivery, and the activation model is mail-driven rather than lockstep
-— so the two tables measure the same delay-tolerance question under two
-different execution semantics. The ``unit`` row is parity mode and
-matches the ``sync`` row of the network table trial-for-trial.
 """
 
 from __future__ import annotations
@@ -36,10 +27,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import algorithm_by_name
 from ..core.exceptions import ModelError
-from ..runtime.events.transport import (
-    InProcessTransportFactory,
-    TransportFactory,
-)
 from ..runtime.network import (
     FixedDelayNetwork,
     Network,
@@ -107,41 +94,6 @@ DEFAULT_NETWORKS = (
 )
 
 
-@dataclass(frozen=True)
-class TransportModel:
-    """A named transport construction recipe (event-driven backend)."""
-
-    name: str
-    factory: TransportFactory
-
-
-def transport_model(spec: str) -> TransportModel:
-    """Parse a transport spec for the events backend: ``unit`` (parity
-    mode), ``uniform:4`` (per-message latency uniform in 1..4, FIFO
-    channels), ``uniform:4:reorder`` (same without the FIFO clamp)."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "unit":
-        return TransportModel("unit", InProcessTransportFactory())
-    if kind == "uniform":
-        delay = int(parts[1]) if len(parts) > 1 else 4
-        fifo = not (len(parts) > 2 and parts[2] == "reorder")
-        suffix = "" if fifo else "/reorder"
-        return TransportModel(
-            f"uniform({delay}){suffix}",
-            InProcessTransportFactory(max_delay=delay, fifo=fifo),
-        )
-    raise ModelError(f"unknown transport spec {spec!r}")
-
-
-#: The default grid of transport models for the event-backend table.
-DEFAULT_TRANSPORTS = (
-    "unit",
-    "uniform:4",
-    "uniform:4:reorder",
-)
-
-
 def run_asynchrony_table(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
@@ -177,58 +129,6 @@ def run_asynchrony_table(
                 n=n,
                 max_cycles=scale.max_cycles,
                 network_factory=model.factory,
-            )
-            _verify_solutions(cell, instances)
-            row = TableRow(
-                n=n,
-                label=f"{spec.name} @ {model.name}",
-                cycle=cell.mean_cycle,
-                maxcck=cell.mean_maxcck,
-                percent=cell.percent_solved,
-            )
-            table.add(row)
-    return table
-
-
-def run_event_asynchrony_table(
-    scale: Optional[Scale] = None,
-    seed: Seed = 0,
-    algorithms: Sequence[str] = ("AWC+Rslv", "DB"),
-    transports: Sequence[str] = DEFAULT_TRANSPORTS,
-) -> Table:
-    """Epochs under different latency models, on the coloring workload.
-
-    The event-backend sibling of :func:`run_asynchrony_table`: the
-    ``cycle`` column counts epochs (distinct delivery timestamps with
-    activity) and ``maxcck`` sums per-epoch maxima — the logical-time
-    analogues of the paper's measures (see ``EXPERIMENTS.md``). The
-    ``unit`` row equals a synchronous run of the same seeds.
-    """
-    if scale is None:
-        scale = scale_from_environment()
-    n, num_instances, inits = scale.coloring[0]
-    instances = instances_for("d3c", n, num_instances, seed)
-    table = Table(
-        title=(
-            f"Extension: event-driven transports (distributed 3-coloring "
-            f"n={n}, scale={scale.name})"
-        )
-    )
-    for algorithm_name in algorithms:
-        spec = algorithm_by_name(algorithm_name)
-        for transport_spec in transports:
-            model = transport_model(transport_spec)
-            cell = run_cell(
-                instances,
-                spec,
-                inits_per_instance=inits,
-                master_seed=derive_seed(
-                    seed, "asynchrony", algorithm_name, model.name
-                ),
-                n=n,
-                max_cycles=scale.max_cycles,
-                backend="events",
-                transport_factory=model.factory,
             )
             _verify_solutions(cell, instances)
             row = TableRow(

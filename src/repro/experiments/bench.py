@@ -1,18 +1,12 @@
-"""Smoke benchmarks for the trial engine, the lint analyzer and the verifier.
+"""Smoke benchmarks for the lint analyzer, the verifier, retention and
+allocation churn.
 
-Runs a fixed quick-scale grid of table cells twice along one axis,
-verifies the results are identical, and writes a JSON report with wall
-times, the speedup, and nogood-check throughput. ``repro bench`` exposes
+Each axis measures one subsystem on a fixed small workload, asserts the
+results it depends on, and writes a JSON report. ``repro bench`` exposes
 it as a CLI subcommand.
 
-Six axes:
+Four axes:
 
-* ``--axis workers`` (default) — sequential vs the parallel engine;
-  writes ``BENCH_trial_engine.json``.
-* ``--axis backend`` — the synchronous cycle simulator vs the
-  discrete-event engine in parity mode; identical results are the parity
-  guarantee, the wall-time ratio is the event loop's overhead. Writes
-  ``BENCH_event_engine.json``.
 * ``--axis lint`` — two full-tree runs of the whole-program repro-lint
   analyzer (``src/`` + ``tests/``); identical findings are the
   determinism guarantee, and the wall time must stay under the 10 s CI
@@ -39,13 +33,11 @@ Six axes:
 Usage::
 
     PYTHONPATH=src python -m repro.cli bench
-        [--axis workers|backend|lint|verify|retention|alloc]
-        [--jobs N]
+        --axis lint|verify|retention|alloc
         [--output PATH] [--gate [BASELINE]]
 
-The grid is deliberately small (quick-scale sizes, a few seconds per leg)
-so CI can afford it; the JSON records the machine's core count, so a
-1-core runner reporting speedup ≈ 1/overhead is expected and honest.
+The workloads are deliberately small (quick-scale sizes, seconds per
+axis) so CI can afford them; every report records the machine it ran on.
 
 This module lives under ``experiments/`` (not ``runtime/`` or
 ``algorithms/``) deliberately: benchmarking needs wall clocks, which the
@@ -68,7 +60,6 @@ from ..algorithms.registry import algorithm_by_name
 from ..runtime.metrics import MetricsCollector
 from ..runtime.simulator import SynchronousSimulator
 from .paper import instances_for
-from .parallel import run_cell_parallel
 from .runner import (
     CellResult,
     random_initial_assignment,
@@ -122,68 +113,6 @@ def cell_measures(cell):
         )
         for trial in cell.trials
     ]
-
-
-def run_grid(workers: int, backend: str = "sync"):
-    """One pass over the grid; returns (per-cell rows, totals)."""
-    rows = []
-    total_seconds = 0.0
-    total_checks = 0
-    total_trials = 0
-    for family, n, num_instances, inits, label in GRID:
-        instances = instances_for(family, n, num_instances, MASTER_SEED)
-        spec = algorithm_by_name(label)
-        started = time.perf_counter()
-        if workers > 1:
-            cell = run_cell_parallel(
-                instances,
-                spec,
-                inits_per_instance=inits,
-                master_seed=MASTER_SEED,
-                n=n,
-                max_cycles=MAX_CYCLES,
-                workers=workers,
-                backend=backend,
-            )
-        else:
-            cell = run_cell(
-                instances,
-                spec,
-                inits_per_instance=inits,
-                master_seed=MASTER_SEED,
-                n=n,
-                max_cycles=MAX_CYCLES,
-                workers=1,
-                backend=backend,
-            )
-        elapsed = time.perf_counter() - started
-        checks = sum(trial.total_checks for trial in cell.trials)
-        rows.append(
-            {
-                "family": family,
-                "n": n,
-                "algorithm": label,
-                "trials": cell.num_trials,
-                "wall_seconds": round(elapsed, 4),
-                "mean_cycle": round(cell.mean_cycle, 2),
-                "mean_maxcck": round(cell.mean_maxcck, 2),
-                "percent_solved": round(cell.percent_solved, 1),
-                "total_checks": checks,
-                "checks_per_second": round(checks / elapsed) if elapsed else 0,
-                "cell": cell,
-            }
-        )
-        total_seconds += elapsed
-        total_checks += checks
-        total_trials += cell.num_trials
-    return rows, {
-        "wall_seconds": round(total_seconds, 4),
-        "total_checks": total_checks,
-        "trials": total_trials,
-        "checks_per_second": (
-            round(total_checks / total_seconds) if total_seconds else 0
-        ),
-    }
 
 
 def run_lint_bench(
@@ -758,34 +687,32 @@ def check_gate(
     return 0
 
 
+#: Each axis's default report (and ``--gate`` baseline), next to its runner.
+AXES = {
+    "lint": "BENCH_lint.json",
+    "verify": "BENCH_verify.json",
+    "retention": "BENCH_kb_memory.json",
+    "alloc": "BENCH_alloc.json",
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--axis",
-        choices=(
-            "workers", "backend", "lint", "verify", "retention", "alloc",
-        ),
-        default="workers",
-        help="what to compare: sequential vs parallel execution, the "
-        "sync vs event-driven engines (both legs sequential), two "
-        "passes of the whole-program lint analyzer, the interleaving "
-        "verifier's schedule-exploration throughput, the nogood "
-        "retention subsystem's parity and soak stream, or the "
-        "per-message allocation churn of the handler hot paths",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="workers for the parallel leg of --axis workers "
-        "(default: min(4, cores))",
+        choices=tuple(AXES),
+        required=True,
+        help="what to measure: two passes of the whole-program lint "
+        "analyzer, the interleaving verifier's schedule-exploration "
+        "throughput, the nogood retention subsystem's parity and soak "
+        "stream, or the per-message allocation churn of the handler hot "
+        "paths",
     )
     parser.add_argument(
         "--output",
         default=None,
-        help="where to write the JSON report (default: "
-        "BENCH_trial_engine.json / BENCH_event_engine.json / "
-        "BENCH_lint.json by axis)",
+        help="where to write the JSON report (default: the axis's "
+        "committed BENCH_*.json)",
     )
     parser.add_argument(
         "--gate",
@@ -793,129 +720,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         const="",
         default=None,
         metavar="BASELINE",
-        help="(--axis lint/verify/retention/alloc) fail if the axis's "
-        "metric regresses more than 20%% against the BASELINE report "
-        "(default: the committed BENCH_lint.json / BENCH_verify.json / "
-        "BENCH_kb_memory.json / BENCH_alloc.json)",
+        help="fail if the axis's metric regresses more than 20%% against "
+        "the BASELINE report (default: the axis's committed BENCH_*.json)",
     )
     args = parser.parse_args(argv)
-    cores = os.cpu_count() or 1
-    jobs = args.jobs if args.jobs is not None else min(4, cores)
     repo_root = _repo_root()
-
+    committed = str(repo_root / AXES[args.axis])
+    output = args.output or committed
+    gate = committed if args.gate == "" else args.gate
     if args.axis == "lint":
-        output = args.output or str(repo_root / "BENCH_lint.json")
-        gate = args.gate
-        if gate == "":
-            gate = str(repo_root / "BENCH_lint.json")
         return run_lint_bench(repo_root, output, gate)
-
     if args.axis == "verify":
-        output = args.output or str(repo_root / "BENCH_verify.json")
-        gate = args.gate
-        if gate == "":
-            gate = str(repo_root / "BENCH_verify.json")
         return run_verify_bench(output, gate)
-
     if args.axis == "alloc":
-        output = args.output or str(repo_root / "BENCH_alloc.json")
-        gate = args.gate
-        if gate == "":
-            gate = str(repo_root / "BENCH_alloc.json")
         return run_alloc_bench(output, gate)
-
-    if args.axis == "retention":
-        output = args.output or str(repo_root / "BENCH_kb_memory.json")
-        gate = args.gate
-        if gate == "":
-            gate = str(repo_root / "BENCH_kb_memory.json")
-        return run_retention_bench(output, gate)
-
-    if args.axis == "backend":
-        output = args.output or str(repo_root / "BENCH_event_engine.json")
-        print(
-            f"bench_smoke: {len(GRID)} cells, sync simulator vs "
-            "event-driven engine (parity mode, sequential)"
-        )
-        baseline_name, candidate_name = "sync", "events"
-        baseline_rows, baseline_totals = run_grid(workers=1, backend="sync")
-        candidate_rows, candidate_totals = run_grid(
-            workers=1, backend="events"
-        )
-        benchmark = "event_engine_smoke"
-        diverge_message = "event-driven results diverge from sync (parity)"
-        note = (
-            "both legs are sequential; identical results are the parity "
-            "guarantee of the unit-latency event engine, and the speedup "
-            "(sync wall time / events wall time) is the discrete-event "
-            "loop's overhead relative to lockstep cycles"
-        )
-        extra = {}
-    else:
-        output = args.output or str(repo_root / "BENCH_trial_engine.json")
-        print(
-            f"bench_smoke: {len(GRID)} cells, sequential vs {jobs} workers "
-            f"({cores} cores available)"
-        )
-        baseline_name, candidate_name = "sequential", "parallel"
-        baseline_rows, baseline_totals = run_grid(workers=1)
-        candidate_rows, candidate_totals = run_grid(workers=jobs)
-        benchmark = "trial_engine_smoke"
-        diverge_message = "parallel results diverge from sequential"
-        note = (
-            "speedup is bounded by physical cores: with "
-            f"{cores} core(s) available, {jobs} workers can at best "
-            f"approach {min(jobs, cores)}x minus pool overhead"
-        )
-        extra = {"workers": jobs}
-
-    mismatches = [
-        f"{s['family']}-n{s['n']}-{s['algorithm']}"
-        for s, p in zip(baseline_rows, candidate_rows)
-        if cell_measures(s.pop("cell")) != cell_measures(p.pop("cell"))
-    ]
-    if mismatches:
-        print(f"FATAL: {diverge_message}: {mismatches}")
-        return 1
-
-    speedup = (
-        baseline_totals["wall_seconds"] / candidate_totals["wall_seconds"]
-        if candidate_totals["wall_seconds"]
-        else 0.0
-    )
-    report = {
-        "benchmark": benchmark,
-        "grid": [
-            {
-                "family": family,
-                "n": n,
-                "instances": instances,
-                "inits": inits,
-                "algorithm": label,
-            }
-            for family, n, instances, inits, label in GRID
-        ],
-        "max_cycles": MAX_CYCLES,
-        "master_seed": MASTER_SEED,
-        "machine": {
-            "cpu_count": cores,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        **extra,
-        baseline_name: {"cells": baseline_rows, "totals": baseline_totals},
-        candidate_name: {"cells": candidate_rows, "totals": candidate_totals},
-        "speedup": round(speedup, 3),
-        "results_identical": True,
-        "note": note,
-    }
-    Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"{baseline_name} {baseline_totals['wall_seconds']:.2f}s "
-        f"({baseline_totals['checks_per_second']:,} checks/s), "
-        f"{candidate_name} {candidate_totals['wall_seconds']:.2f}s "
-        f"({candidate_totals['checks_per_second']:,} checks/s), "
-        f"speedup {speedup:.2f}x"
-    )
-    print(f"wrote {output}")
-    return 0
+    return run_retention_bench(output, gate)

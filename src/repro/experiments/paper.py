@@ -253,17 +253,13 @@ def run_table_cell(
     seed: Seed,
     max_cycles: int,
     workers: Optional[int] = None,
-    backend: str = "sync",
     retention: Optional[str] = None,
 ) -> CellResult:
     """One (family, n, algorithm) cell at the given trial counts.
 
     ``workers`` selects the trial-execution parallelism (default: the
     ``REPRO_JOBS`` environment variable, else sequential); results are
-    identical either way. ``backend`` selects the execution engine
-    (``"sync"`` or ``"events"``; the latter runs in parity mode here, so
-    the table values are identical by construction — see
-    :mod:`repro.runtime.events`). ``retention`` selects the nogood
+    identical either way. ``retention`` selects the nogood
     retention policy (``None``/``keep-all`` is the paper's record-forever
     behaviour; see :mod:`repro.retention`).
     """
@@ -276,7 +272,6 @@ def run_table_cell(
         n=n,
         max_cycles=max_cycles,
         workers=workers,
-        backend=backend,
         retention=retention,
     )
 
@@ -286,7 +281,6 @@ def run_table(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
     workers: Optional[int] = None,
-    backend: str = "sync",
     retention: Optional[str] = None,
 ) -> Table:
     """Reproduce one of Tables 1–3 / 5–10."""
@@ -313,8 +307,7 @@ def run_table(
                 seed,
                 scale.max_cycles,
                 workers=workers,
-                backend=backend,
-                retention=retention,
+                        retention=retention,
             )
             table.add(TableRow.from_cell(cell))
     return table
@@ -324,7 +317,6 @@ def run_table4(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
     workers: Optional[int] = None,
-    backend: str = "sync",
     retention: Optional[str] = None,
 ) -> List[Table]:
     """Reproduce Table 4: redundant nogood generations, rec vs norec.
@@ -353,8 +345,7 @@ def run_table4(
                     seed,
                     scale.max_cycles,
                     workers=workers,
-                    backend=backend,
-                    retention=retention,
+                                retention=retention,
                 )
                 table.add(
                     TableRow.from_cell(

@@ -39,7 +39,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..algorithms.registry import AlgorithmSpec, algorithm_by_name
 from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
-from ..runtime.events.transport import TransportFactory
 from ..runtime.random_source import Seed
 from ..runtime.simulator import DEFAULT_MAX_CYCLES, RunResult
 from . import runner as _runner
@@ -120,8 +119,6 @@ def _init_worker(
     algorithm_ref: _AlgorithmRef,
     max_cycles: int,
     network_factory: NetworkFactory,
-    backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     retention: Optional[str] = None,
 ) -> None:
     kind, payload = algorithm_ref
@@ -132,8 +129,6 @@ def _init_worker(
     _WORKER["algorithm"] = algorithm
     _WORKER["max_cycles"] = max_cycles
     _WORKER["network_factory"] = network_factory
-    _WORKER["backend"] = backend
-    _WORKER["transport_factory"] = transport_factory
     _WORKER["retention"] = retention
 
 
@@ -146,8 +141,6 @@ def _run_trial_task(
         trial_seed,
         max_cycles=_WORKER["max_cycles"],
         network_factory=_WORKER["network_factory"],
-        backend=_WORKER["backend"],
-        transport_factory=_WORKER["transport_factory"],
         retention=_WORKER["retention"],
     )
     return trial_index, result
@@ -165,8 +158,6 @@ def run_cell_parallel(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     network_factory: NetworkFactory = synchronous_network_factory,
     workers: Optional[int] = None,
-    backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     retention: Optional[str] = None,
 ) -> CellResult:
     """One cell, trials distributed over *workers* processes.
@@ -175,11 +166,9 @@ def run_cell_parallel(
     identical signature plus ``workers``, identical results apart from
     timing fields. Falls back to the sequential runner (with a warning)
     when the algorithm or network factory cannot be shipped to workers,
-    and silently when one worker would gain nothing. The ``backend`` /
-    ``transport_factory`` pair travels to the workers like the network
-    factory does, so event-driven cells parallelize identically; the
-    ``retention`` policy spec ships as a plain string (workers rebuild the
-    policy objects from it, one per store, so no policy state crosses the
+    and silently when one worker would gain nothing. The ``retention``
+    policy spec ships as a plain string (workers rebuild the policy
+    objects from it, one per store, so no policy state crosses the
     boundary).
     """
     effective = resolve_workers(workers)
@@ -195,21 +184,18 @@ def run_cell_parallel(
             n,
             max_cycles,
             network_factory,
-            backend,
-            transport_factory,
             retention,
         )
     algorithm_ref = _algorithm_reference(algorithm)
     shippable = (
         algorithm_ref is not None
         and _is_picklable(network_factory)
-        and _is_picklable(transport_factory)
         and _is_picklable(tuple(instances))
     )
     if not shippable:
         warnings.warn(
             f"cell {algorithm.name!r} cannot be shipped to worker "
-            "processes (unpicklable algorithm, network/transport factory, "
+            "processes (unpicklable algorithm, network factory, "
             "or instances); running sequentially",
             RuntimeWarning,
             stacklevel=2,
@@ -222,8 +208,6 @@ def run_cell_parallel(
             n,
             max_cycles,
             network_factory,
-            backend,
-            transport_factory,
             retention,
         )
     effective = min(effective, len(tasks))
@@ -236,8 +220,6 @@ def run_cell_parallel(
             algorithm_ref,
             max_cycles,
             network_factory,
-            backend,
-            transport_factory,
             retention,
         ),
     ) as pool:
@@ -266,8 +248,6 @@ def _run_sequentially(
     n: int,
     max_cycles: int,
     network_factory: NetworkFactory,
-    backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     retention: Optional[str] = None,
 ) -> CellResult:
     return _runner.run_cell(
@@ -279,7 +259,5 @@ def _run_sequentially(
         max_cycles=max_cycles,
         network_factory=network_factory,
         workers=1,
-        backend=backend,
-        transport_factory=transport_factory,
         retention=retention,
     )

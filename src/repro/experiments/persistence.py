@@ -42,7 +42,6 @@ def run_result_to_dict(result: RunResult) -> Dict:
         "wall_time": result.wall_time,
         "sim_time": result.sim_time,
         "max_history": list(result.max_history),
-        "logical_time": result.logical_time,
     }
 
 
@@ -67,9 +66,6 @@ def run_result_from_dict(data: Dict) -> RunResult:
             wall_time=data.get("wall_time", 0.0),
             sim_time=data.get("sim_time", data.get("wall_time", 0.0)),
             max_history=list(data.get("max_history", [])),
-            # Records written before the event-driven backend carry no
-            # logical time; for the sync backend it equals cycles.
-            logical_time=data.get("logical_time", data["cycles"]),
         )
     except KeyError as missing:
         raise ModelError(f"trial record lacks field {missing}") from None

@@ -23,11 +23,8 @@ from typing import (
 )
 
 from ..algorithms.registry import AlgorithmSpec
-from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
 from ..core.variables import Value, VariableId
-from ..runtime.events import EventDrivenSimulator, InProcessTransportFactory
-from ..runtime.events.transport import TransportFactory
 from ..runtime.metrics import MetricsCollector
 from ..runtime.network import Network, SynchronousNetwork
 from ..runtime.random_source import Seed, derive_rng, derive_seed
@@ -42,10 +39,6 @@ if TYPE_CHECKING:
 
 #: Builds a fresh network per trial (delay models carry per-trial RNG state).
 NetworkFactory = Callable[[Seed], Network]
-
-#: The trial-execution backends: the paper's lockstep cycle simulator and
-#: the discrete-event asynchronous engine (see :mod:`repro.runtime.events`).
-BACKENDS = ("sync", "events")
 
 
 def synchronous_network_factory(seed: Seed) -> Network:
@@ -128,22 +121,13 @@ def run_trial(
     seed: Seed,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     network_factory: NetworkFactory = synchronous_network_factory,
-    backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     tracer: Optional["TraceRecorder"] = None,
     retention: Optional[str] = None,
 ) -> RunResult:
     """One trial: build agents, simulate, return the run's measurements.
 
-    ``backend`` selects the execution engine: ``"sync"`` (the paper's
-    lockstep cycle simulator, message medium from ``network_factory``) or
-    ``"events"`` (the discrete-event engine, message medium from
-    ``transport_factory`` — defaulting to the unit-latency in-process
-    transport, i.e. parity mode, which reproduces the sync results
-    trial-for-trial). The two media axes are mutually exclusive: a
-    non-default ``network_factory`` with the events backend (or a
-    ``transport_factory`` with the sync backend) is rejected rather than
-    silently ignored.
+    The message medium comes from ``network_factory``, called with the
+    trial seed; the default is the paper's one-cycle network.
 
     ``retention`` selects the nogood retention policy (a spec such as
     ``"lru:100"``; see :mod:`repro.retention`). One policy instance is
@@ -153,10 +137,6 @@ def run_trial(
     never evicted. ``None`` (and ``"keep-all"``) reproduce the paper's
     record-forever behaviour exactly.
     """
-    if backend not in BACKENDS:
-        raise ModelError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     policy_factory = None
     if retention is not None and retention != "keep-all":
         from ..retention import retention_factory
@@ -171,30 +151,6 @@ def run_trial(
         interner = NogoodInterner()
         for agent in agents:
             agent.attach_retention(policy_factory, interner)
-    if backend == "events":
-        if network_factory is not synchronous_network_factory:
-            raise ModelError(
-                "the events backend takes a transport_factory, not a "
-                "network_factory"
-            )
-        factory = (
-            transport_factory
-            if transport_factory is not None
-            else InProcessTransportFactory()
-        )
-        return EventDrivenSimulator(
-            problem,
-            agents,
-            transport=factory(seed),
-            max_epochs=max_cycles,
-            metrics=metrics,
-            tracer=tracer,
-        ).run()
-    if transport_factory is not None:
-        raise ModelError(
-            "the sync backend takes a network_factory, not a "
-            "transport_factory"
-        )
     simulator = SynchronousSimulator(
         problem,
         agents,
@@ -289,8 +245,6 @@ def run_cell(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     network_factory: NetworkFactory = synchronous_network_factory,
     workers: Optional[int] = None,
-    backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     retention: Optional[str] = None,
 ) -> CellResult:
     """One cell: every instance × every initial-value set.
@@ -301,9 +255,6 @@ def run_cell(
     With ``workers`` above 1 (or ``REPRO_JOBS`` set) the trials are farmed
     out to a process pool via :mod:`repro.experiments.parallel`; results are
     identical to the sequential path apart from timing fields.
-
-    ``backend``/``transport_factory`` select the execution engine per
-    trial; see :func:`run_trial`.
     """
     from .parallel import resolve_workers, run_cell_parallel
 
@@ -317,8 +268,6 @@ def run_cell(
             max_cycles=max_cycles,
             network_factory=network_factory,
             workers=workers,
-            backend=backend,
-            transport_factory=transport_factory,
             retention=retention,
         )
     cell = CellResult(label=algorithm.name, n=n)
@@ -332,8 +281,6 @@ def run_cell(
                 trial_seed,
                 max_cycles=max_cycles,
                 network_factory=network_factory,
-                backend=backend,
-                transport_factory=transport_factory,
                 retention=retention,
             )
         )

@@ -81,6 +81,10 @@ class PolicySoakResult:
     total_cycles: int
     total_checks: int
     total_maxcck: int
+    #: Nogoods generated over the stream, and how many of those were
+    #: redundant (an agent generating one it had generated before).
+    total_generated: int
+    total_redundant: int
     peak_learned: int
     peak_pinned: int
     evictions: int
@@ -144,7 +148,8 @@ class SoakReport:
             f"{self.family} n={self.n} instances, budget={self.budget}, "
             f"learning={self.learning}, seed={self.seed}",
             f"{'policy':<14} {'solve%':>7} {'peak':>6} {'pinned':>7} "
-            f"{'evict':>7} {'chk/solve':>11} {'interned':>9} {'budget':>7}",
+            f"{'evict':>7} {'chk/solve':>11} {'generated':>10} "
+            f"{'redundant':>10} {'interned':>9} {'budget':>7}",
         ]
         for result in self.policies:
             bound = (
@@ -156,6 +161,7 @@ class SoakReport:
                 f"{result.policy:<14} {result.solve_rate:>6.1f}% "
                 f"{result.peak_learned:>6d} {result.peak_pinned:>7d} "
                 f"{result.evictions:>7d} {result.checks_per_solve:>11.1f} "
+                f"{result.total_generated:>10d} {result.total_redundant:>10d} "
                 f"{result.interner.get('hits', 0):>9d} {bound:>7}"
             )
         return "\n".join(lines)
@@ -183,6 +189,8 @@ class SoakReport:
                     "total_checks": result.total_checks,
                     "total_maxcck": result.total_maxcck,
                     "checks_per_solve": result.checks_per_solve,
+                    "total_generated": result.total_generated,
+                    "total_redundant": result.total_redundant,
                     "peak_learned": result.peak_learned,
                     "peak_pinned": result.peak_pinned,
                     "evictions": result.evictions,
@@ -317,6 +325,8 @@ def run_soak(
             total_cycles=0,
             total_checks=0,
             total_maxcck=0,
+            total_generated=0,
+            total_redundant=0,
             peak_learned=0,
             peak_pinned=0,
             evictions=0,
@@ -352,6 +362,8 @@ def run_soak(
             result.total_cycles += run.cycles
             result.total_checks += run.total_checks
             result.total_maxcck += run.maxcck
+            result.total_generated += run.generated_nogoods
+            result.total_redundant += run.redundant_generations
             # Only the active population's stores changed this episode, so
             # scanning it alone suffices for the running peaks.
             learned, pinned = population.peak_counts()

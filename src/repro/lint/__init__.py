@@ -22,15 +22,14 @@ check-count parity are guarded by running them, not by lint.
   agent-handler and store-consultation surfaces (see
   :mod:`repro.lint.hotpaths` and the escape analysis in
   :mod:`repro.lint.alloc`).
-* **Handler discipline** — rules S2 (no blocking calls reachable from
-  message handlers) and S3 (no mutable state aliased by every agent a
-  builder creates) keep agent code to computing and returning messages.
+* **Handler discipline** — rule S2 (no blocking calls reachable from
+  message handlers) keeps agent code to computing and returning messages.
 
 File-local rules work from a single AST; the whole-program rules share a
 :class:`ProjectGraph` (one parse per file, import resolution, subclass
 closures, memoised analyses). ``repro lint --check-trace run.jsonl``
 additionally replays a recorded trace and asserts the runtime invariants
-(clock monotonicity, causal delivery, the FIFO clamp).
+(clock monotonicity, value chaining, summary totals).
 
 Run as ``python -m repro.lint src/ tests/`` or ``repro lint``. Findings can
 be suppressed per line with ``# repro-lint: disable=<RULE> -- <why>`` — the

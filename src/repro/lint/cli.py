@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Whole-program invariant checker: payload immutability (P2), "
             "agent/transport separation (A1), metric accounting (M1), "
             "view-counter discipline (R1), hot-path allocation discipline "
-            "(H1-H4), out-of-process safety (S2/S3), plus trace "
+            "(H1-H4), non-blocking handlers (S2), plus trace "
             "cross-validation "
             "(--check-trace). See CONTRIBUTING.md for the rule catalogue, "
             "or --explain RULE for one entry with examples."
@@ -111,16 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSONL",
         help=(
             "validate a TraceRecorder JSONL file (clock monotonicity, "
-            "causal delivery, FIFO clamp, value chaining) instead of "
-            "linting source paths"
-        ),
-    )
-    parser.add_argument(
-        "--no-fifo-check",
-        action="store_true",
-        help=(
-            "with --check-trace: skip the FIFO-clamp invariant (for "
-            "traces recorded with fifo=False transports)"
+            "value chaining, summary totals) instead of linting source "
+            "paths"
         ),
     )
     return parser
@@ -129,9 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.check_trace is not None:
-        violations = check_trace_file(
-            args.check_trace, fifo=not args.no_fifo_check
-        )
+        violations = check_trace_file(args.check_trace)
         for violation in violations:
             print(f"{args.check_trace}: {violation}")
         if violations:

@@ -4,8 +4,7 @@ Per function, every transport-style send, every mutation of a local name,
 and every rebinding, each tagged with its line and enclosing loops. Rule
 P2's escape analysis is a simple ordering query over these streams ("was
 this name mutated after being handed to a send?"). The module also holds
-the function walk and the call-argument binding the whole-program rules
-share.
+the function walk the whole-program rules share.
 
 All of it is deliberately approximate. The contract with the rules: err on
 the side of **not** reporting (a finding must be explainable to the author
@@ -34,35 +33,6 @@ MUTATOR_METHODS = frozenset(
 )
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-def _bind_arguments(
-    call: ast.Call, callee: Union[FunctionInfo, ClassInfo]
-) -> List[Tuple[str, ast.expr]]:
-    """(parameter name, argument expression) pairs for a call, best-effort.
-
-    Positional binding skips ``self`` for methods/constructors; ``*args``
-    spill is ignored.
-    """
-    if isinstance(callee, ClassInfo):
-        init = callee.methods.get("__init__")
-        if init is None:
-            return []
-        params = [name for name in init.params if name not in ("self", "cls")]
-    else:
-        params = [
-            name for name in callee.params if name not in ("self", "cls")
-        ]
-    bound: List[Tuple[str, ast.expr]] = []
-    for index, argument in enumerate(call.args):
-        if isinstance(argument, ast.Starred):
-            break
-        if index < len(params):
-            bound.append((params[index], argument))
-    for keyword in call.keywords:
-        if keyword.arg is not None:
-            bound.append((keyword.arg, keyword.value))
-    return bound
 
 
 def iter_functions(module: ModuleInfo) -> Iterator[FunctionInfo]:

@@ -1,8 +1,9 @@
 """Handler-effect analysis: read/write footprints and commutativity.
 
-The event runtime only guarantees per-channel FIFO delivery — messages from
-*distinct* senders may reach an agent in either order, and the Uniform /
-reorder transports exercise exactly that freedom. Whether a reordering can
+The asynchronous model only guarantees per-channel FIFO delivery —
+messages from *distinct* senders may reach an agent in either order, and
+the random-delay networks and the verifier's scheduled network exercise
+exactly that freedom. Whether a reordering can
 change a trial's outcome is a property of the *handlers*: two handler
 invocations commute iff their state footprints do not conflict (neither
 writes what the other reads or writes).

@@ -172,7 +172,7 @@ def lint_paths(
     Builds the :class:`~repro.lint.graph.ProjectGraph` **once** over every
     selected file and shares it across all rules and files — each file is
     parsed a single time, and whole-program analyses (handler effects,
-    S3's shared-state aliases, the H rules' allocation sites) are memoised
+    the H rules' allocation sites) are memoised
     on the graph. This sharing is what keeps a
     full-tree run inside the bench budget (see ``BENCH_lint.json``).
     """

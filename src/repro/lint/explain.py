@@ -37,7 +37,7 @@ EXPLANATIONS: Dict[str, Explanation] = {
         rationale=(
             "Agent code that imports or references the transport layer "
             "couples the algorithm to the delivery model, so the same "
-            "agent can no longer run under sync/async/dpor backends. "
+            "agent can no longer run on every network model. "
             "Agents return outgoing (recipient, message) pairs; the "
             "network decides how they travel."
         ),
@@ -128,24 +128,6 @@ EXPLANATIONS: Dict[str, Explanation] = {
         ),
         bad="def step(self, msgs):\n    time.sleep(0.01)  # throttle",
         good="def step(self, msgs):\n    return outgoing  # harness paces",
-    ),
-    "S3": Explanation(
-        rationale=(
-            "A mutable object aliased by every agent (a shared collector, "
-            "list or dict that agent code mutates) outlives the harness "
-            "swapping that state: given a fresh collector per soak "
-            "episode, such agents write to the old one. Give each agent "
-            "private state and merge at a harness-owned boundary."
-        ),
-        bad=(
-            "for aid in problem.agents:\n"
-            "    agents.append(Agent(aid, shared_metrics))  "
-            "# agents mutate it"
-        ),
-        good=(
-            "log = metrics.generation_log_for(aid)  # private per agent\n"
-            "# collector merges logs at cycle boundaries"
-        ),
     ),
     "X0": Explanation(
         rationale=(

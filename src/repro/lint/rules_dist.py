@@ -1,23 +1,16 @@
-"""The handler-discipline rules: S2 and S3.
+"""The handler-discipline rule: S2.
 
-The simulators forgive two things no reported count shows: a handler may
-block, and agents may alias each other's state. These rules check that
-agent code only computes and returns messages:
+The simulator forgives one thing no reported count shows: a handler may
+block. S2 checks that agent code only computes and returns messages:
 
 =====  ======================================================================
 S2     Non-blocking handlers. Agent code reachable from message-handler
        dispatch must not block: ``sleep``, console input, file or socket
        I/O stall the simulator loop, seen only in wall time. Waiting is
        expressed by returning and acting on the next delivery.
-S3     No cross-agent aliasing. A mutable object passed loop-invariantly
-       into every agent a builder creates, stored as agent state, and
-       mutated by agent code outlives the harness swapping that state
-       (soak's per-episode collector). Each agent owns its mutable state;
-       cross-agent aggregation belongs to the harness.
 =====  ======================================================================
 
-S3 consumes the alias analysis in :mod:`repro.lint.boundary`; S2 reuses
-the dispatch-discovery machinery of :mod:`repro.lint.effects`.
+S2 reuses the dispatch-discovery machinery of :mod:`repro.lint.effects`.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from .boundary import shared_agent_state
 from .effects import AGENT_BASE, _resolve_method
 from .findings import Finding
 from .graph import ClassInfo, ModuleInfo, ProjectGraph
@@ -81,7 +73,7 @@ class BlockingHandlerRule(Rule):
         hint = (
             "a handler that blocks stalls the simulator loop and every "
             "agent of the cycle; return instead and act when the next "
-            "delivery arrives — both engines redeliver"
+            "delivery arrives"
         )
         for cls in module.classes.values():
             if cls.name not in agent_classes or cls.name == AGENT_BASE:
@@ -151,41 +143,4 @@ class BlockingHandlerRule(Rule):
         return None
 
 
-class SharedAgentStateRule(Rule):
-    """S3 — no mutable object is reachable from two agents at once."""
-
-    id = "S3"
-    title = "no cross-agent aliasing"
-
-    def applies(self, scope: Optional[str]) -> bool:
-        return scope is not None
-
-    def check(
-        self,
-        tree: ast.Module,
-        path: str,
-        scope: Optional[str],
-        lines: Sequence[str],
-        graph: ProjectGraph,
-    ) -> Iterator[Finding]:
-        hint = (
-            "give each agent its own mutable state and let the harness "
-            "aggregate (per-agent logs merged at cycle end, like the "
-            "check counters) — the alias outlives any swap of that state, "
-            "as when the soak harness hands each episode a fresh collector"
-        )
-        for shared in shared_agent_state(graph):
-            if shared.path != path:
-                continue
-            yield self._finding(
-                shared.node, path, lines,
-                f"every {shared.class_name} built by {shared.builder} "
-                f"aliases one '{shared.argument}' (stored as "
-                f"self.{shared.attr}) and agent code mutates it "
-                f"({'; '.join(shared.mutations)}) — cross-agent shared "
-                "mutable state couples agents outside their messages",
-                hint,
-            )
-
-
-DIST_RULES: Tuple[Rule, ...] = (BlockingHandlerRule(), SharedAgentStateRule())
+DIST_RULES: Tuple[Rule, ...] = (BlockingHandlerRule(),)

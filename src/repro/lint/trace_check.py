@@ -1,23 +1,13 @@
 """Cross-validation of recorded traces: ``repro lint --check-trace``.
 
-The static rules (P2/A1) argue the runtime *should* be deterministic
-and causally ordered; this module checks the claim against runtime
-evidence. It replays a :class:`~repro.runtime.trace.TraceRecorder` JSONL
-file and asserts the invariants the event-driven runtime promises:
+The static rules argue the runtime *should* be deterministic; this module
+checks a recorded run against runtime evidence. It replays a
+:class:`~repro.runtime.trace.TraceRecorder` JSONL file and asserts the
+invariants the simulator promises:
 
-* **Clock monotonicity** — the logical timestamps of the merged event log
-  never decrease (the Lamport-style property: the recorder emits events in
-  cycle order, and the engine only moves time forward).
-* **Send-sequence monotonicity** — the transport's send counter, when the
-  backend stamps it onto message records, strictly increases.
-* **Causal delivery** — every delivery names a recorded send (same
-  sequence, same channel) and arrives strictly *after* it (latency models
-  must return delays ≥ 1).
-* **FIFO clamp** — per ``(sender, recipient)`` channel, deliveries occur
-  in send order with non-decreasing arrival times. The in-process
-  transport enforces this with an arrival clamp when ``fifo=True``;
-  traces recorded with ``fifo=False`` are validated with
-  ``--no-fifo-check``.
+* **Clock monotonicity** — the cycle stamps of the merged event log never
+  decrease (the recorder emits events in cycle order, and the simulator
+  only moves time forward).
 * **Value-change chaining** — per variable, each change's ``old_value``
   equals the previous change's ``new_value``.
 * **Summary conservation** — the trailing summary record's counts match
@@ -25,8 +15,7 @@ file and asserts the invariants the event-driven runtime promises:
 
 A violation is a plain sentence with a 1-based line number, suitable for
 printing next to lint findings; an empty list means the trace upholds
-every invariant it carries evidence for (a synchronous-simulator trace has
-no deliveries or sequences, so those checks are vacuous there).
+every invariant.
 """
 
 from __future__ import annotations
@@ -35,10 +24,10 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Record types the validator understands.
-KNOWN_EVENTS = ("message", "delivery", "value_change", "summary")
+KNOWN_EVENTS = ("message", "value_change", "summary")
 
 
-def check_trace_file(path: str, fifo: bool = True) -> List[str]:
+def check_trace_file(path: str) -> List[str]:
     """Validate the trace at *path*; returns violations (empty = valid)."""
     records: List[Tuple[int, Dict[str, Any]]] = []
     violations: List[str] = []
@@ -64,12 +53,10 @@ def check_trace_file(path: str, fifo: bool = True) -> List[str]:
         return [f"cannot read trace: {error}"]
     if violations:
         return violations
-    return check_trace_records(records, fifo=fifo)
+    return check_trace_records(records)
 
 
-def check_trace_records(
-    records: List[Tuple[int, Dict[str, Any]]], fifo: bool = True
-) -> List[str]:
+def check_trace_records(records: List[Tuple[int, Dict[str, Any]]]) -> List[str]:
     """Validate parsed ``(line number, record)`` pairs."""
     violations: List[str] = []
     if not records:
@@ -92,10 +79,6 @@ def check_trace_records(
         if record["event"] != "summary"
     ]
     violations.extend(_check_clock_monotone(body))
-    violations.extend(_check_sequences(body))
-    violations.extend(_check_deliveries(body, records))
-    if fifo:
-        violations.extend(_check_fifo(body))
     violations.extend(_check_value_chains(body))
     violations.extend(_check_summary_counts(records))
     return violations
@@ -153,116 +136,6 @@ def _check_clock_monotone(
     return out
 
 
-def _check_sequences(body: List[Tuple[int, Dict[str, Any]]]) -> List[str]:
-    out: List[str] = []
-    previous: Optional[int] = None
-    previous_line = 0
-    for number, record in body:
-        if record["event"] != "message" or "sequence" not in record:
-            continue
-        sequence = record["sequence"]
-        if not isinstance(sequence, int) or sequence < 0:
-            out.append(
-                f"line {number}: message sequence is not a non-negative "
-                f"integer (got {sequence!r})"
-            )
-            continue
-        if previous is not None and sequence <= previous:
-            out.append(
-                f"line {number}: send sequence {sequence} does not "
-                f"increase past {previous} (line {previous_line}) — the "
-                "transport's send counter is monotone"
-            )
-        previous = sequence
-        previous_line = number
-    return out
-
-
-def _check_deliveries(
-    body: List[Tuple[int, Dict[str, Any]]],
-    records: List[Tuple[int, Dict[str, Any]]],
-) -> List[str]:
-    out: List[str] = []
-    dropped = _summary_of(records).get("dropped", 0)
-    sends: Dict[int, Tuple[int, Dict[str, Any]]] = {}
-    for number, record in body:
-        if record["event"] == "message" and isinstance(
-            record.get("sequence"), int
-        ):
-            sends[record["sequence"]] = (number, record)
-    for number, record in body:
-        if record["event"] != "delivery":
-            continue
-        sequence = record.get("sequence")
-        if not isinstance(sequence, int):
-            out.append(
-                f"line {number}: delivery has no integer sequence "
-                f"(got {sequence!r})"
-            )
-            continue
-        send = sends.get(sequence)
-        if send is None:
-            if not dropped:
-                out.append(
-                    f"line {number}: delivery of sequence {sequence} has "
-                    "no matching message record — nothing was dropped, so "
-                    "every delivery must complete a recorded send"
-                )
-            continue
-        send_line, send_record = send
-        for role in ("sender", "recipient"):
-            if record.get(role) != send_record.get(role):
-                out.append(
-                    f"line {number}: delivery of sequence {sequence} "
-                    f"names {role} {record.get(role)!r} but the send "
-                    f"(line {send_line}) names {send_record.get(role)!r}"
-                )
-        if record.get("cycle", 0) <= send_record.get("cycle", 0):
-            out.append(
-                f"line {number}: delivery of sequence {sequence} at cycle "
-                f"{record.get('cycle')} does not happen strictly after its "
-                f"send at cycle {send_record.get('cycle')} (line "
-                f"{send_line}) — latency must be at least 1"
-            )
-    return out
-
-
-def _check_fifo(body: List[Tuple[int, Dict[str, Any]]]) -> List[str]:
-    """Per channel, deliveries must occur in send order (no overtaking)
-    with non-decreasing arrival cycles — the FIFO clamp's guarantee."""
-    out: List[str] = []
-    last_by_channel: Dict[Tuple[Any, Any], Tuple[int, int, int]] = {}
-    for number, record in body:
-        if record["event"] != "delivery":
-            continue
-        sequence = record.get("sequence")
-        cycle = record.get("cycle")
-        if not isinstance(sequence, int) or not isinstance(cycle, int):
-            continue  # reported by the structural checks
-        channel = (record.get("sender"), record.get("recipient"))
-        previous = last_by_channel.get(channel)
-        if previous is not None:
-            previous_line, previous_sequence, previous_cycle = previous
-            if sequence < previous_sequence:
-                out.append(
-                    f"line {number}: FIFO violation on channel "
-                    f"{channel[0]} -> {channel[1]} — sequence {sequence} "
-                    f"delivered after sequence {previous_sequence} (line "
-                    f"{previous_line}); same-channel messages must not "
-                    "overtake (run with --no-fifo-check for fifo=False "
-                    "traces)"
-                )
-            if cycle < previous_cycle:
-                out.append(
-                    f"line {number}: FIFO clamp violation on channel "
-                    f"{channel[0]} -> {channel[1]} — arrival cycle "
-                    f"{cycle} precedes the previous arrival at cycle "
-                    f"{previous_cycle} (line {previous_line})"
-                )
-        last_by_channel[channel] = (number, sequence, cycle)
-    return out
-
-
 def _check_value_chains(
     body: List[Tuple[int, Dict[str, Any]]]
 ) -> List[str]:
@@ -293,7 +166,7 @@ def _check_summary_counts(
     if not summary or summary.get("dropped", 0):
         return []  # dropped events legitimately break conservation
     out: List[str] = []
-    counts = {"message": 0, "delivery": 0, "value_change": 0}
+    counts = {"message": 0, "value_change": 0}
     for _number, record in records:
         if record["event"] in counts:
             counts[record["event"]] += 1
@@ -301,8 +174,6 @@ def _check_summary_counts(
         ("messages", counts["message"]),
         ("value_changes", counts["value_change"]),
     ]
-    if "deliveries" in summary:
-        expectations.append(("deliveries", counts["delivery"]))
     for key, actual in expectations:
         claimed = summary.get(key)
         if claimed != actual:

@@ -21,14 +21,8 @@ from .network import (
     LossyNetwork,
     Network,
     RandomDelayNetwork,
+    ScheduledNetwork,
     SynchronousNetwork,
-)
-from .events import (
-    EventDrivenSimulator,
-    InProcessTransport,
-    InProcessTransportFactory,
-    UniformLatency,
-    UnitLatency,
 )
 from .random_source import derive_rng, derive_seed
 from .simulator import DEFAULT_MAX_CYCLES, RunResult, SynchronousSimulator
@@ -42,12 +36,9 @@ from .trace import MessageEvent, TraceRecorder, ValueChangeEvent
 
 __all__ = [
     "DEFAULT_MAX_CYCLES",
-    "EventDrivenSimulator",
     "FixedDelayNetwork",
     "GlobalSolutionDetector",
     "IncrementalSolutionDetector",
-    "InProcessTransport",
-    "InProcessTransportFactory",
     "LossyNetwork",
     "MessageEvent",
     "ImproveMessage",
@@ -62,12 +53,11 @@ __all__ = [
     "RandomDelayNetwork",
     "RequestValueMessage",
     "RunResult",
+    "ScheduledNetwork",
     "SimulatedAgent",
     "SynchronousNetwork",
     "SynchronousSimulator",
     "TraceRecorder",
-    "UniformLatency",
-    "UnitLatency",
     "ValueChangeEvent",
     "collect_assignment",
     "derive_rng",

@@ -85,12 +85,11 @@ class SimulatedAgent(ABC):
 
         The synchronous simulator steps every agent every cycle, so an
         agent with leftover internal work (e.g. the multi-variable AWC
-        agent's intra-round carryover queue) is always revisited, and an
-        idle network is not quiescence while any agent reports it. The
-        event-driven engine activates agents only on message arrival;
-        agents that buffer work across steps must override this so the
-        engine schedules a wakeup at the next timestamp. The default is
-        False: for agents whose ``step([])`` is a no-op, nothing is owed.
+        agent's intra-round carryover queue) is always revisited; what this
+        signal decides is quiescence: an idle network does not end the run
+        while any agent reports pending work, so agents that buffer work
+        across steps must override it. The default is False: for agents
+        whose ``step([])`` is a no-op, nothing is owed.
         """
         return False
 

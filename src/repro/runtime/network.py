@@ -11,13 +11,18 @@ asynchronous systems and should be analysed on other network types too.
 takes 1..max_delay cycles, optionally with per-channel FIFO ordering (without
 FIFO, messages between the same pair of agents can overtake each other,
 which is the harshest asynchrony the algorithms must tolerate).
+
+:class:`ScheduledNetwork` is the interleaving verifier's medium: instead of
+sampling delays it delivers one message per cycle, chosen by an explicit,
+replayable schedule (see :mod:`repro.verify`).
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import SimulationError
 from ..core.problem import AgentId
@@ -294,3 +299,114 @@ class RandomDelayNetwork(Network):
 
     def pending(self) -> int:
         return len(self._heap)
+
+
+@dataclass(frozen=True)
+class Delivery:
+    """One message in a :class:`ScheduledNetwork` log.
+
+    ``time`` is the cycle it was sent in while pending, and the cycle it
+    was delivered in once it appears in ``delivery_log``; ``sequence`` is
+    its position in the network's send order.
+    """
+
+    time: int
+    sequence: int
+    sender: AgentId
+    recipient: AgentId
+    message: Message
+
+
+@dataclass(frozen=True)
+class ChoicePoint:
+    """One scheduling decision: what was deliverable, what was chosen."""
+
+    time: int
+    enabled: Tuple[Delivery, ...]
+    chosen: int
+
+    @property
+    def branching(self) -> bool:
+        """True when the decision was a real choice (>1 enabled head)."""
+        return len(self.enabled) > 1
+
+
+class ScheduledNetwork(Network):
+    """A network that delivers one message per cycle, chosen by a schedule.
+
+    The interleaving verifier (:mod:`repro.verify`) needs to *choose*
+    delivery orders, not sample them: given the same agents and seed it
+    replays a prefix of decisions and then branches.
+
+    * Every :meth:`deliver` hands over exactly **one** message, so a cycle
+      runs a single handler invocation and the schedule fully serializes
+      handler execution (the granularity the explorer reasons about).
+    * The deliverable messages (the *enabled set*) are the per-channel FIFO
+      heads, sorted by ``(sender, recipient)``, so index *k* names the same
+      delivery on every replay of the same prefix. Every reordering
+      *across* channels is reachable; none within a channel.
+    * Which head goes next comes from ``schedule``, a sequence of indices
+      into the enabled set. Past its end index 0 is taken, so a schedule is
+      a *prefix* of decisions and the run completes deterministically.
+
+    Every decision is recorded in ``choice_log`` and every delivery in
+    ``delivery_log``; the explorer reads both to find the branch points of
+    the next schedules and to check per-delivery invariants after the run.
+    """
+
+    def __init__(self, schedule: Sequence[int] = ()) -> None:
+        super().__init__()
+        self.choice_log: List[ChoicePoint] = []
+        self.delivery_log: List[Delivery] = []
+        self._schedule: Tuple[int, ...] = tuple(schedule)
+        self._now = 0
+        self._pending: List[Delivery] = []
+
+    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
+        if recipient == sender:
+            raise SimulationError(
+                f"agent {sender} attempted to send a message to itself"
+            )
+        self._pending.append(
+            Delivery(self._now, self.sent_count, sender, recipient, message)
+        )
+        self.sent_count += 1
+
+    def deliver(self) -> Inbox:
+        self._now += 1
+        if not self._pending:
+            return {}
+        enabled = self.enabled()
+        decision = len(self.choice_log)
+        index = (
+            self._schedule[decision] if decision < len(self._schedule) else 0
+        )
+        if not 0 <= index < len(enabled):
+            raise SimulationError(
+                f"schedule chose delivery {index} but only "
+                f"{len(enabled)} channel heads are enabled at cycle "
+                f"{self._now}"
+            )
+        self.choice_log.append(ChoicePoint(self._now, enabled, index))
+        chosen = enabled[index]
+        self._pending.remove(chosen)
+        self.delivery_log.append(replace(chosen, time=self._now))
+        self.delivered_count += 1
+        return {chosen.recipient: [chosen.message]}
+
+    def pending(self) -> int:
+        return len(self._pending)
+
+    def enabled(self) -> Tuple[Delivery, ...]:
+        """The deliverable messages: per-channel FIFO heads, sorted."""
+        heads: Dict[Tuple[AgentId, AgentId], Delivery] = {}
+        for delivery in self._pending:
+            channel = (delivery.sender, delivery.recipient)
+            if channel not in heads:
+                heads[channel] = delivery
+        return tuple(heads[channel] for channel in sorted(heads))
+
+    @property
+    def choices_taken(self) -> Tuple[int, ...]:
+        """The full decision sequence of the run so far (replayable)."""
+        return tuple(point.chosen for point in self.choice_log)

@@ -10,7 +10,9 @@ agents."
 :class:`~repro.runtime.network.Network`. With the default
 :class:`~repro.runtime.network.SynchronousNetwork` every message takes one
 cycle (the paper's setting); with a delay network the same loop models a
-slower or asynchronous medium.
+slower or asynchronous medium, and with
+:class:`~repro.runtime.network.ScheduledNetwork` it runs the interleaving
+verifier's chosen delivery orders.
 
 Termination:
 
@@ -68,11 +70,6 @@ class RunResult:
     #: simulation cost proper, comparable across traced and untraced runs.
     sim_time: float = 0.0
     max_history: List[int] = field(default_factory=list)
-    #: The logical timestamp at which the run ended. For the synchronous
-    #: backend this equals ``cycles``; for the event-driven backend it is
-    #: the last epoch's timestamp, which grows faster than ``cycles`` under
-    #: random message latency (see :mod:`repro.runtime.events`).
-    logical_time: int = 0
 
     @property
     def finished(self) -> bool:
@@ -188,7 +185,6 @@ class SynchronousSimulator:
             wall_time=wall_time,
             sim_time=wall_time - self._tracer_seconds,
             max_history=list(self.metrics.max_history),
-            logical_time=self.metrics.cycles,
         )
 
     # -- internals -------------------------------------------------------------

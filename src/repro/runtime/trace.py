@@ -5,8 +5,9 @@ Distributed algorithms are miserable to debug from final states alone. A
 message routed and every variable whose value changed, and can render the
 whole run as a readable log. Tracing is strictly observational — it never
 alters delivery, ordering, or cost accounting — and is off by default
-(recording every message of a 10 000-cycle run is memory-hungry; the
-``max_events`` bound drops the oldest events past the cap).
+(recording every message of a 10 000-cycle run is memory-hungry; past the
+``max_events`` bound later events are dropped and counted, so the first
+``max_events`` of each kind are kept).
 """
 
 from __future__ import annotations
@@ -26,47 +27,18 @@ from .messages import Message
 
 @dataclass(frozen=True)
 class MessageEvent:
-    """One message routed during a cycle.
-
-    ``sequence`` is the transport's monotone send counter when the backend
-    exposes one (the event engine); the synchronous simulator leaves it
-    None. It is what lets the trace validator pair each delivery with its
-    send.
-    """
+    """One message routed during a cycle."""
 
     cycle: int
     sender: AgentId
     recipient: AgentId
     message: Message
-    sequence: Optional[int] = None
 
     def describe(self) -> str:
         kind = type(self.message).__name__.replace("Message", "")
         return (
             f"[{self.cycle:>5}] {self.sender} -> {self.recipient}: "
             f"{kind} {self.message}"
-        )
-
-
-@dataclass(frozen=True)
-class DeliveryEvent:
-    """One message handed to its recipient by the event-driven transport.
-
-    ``cycle`` is the *arrival* timestamp; ``sequence`` identifies the send
-    it completes. Recorded only by the event engine — the synchronous
-    simulator's deliveries are implicit (everything sent in cycle *t*
-    arrives in *t + 1*).
-    """
-
-    cycle: int
-    sequence: int
-    sender: AgentId
-    recipient: AgentId
-
-    def describe(self) -> str:
-        return (
-            f"[{self.cycle:>5}] {self.sender} => {self.recipient}: "
-            f"delivered #{self.sequence}"
         )
 
 
@@ -87,12 +59,16 @@ class ValueChangeEvent:
 
 
 class TraceRecorder:
-    """Collects message and value-change events from a simulated run."""
+    """Collects message and value-change events from a simulated run.
+
+    At most ``max_events`` messages and ``max_events`` value changes are
+    kept: the first ones recorded. Every event past the cap is dropped and
+    counted in ``dropped``.
+    """
 
     def __init__(self, max_events: int = 100_000) -> None:
         self.max_events = max_events
         self.messages: List[MessageEvent] = []
-        self.deliveries: List[DeliveryEvent] = []
         self.changes: List[ValueChangeEvent] = []
         self.dropped = 0
         self._last_assignment: Dict[VariableId, Value] = {}
@@ -105,28 +81,11 @@ class TraceRecorder:
         sender: AgentId,
         recipient: AgentId,
         message: Message,
-        sequence: Optional[int] = None,
     ) -> None:
         if len(self.messages) >= self.max_events:
             self.dropped += 1
             return
-        self.messages.append(
-            MessageEvent(cycle, sender, recipient, message, sequence)
-        )
-
-    def on_delivery(
-        self,
-        cycle: int,
-        sequence: int,
-        sender: AgentId,
-        recipient: AgentId,
-    ) -> None:
-        if len(self.deliveries) >= self.max_events:
-            self.dropped += 1
-            return
-        self.deliveries.append(
-            DeliveryEvent(cycle, sequence, sender, recipient)
-        )
+        self.messages.append(MessageEvent(cycle, sender, recipient, message))
 
     def on_cycle_end(
         self, cycle: int, assignment: Dict[VariableId, Value]
@@ -171,27 +130,21 @@ class TraceRecorder:
 
         Message events carry ``event: "message"``, the message's type name
         as ``kind``, and its fields flattened JSON-safe (nogoods become
-        sorted ``[variable, value]`` pair lists) — plus the transport send
-        ``sequence`` when the backend provides one. Deliveries carry
-        ``event: "delivery"`` stamped with the *arrival* cycle and the
-        sequence of the send they complete. Value changes carry
+        sorted ``[variable, value]`` pair lists). Value changes carry
         ``event: "value_change"``. A final ``event: "summary"`` record
         reports totals and the drop count, so a truncated trace is
         detectable from the file alone.
 
         ``repro lint --check-trace`` replays this format and asserts the
-        runtime invariants (clock monotonicity, causal delivery, the FIFO
-        clamp) hold over the recorded run.
+        runtime invariants (clock monotonicity, value chains, the summary
+        totals) hold over the recorded run.
         """
-        merged: List[
-            Union[MessageEvent, DeliveryEvent, ValueChangeEvent]
-        ] = sorted(
-            self.messages + self.deliveries + self.changes,
-            key=lambda event: event.cycle,
+        merged: List[Union[MessageEvent, ValueChangeEvent]] = sorted(
+            self.messages + self.changes, key=lambda event: event.cycle
         )
         for event in merged:
             if isinstance(event, MessageEvent):
-                record: Dict[str, Any] = {
+                yield {
                     "event": "message",
                     "cycle": event.cycle,
                     "sender": event.sender,
@@ -204,17 +157,6 @@ class TraceRecorder:
                         for field in dataclasses.fields(event.message)
                     },
                 }
-                if event.sequence is not None:
-                    record["sequence"] = event.sequence
-                yield record
-            elif isinstance(event, DeliveryEvent):
-                yield {
-                    "event": "delivery",
-                    "cycle": event.cycle,
-                    "sequence": event.sequence,
-                    "sender": event.sender,
-                    "recipient": event.recipient,
-                }
             else:
                 yield {
                     "event": "value_change",
@@ -223,15 +165,12 @@ class TraceRecorder:
                     "old_value": _json_safe(event.old_value),
                     "new_value": _json_safe(event.new_value),
                 }
-        summary: Dict[str, Any] = {
+        yield {
             "event": "summary",
             "messages": len(self.messages),
             "value_changes": len(self.changes),
             "dropped": self.dropped,
         }
-        if self.deliveries:
-            summary["deliveries"] = len(self.deliveries)
-        yield summary
 
     def write_jsonl(self, path: Union[str, Path]) -> int:
         """Write the event log to *path* as JSON Lines; returns the record
@@ -246,11 +185,8 @@ class TraceRecorder:
 
     def render(self, limit: int = 200) -> str:
         """The merged event log as text (first *limit* events)."""
-        merged: List[
-            Union[MessageEvent, DeliveryEvent, ValueChangeEvent]
-        ] = sorted(
-            self.messages + self.deliveries + self.changes,
-            key=lambda event: event.cycle,
+        merged: List[Union[MessageEvent, ValueChangeEvent]] = sorted(
+            self.messages + self.changes, key=lambda event: event.cycle
         )
         lines = [event.describe() for event in merged[:limit]]
         if len(merged) > limit:

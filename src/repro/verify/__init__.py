@@ -1,20 +1,20 @@
 """The dynamic half of the interleaving verifier: ``repro verify``.
 
 The static half (:mod:`repro.lint.effects`) predicts which message handlers
-commute; this package *tests* those predictions by driving
-:class:`~repro.runtime.events.EventDrivenSimulator` through systematically
-chosen delivery orders on a pinned corpus of small instances.
+commute; this package *tests* those predictions by driving the
+:class:`~repro.runtime.simulator.SynchronousSimulator` through
+systematically chosen delivery orders on a pinned corpus of small
+instances.
 
 * :mod:`repro.verify.corpus` — the pinned n≤8 coloring instances and the
   algorithms run on them;
 * :mod:`repro.verify.explorer` — the DPOR-style schedule explorer: a DFS
   over scheduling decisions recorded by
-  :class:`~repro.runtime.events.ScheduledTransport`, pruning reorderings
+  :class:`~repro.runtime.network.ScheduledNetwork`, pruning reorderings
   the static commutativity matrix proves equivalent;
 * :mod:`repro.verify.invariants` — what must hold on *every* explored
   interleaving: outcome agreement, no lost nogoods, termination-detector
-  agreement, and bit-identical replay where the engine claims determinism
-  (unit latency).
+  agreement, and bit-identical replay on the synchronous network.
 
 See DESIGN.md ("Interleaving verification") for the equivalence-class
 argument and the soundness caveats of the pruning.

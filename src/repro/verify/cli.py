@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro verify",
         description=(
             "Interleaving verifier: static handler commutativity and "
-            "DPOR schedule exploration of the event runtime."
+            "DPOR schedule exploration of the simulator."
         ),
     )
     parser.add_argument(

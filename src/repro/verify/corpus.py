@@ -41,7 +41,7 @@ class CorpusEntry:
     num_colors: int = 3
     instance_seed: Seed = 0
     agent_seed: Seed = 0
-    max_epochs: int = 600
+    max_cycles: int = 600
     #: Pinned edge count — the paper's 2.7 edges/node over-constrains
     #: graphs this small, so every entry names its count explicitly.
     num_edges: int | None = None
@@ -95,7 +95,7 @@ PINNED_CORPUS: Tuple[CorpusEntry, ...] = (
     CorpusEntry("awc-no-n4", "AWC+No", 4, instance_seed=2, num_edges=5),
     CorpusEntry("abt-n6", "ABT", 6, instance_seed=3, num_edges=9),
     CorpusEntry(
-        "db-n4", "DB", 4, instance_seed=11, num_edges=4, max_epochs=900
+        "db-n4", "DB", 4, instance_seed=11, num_edges=4, max_cycles=900
     ),
     CorpusEntry(
         "multi-awc-n5",

@@ -3,8 +3,8 @@
 Exploration model
 -----------------
 
-A run under :class:`~repro.runtime.events.ScheduledTransport` is fully
-determined by its *decision sequence*: at each epoch the transport exposes
+A run on :class:`~repro.runtime.network.ScheduledNetwork` is fully
+determined by its *decision sequence*: at each cycle the network exposes
 the enabled set (per-channel FIFO heads, deterministically sorted) and an
 index picks the delivery. A **schedule** here is a finite prefix of such
 indices — beyond the prefix the default head (index 0) is taken, so every
@@ -58,12 +58,8 @@ from ..lint.effects import (
 )
 from ..lint.graph import ProjectGraph
 from ..runtime.agent import SimulatedAgent
-from ..runtime.events import (
-    Delivery,
-    EventDrivenSimulator,
-    ScheduledTransport,
-)
-from ..runtime.simulator import RunResult
+from ..runtime.network import Delivery, ScheduledNetwork
+from ..runtime.simulator import RunResult, SynchronousSimulator
 from .corpus import PINNED_CORPUS, CorpusEntry
 from .invariants import check_determinism, check_run
 
@@ -285,22 +281,21 @@ def run_schedule(
     problem: DisCSP,
     agents: Sequence[SimulatedAgent],
     schedule: Tuple[int, ...],
-    max_epochs: int,
-) -> Tuple[ScheduleRun, ScheduledTransport]:
+    max_cycles: int,
+) -> Tuple[ScheduleRun, ScheduledNetwork]:
     """Execute one interleaving and check its per-run invariants."""
-    transport = ScheduledTransport(schedule=schedule)
-    simulator = EventDrivenSimulator(
-        problem, agents, transport=transport, max_epochs=max_epochs
-    )
-    result = simulator.run()
-    violations = check_run(problem, agents, result, transport.delivery_log)
+    network = ScheduledNetwork(schedule=schedule)
+    result = SynchronousSimulator(
+        problem, agents, network=network, max_cycles=max_cycles
+    ).run()
+    violations = check_run(problem, agents, result, network.delivery_log)
     run = ScheduleRun(
         schedule=schedule,
-        choices=transport.choices_taken,
+        choices=network.choices_taken,
         result=result,
         violations=tuple(violations),
     )
-    return run, transport
+    return run, network
 
 
 # -- exploring one entry --------------------------------------------------------
@@ -332,8 +327,8 @@ def explore_entry(
             break
         prefix = stack.pop()
         problem, agents = entry.build()
-        run, transport = run_schedule(
-            problem, agents, prefix, entry.max_epochs
+        run, network = run_schedule(
+            problem, agents, prefix, entry.max_cycles
         )
         report.explored += 1
         report.violations.extend(
@@ -341,7 +336,7 @@ def explore_entry(
         )
         label = _outcome_label(run.result)
         report.outcomes[label] = report.outcomes.get(label, 0) + 1
-        # Capped runs are inconclusive — the epoch budget ran out, which
+        # Capped runs are inconclusive — the cycle budget ran out, which
         # says nothing about where the schedule would have converged — so
         # outcome agreement is asserted across conclusive runs only.
         if not run.result.capped:
@@ -354,7 +349,7 @@ def explore_entry(
                     "the first conclusive schedule's "
                     f"{_outcome_pair_label(baseline_outcome)}"
                 )
-        for index, point in enumerate(transport.choice_log):
+        for index, point in enumerate(network.choice_log):
             if index < len(prefix) or not point.branching:
                 continue
             report.branch_points += 1
@@ -409,11 +404,11 @@ def _naive_count(entry: CorpusEntry, budget: int) -> Tuple[int, bool]:
             return count, True
         prefix = stack.pop()
         problem, agents = entry.build()
-        run, transport = run_schedule(
-            problem, agents, prefix, entry.max_epochs
+        run, network = run_schedule(
+            problem, agents, prefix, entry.max_cycles
         )
         count += 1
-        for index, point in enumerate(transport.choice_log):
+        for index, point in enumerate(network.choice_log):
             if index < len(prefix) or not point.branching:
                 continue
             base = run.choices[:index]

@@ -3,9 +3,9 @@
 The explorer's job is to *vary* the delivery order; these checks pin down
 what must **not** vary with it:
 
-* **Detector agreement** — the engine's (incremental) termination decision
-  must match a from-scratch :class:`GlobalSolutionDetector` re-check of the
-  final assignment. A divergence means the incremental detector's
+* **Detector agreement** — the simulator's (incremental) termination
+  decision must match a from-scratch :class:`GlobalSolutionDetector`
+  re-check of the final assignment. A divergence means the incremental detector's
   change-tracking was confused by the schedule.
 * **No lost nogoods** — every delivered ``NogoodMessage`` whose learning
   policy says "record" must actually be present in the recipient's store at
@@ -14,9 +14,9 @@ what must **not** vary with it:
 * **Outcome agreement** (cross-run, checked by the explorer) — every
   schedule of the same pinned entry must reach the same solved/unsolvable
   verdict; solvable instances must not become unsolvable under reordering.
-* **Determinism** (:func:`check_determinism`) — where the engine *claims*
-  bit-reproducibility (the default unit-latency transport), two fresh runs
-  must agree on every reproducibility-contract field of the RunResult.
+* **Determinism** (:func:`check_determinism`) — two fresh runs on the
+  paper's synchronous network must agree on every reproducibility-contract
+  field of the RunResult.
 """
 
 from __future__ import annotations
@@ -26,17 +26,13 @@ from typing import Iterable, List, Sequence, Tuple
 from ..core.store import NogoodStore
 from ..core.problem import DisCSP
 from ..runtime.agent import SimulatedAgent
-from ..runtime.events import (
-    Delivery,
-    EventDrivenSimulator,
-    InProcessTransport,
-)
 from ..runtime.messages import NogoodMessage
-from ..runtime.simulator import RunResult
+from ..runtime.network import Delivery
+from ..runtime.simulator import RunResult, SynchronousSimulator
 from ..runtime.termination import GlobalSolutionDetector
 from .corpus import CorpusEntry
 
-#: RunResult fields covered by the unit-latency determinism contract
+#: RunResult fields covered by the determinism contract
 #: (wall_time/sim_time are wall-clock and excluded by design).
 DETERMINISM_FIELDS = (
     "solved",
@@ -50,7 +46,6 @@ DETERMINISM_FIELDS = (
     "generated_nogoods",
     "redundant_generations",
     "assignment",
-    "logical_time",
 )
 
 
@@ -90,30 +85,26 @@ def check_run(
 
 
 def check_determinism(entry: CorpusEntry) -> List[str]:
-    """Unit-latency bit-reproducibility: two fresh runs, identical results."""
-    first = _unit_latency_result(entry)
-    second = _unit_latency_result(entry)
+    """Bit-reproducibility: two fresh runs, identical results."""
+    first = _synchronous_result(entry)
+    second = _synchronous_result(entry)
     violations: List[str] = []
     for field in DETERMINISM_FIELDS:
         left, right = getattr(first, field), getattr(second, field)
         if left != right:
             violations.append(
                 f"determinism violation on {entry.name}: RunResult."
-                f"{field} differs between identical unit-latency runs "
+                f"{field} differs between identical synchronous runs "
                 f"({left!r} != {right!r})"
             )
     return violations
 
 
-def _unit_latency_result(entry: CorpusEntry) -> RunResult:
+def _synchronous_result(entry: CorpusEntry) -> RunResult:
     problem, agents = entry.build()
-    simulator = EventDrivenSimulator(
-        problem,
-        agents,
-        transport=InProcessTransport(),
-        max_epochs=entry.max_epochs,
-    )
-    return simulator.run()
+    return SynchronousSimulator(
+        problem, agents, max_cycles=entry.max_cycles
+    ).run()
 
 
 def _stores_of(agent: SimulatedAgent) -> Tuple[NogoodStore, ...]:

@@ -19,7 +19,7 @@ from repro.retention.policy import RetentionPolicy
 
 from ..conftest import with_linear_store
 
-BACKENDS = (NogoodStore, LinearNogoodStore)
+STORE_CLASSES = (NogoodStore, LinearNogoodStore)
 
 OWN = 0
 PEERS = (1, 2, 3)
@@ -79,7 +79,7 @@ def twin_stores(backend, nogoods, policy=False):
 class TestCountEqualsList:
     def test_single_value_counts_and_bumps_match(self):
         rng = random.Random(7)
-        for backend in BACKENDS:
+        for backend in STORE_CLASSES:
             for trial in range(20):
                 nogoods = random_nogoods(rng)
                 (a, _), (b, _) = twin_stores(backend, nogoods)
@@ -95,7 +95,7 @@ class TestCountEqualsList:
 
     def test_batch_counts_and_bumps_match(self):
         rng = random.Random(11)
-        for backend in BACKENDS:
+        for backend in STORE_CLASSES:
             for trial in range(20):
                 nogoods = random_nogoods(rng)
                 (a, _), (b, _) = twin_stores(backend, nogoods)
@@ -110,7 +110,7 @@ class TestCountEqualsList:
 
     def test_batch_equals_singles_in_a_loop(self):
         rng = random.Random(13)
-        for backend in BACKENDS:
+        for backend in STORE_CLASSES:
             nogoods = random_nogoods(rng)
             (a, _), (b, _) = twin_stores(backend, nogoods)
             view = random_view(rng)
@@ -125,7 +125,7 @@ class TestCountEqualsList:
 class TestRetentionTouchParity:
     def test_count_touches_exactly_like_the_list_form(self):
         rng = random.Random(17)
-        for backend in BACKENDS:
+        for backend in STORE_CLASSES:
             for trial in range(10):
                 nogoods = random_nogoods(rng)
                 (a, rec_a), (b, rec_b) = twin_stores(
@@ -146,7 +146,7 @@ class TestRetentionTouchParity:
         nogoods = random_nogoods(rng)
         view = random_view(rng)
         streams = []
-        for backend in BACKENDS:
+        for backend in STORE_CLASSES:
             ((store, recorder),) = [
                 twin_stores(backend, nogoods, policy=True)[0]
             ]
@@ -212,7 +212,7 @@ class TestCrossBackendNumbers:
             view = random_view(rng)
             priority = rng.randrange(3)
             results = []
-            for backend in BACKENDS:
+            for backend in STORE_CLASSES:
                 store = backend(OWN)
                 for nogood in nogoods:
                     store.add(nogood)

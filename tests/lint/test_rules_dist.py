@@ -1,12 +1,11 @@
-"""The handler-discipline rules S2 and S3 against their fixtures.
+"""The handler-discipline rule S2 against its fixture.
 
 Same golden pattern as ``test_rules_effects.py``: dirty lines pinned
 exactly, clean counterexamples asserted silent. On top of that, the
-S-rule findings over the dirty fixtures are pinned as a golden SARIF
-snapshot (the artifact CI uploads to code scanning), and the true-
-positive fix this analyzer forced in the real tree is pinned as a
-regression: the whole shipped tree must stay S-rule-clean, and agents
-must not regrow a reference to the shared metrics collector.
+S-rule findings over the dirty fixture are pinned as a golden SARIF
+snapshot (the artifact CI uploads to code scanning), the whole shipped
+tree must stay S-rule-clean, and agents must not regrow a reference to
+the shared metrics collector.
 """
 
 import json
@@ -20,7 +19,7 @@ from repro.lint.rules_dist import DIST_RULES
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).parents[2]
 
-DIRTY = ["s2_blocking.py", "s3_shared_state.py"]
+DIRTY = ["s2_blocking.py"]
 
 
 def s_findings_of(name):
@@ -48,20 +47,6 @@ class TestBlockingHandler:
         assert 30 not in lines  # open() in the harness-only helper
 
 
-class TestSharedAgentState:
-    def test_loop_invariant_mutable_argument_flagged(self):
-        findings = s_findings_of("s3_shared_state.py")
-        assert located(findings) == [("S3", 30)]
-        message = findings[0].message
-        assert "TallyAgent" in message
-        assert "build_shared" in message
-        assert "self.tally" in message
-
-    def test_per_agent_factory_products_stay_silent(self):
-        lines = [f.line for f in s_findings_of("s3_shared_state.py")]
-        assert 36 not in lines  # LogAgent gets a private log per agent
-
-
 class TestGoldenSarif:
     def test_s_rule_findings_match_the_snapshot(self):
         findings = []
@@ -75,12 +60,14 @@ class TestGoldenSarif:
 
 
 class TestTruePositiveFixes:
-    """The finding S3 raised on the real tree, pinned as fixed.
+    """The shipped tree stays S-rule-clean, and agents stay unaliased.
 
-    The metrics aliasing fix (agents keep a private GenerationLog; the
-    collector merges at cycle boundaries) was proven bit-identical on
-    48 pinned trials across both engines before landing; these tests
-    keep the shape that made the tree clean.
+    Agents keep a private GenerationLog and the collector merges the logs
+    at cycle boundaries; an agent that recorded through one shared
+    collector instead would keep writing to it after ``reset_episode``
+    hands it a fresh one (``TestResetEpisode`` in
+    ``tests/algorithms/test_awc.py`` and the soak stream's generation
+    totals catch that at run time).
     """
 
     def test_shipped_tree_is_s_rule_clean(self):

@@ -14,7 +14,7 @@ from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood
 from repro.core.store import LinearNogoodStore, NogoodStore
 
-BACKENDS = (NogoodStore, LinearNogoodStore)
+STORE_CLASSES = (NogoodStore, LinearNogoodStore)
 
 #: Query opcodes exercised by the interleaving (all five counted methods).
 QUERIES = (
@@ -39,8 +39,8 @@ def run_interleaving(seed):
     rng = random.Random(seed)
     nvars = rng.randint(2, 8)
     domain = list(range(rng.randint(2, 4)))
-    stores = [cls(0) for cls in BACKENDS]
-    views = [AgentView() for _ in BACKENDS]
+    stores = [cls(0) for cls in STORE_CLASSES]
+    views = [AgentView() for _ in STORE_CLASSES]
     priorities = {}
     for step in range(rng.randint(10, 80)):
         roll = rng.random()
@@ -93,8 +93,8 @@ def test_backends_agree_on_results_and_counting_contract(seed):
 
 def test_batch_methods_agree_across_backends():
     rng = random.Random(99)
-    stores = [cls(0) for cls in BACKENDS]
-    views = [AgentView() for _ in BACKENDS]
+    stores = [cls(0) for cls in STORE_CLASSES]
+    views = [AgentView() for _ in STORE_CLASSES]
     for _ in range(40):
         nogood = random_nogood(rng, 6, [0, 1, 2])
         for store in stores:

@@ -59,6 +59,13 @@ class TestStream:
         # anything.
         assert keep_all.peak_learned > 10
 
+    def test_generation_accounting_reaches_the_stream(self, report):
+        # Every episode runs Rslv on a fresh collector; the stream must
+        # add up what the episodes' collectors saw.
+        for row in report.policies:
+            assert row.total_generated > 0, row.policy
+            assert 0 <= row.total_redundant <= row.total_generated
+
     def test_interner_deduplicates(self, report):
         for row in report.policies:
             assert row.interner["hits"] > 0

@@ -9,7 +9,7 @@ from repro.core.store import LinearNogoodStore, NogoodStore
 from repro.retention import NogoodInterner
 from repro.retention.policy import LruPolicy
 
-BACKENDS = (NogoodStore, LinearNogoodStore)
+STORE_CLASSES = (NogoodStore, LinearNogoodStore)
 
 
 def make_view(entries):
@@ -19,7 +19,7 @@ def make_view(entries):
     return view
 
 
-@pytest.mark.parametrize("store_class", BACKENDS)
+@pytest.mark.parametrize("store_class", STORE_CLASSES)
 class TestRemove:
     def test_remove_absent_returns_false(self, store_class):
         store = store_class(own_variable=0)
@@ -74,7 +74,7 @@ class TestRemove:
         assert store.evictions == 1
 
 
-@pytest.mark.parametrize("store_class", BACKENDS)
+@pytest.mark.parametrize("store_class", STORE_CLASSES)
 class TestPins:
     def test_pinned_add_not_counted_as_learned(self, store_class):
         store = store_class(own_variable=0)
@@ -131,7 +131,7 @@ class TestPins:
         assert not store.is_permanently_pinned(slotted)
 
 
-@pytest.mark.parametrize("store_class", BACKENDS)
+@pytest.mark.parametrize("store_class", STORE_CLASSES)
 class TestRetentionEnforcement:
     def test_policy_evicts_over_cap_on_add(self, store_class):
         store = store_class(own_variable=0)
@@ -179,7 +179,7 @@ class TestRetentionEnforcement:
         assert store.learned_count() == 3
 
 
-@pytest.mark.parametrize("store_class", BACKENDS)
+@pytest.mark.parametrize("store_class", STORE_CLASSES)
 class TestInternerAdoption:
     def test_adds_are_interned(self, store_class):
         store = store_class(own_variable=0)

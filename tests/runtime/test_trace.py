@@ -58,8 +58,11 @@ class TestRecording:
 
     def test_event_cap_drops_and_counts(self):
         _result, tracer = traced_run(max_events=5)
+        _result, full = traced_run()
         assert len(tracer.messages) == 5
         assert tracer.dropped > 0
+        # The cap keeps the run's first messages and drops the later ones.
+        assert tracer.messages == full.messages[:5]
 
 
 class TestQueries:

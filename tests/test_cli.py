@@ -36,6 +36,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench"],
+            ["bench", "--axis", "workers"],
+            ["bench", "--axis", "backend"],
+            ["bench", "--axis", "lint", "--jobs", "2"],
+        ],
+    )
+    def test_one_engine_and_no_engine_bench_axes(self, argv):
+        # The synchronous simulator is the only engine, and bench has no
+        # default axis left once the engine and workers axes are gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_table1_quick(self, capsys):

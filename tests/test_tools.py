@@ -1,7 +1,6 @@
-"""The API-docs generator tool and the ``repro bench`` smoke run."""
+"""The API-docs generator tool."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -52,41 +51,3 @@ class TestGenerator:
             )
         finally:
             target.write_text(before)
-
-
-def run_bench(tmp_path, *arguments):
-    """Run ``repro.cli bench`` in a subprocess; returns the CompletedProcess."""
-    import os
-    import subprocess
-
-    env = dict(os.environ)
-    src = str(TOOL.parent.parent / "src")
-    env["PYTHONPATH"] = (
-        f"{src}{os.pathsep}{env['PYTHONPATH']}"
-        if env.get("PYTHONPATH")
-        else src
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", "bench", *arguments],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        env=env,
-        cwd=tmp_path,
-    )
-
-
-class TestBenchSmoke:
-    def test_bench_smoke_runs_and_verifies_identity(self, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        result = run_bench(tmp_path, "--jobs", "2", "--output", str(out))
-        assert result.returncode == 0, result.stdout + result.stderr
-        report = json.loads(out.read_text())
-        assert report["results_identical"] is True
-        assert report["speedup"] > 0
-        assert report["sequential"]["totals"]["trials"] == (
-            report["parallel"]["totals"]["trials"]
-        )
-        assert len(report["sequential"]["cells"]) == len(report["grid"])

@@ -66,7 +66,7 @@ class TestTraffic:
                 entry.problem(),
                 algorithm_by_name(entry.algorithm),
                 entry.agent_seed,
-                max_cycles=entry.max_epochs,
+                max_cycles=entry.max_cycles,
                 tracer=recorder,
             )
             sent.update(recorder.message_counts_by_type())

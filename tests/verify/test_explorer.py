@@ -29,7 +29,7 @@ class RacyEntry:
 
     name = "racy-fixture"
     algorithm = "RacyAgent"
-    max_epochs = 50
+    max_cycles = 50
 
     def build(self):
         return build_racy_setup()
