@@ -36,14 +36,17 @@ class AgentView:
     exactly what nogoods are expressed against.
     """
 
-    __slots__ = ("_entries", "priority_version", "__weakref__")
+    __slots__ = ("_entries", "priority_version")
 
     def __init__(self) -> None:
         self._entries: Dict[VariableId, ViewEntry] = {}
         #: Bumped whenever some variable's *priority* (not value) changes.
         #: Consumers that derive priority-dependent data (the nogood store's
-        #: priority-key cache) use this to invalidate cheaply: priorities
-        #: change on backtracks only, far more rarely than values.
+        #: cached set of variables outranking its owner) use this to
+        #: invalidate cheaply: priorities change on backtracks only, far
+        #: more rarely than values. An unknown variable reads as priority 0,
+        #: so joining or leaving the view at priority 0 bumps nothing, and
+        #: such data must not depend on view membership at priority 0.
         self.priority_version = 0
 
     def update(self, variable: VariableId, value: Value, priority: int) -> bool:

@@ -48,6 +48,10 @@ class CSP:
             raise ModelError("a CSP needs at least one variable")
         self._domains: Dict[VariableId, Domain] = dict(domains)
         self._variables: Tuple[VariableId, ...] = tuple(sorted(self._domains))
+        if self._variables[0] < 0:
+            raise ModelError(
+                f"variable ids must be non-negative, got {self._variables[0]}"
+            )
         self._nogoods: Tuple[Nogood, ...] = tuple(nogoods)
         self._by_variable: Dict[VariableId, List[Nogood]] = {
             variable: [] for variable in self._variables

@@ -22,9 +22,10 @@ oracle the parity tests compare :class:`NogoodStore` against.
 
 from __future__ import annotations
 
-import weakref
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
+    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -39,7 +40,7 @@ from typing import (
 from .assignment import AgentView
 from .exceptions import ModelError
 from .nogood import Nogood
-from .priorities import TOP_KEY, OrderKey, order_key
+from .priorities import OrderKey, nogood_priority_key
 from .variables import Value, VariableId
 
 if TYPE_CHECKING:  # retention imports core at runtime, not vice versa
@@ -92,16 +93,6 @@ class ReadOnlyBucket(List[Nogood]):
     sort = reverse = __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
-class _KeyCache:
-    """One view's memoized priority keys, valid for one priority version."""
-
-    __slots__ = ("version", "keys")
-
-    def __init__(self, version: int) -> None:
-        self.version = version
-        self.keys: Dict[Nogood, OrderKey] = {}
-
-
 class NogoodStore:
     """All nogoods relevant to one agent, indexed by the owner's value.
 
@@ -119,11 +110,12 @@ class NogoodStore:
         "_all",
         "_insertion",
         "_combined_cache",
-        "_key_caches",
+        "_above_for",
+        "_above",
         "key_cache_hits",
         "key_cache_misses",
         "_retention",
-        "_track_use",
+        "_on_use",
         "_interner",
         "_pinned",
         "_slot_pins",
@@ -150,23 +142,20 @@ class NogoodStore:
         #: adds. Without this, every candidate scan in the presence of
         #: unconditional nogoods allocated a fresh O(bucket) list.
         self._combined_cache: Dict[Value, ReadOnlyBucket] = {}
-        # Priority keys depend only on the view's priorities, which change
-        # far more rarely than checks happen; cache per view object (weakly,
-        # so dropped views free their cache) and per priority version.
-        # Keying on the view object itself — not a single latest-view slot —
-        # means algorithms that consult several views, or rebuild views per
-        # cycle, no longer thrash the cache.
-        self._key_caches: "weakref.WeakKeyDictionary[AgentView, _KeyCache]"
-        self._key_caches = weakref.WeakKeyDictionary()
-        #: Cache-effectiveness counters (observational; tests assert the
-        #: hit rate stays high across alternating views).
+        # The owner plus the variables outranking it (see _outranking),
+        # and the (view, priority version, own priority) it was built for.
+        self._above_for: Tuple[object, int, int] = (None, -1, -1)
+        self._above: Set[VariableId] = set()
+        #: Reuse counters of that set, one lookup per classified
+        #: consultation (observational; the traced benchmark reports them).
         self.key_cache_hits = 0
         self.key_cache_misses = 0
         # Retention state (see repro.retention). With no policy attached
         # the store behaves exactly as before the subsystem existed:
         # every add is kept forever and the hot path pays one flag test.
         self._retention: Optional["RetentionPolicy"] = None
-        self._track_use = False
+        #: The policy's ``on_use``, for use-tracking policies only.
+        self._on_use: Optional[Callable[[Nogood], object]] = None
         self._interner: Optional["NogoodInterner"] = None
         #: Permanently pinned nogoods (the problem's initial constraints):
         #: they define soundness and are never evictable.
@@ -240,9 +229,9 @@ class NogoodStore:
         buggy retention policy cannot drop them.
 
         Every derived structure is kept consistent: the per-value index,
-        the insertion order, the ``for_value`` combined-list cache and
-        the per-view priority-key caches all forget the nogood (a stale
-        cached batch would otherwise keep serving the evicted nogood).
+        the insertion order and the ``for_value`` combined-list cache all
+        forget the nogood (a stale cached batch would otherwise keep
+        serving the evicted nogood).
         """
         if nogood not in self._all:
             return False
@@ -265,8 +254,6 @@ class NogoodStore:
         else:
             list.remove(self._unconditional, nogood)
             self._combined_cache.clear()
-        for cache in self._key_caches.values():
-            cache.keys.pop(nogood, None)
         self._learned_count -= 1
         self.evictions += 1
         if self._retention is not None:
@@ -283,7 +270,9 @@ class NogoodStore:
     def set_retention(self, policy: Optional["RetentionPolicy"]) -> None:
         """Attach *policy* (per-store instance; None detaches)."""
         self._retention = policy
-        self._track_use = bool(policy is not None and policy.tracks_use)
+        self._on_use = (
+            policy.on_use if policy is not None and policy.tracks_use else None
+        )
 
     @property
     def interner(self) -> Optional["NogoodInterner"]:
@@ -399,93 +388,132 @@ class NogoodStore:
         so a nogood over unknown variables is never violated (the agent will
         have requested those values; until they arrive the nogood is inert).
         """
-        self.counter.bump()
+        return self._scan((nogood,), view, own_value) == 1
+
+    def _scan(
+        self,
+        nogoods: Sequence[Nogood],
+        view: AgentView,
+        own_value: Value,
+        above: Optional[AbstractSet[VariableId]] = None,
+        higher: bool = True,
+        found: Optional[List[Nogood]] = None,
+        first: bool = False,
+    ) -> int:
+        """How many of *nogoods* are violated; the one counted scan.
+
+        With *above* (see :meth:`_outranking`) only the higher nogoods are
+        tested, or only the lower ones when *higher* is False; the others
+        are skipped without a check. Every tested nogood costs one check,
+        added to the counter once per scan. Violated nogoods are appended
+        to *found* and, for use-tracking retention policies, touched in
+        scan order. *first* stops at the first violation.
+        """
+        # Package-internal reads of the view's map and the nogoods' sets:
+        # this loop is where the checks happen, and a property or method
+        # call per nogood or pair cost more than the checks themselves.
+        entry_of = view._entries.get
         own_variable = self.own_variable
-        for variable, value in nogood.pairs:
-            if variable == own_variable:
-                if value != own_value:
-                    return False
+        touch = self._on_use
+        checks = 0
+        count = 0
+        for nogood in nogoods:
+            if above is not None and (nogood._variables <= above) != higher:
+                continue
+            checks += 1
+            for variable, value in nogood._pairs:
+                if variable == own_variable:
+                    if value != own_value:
+                        break
+                else:
+                    entry = entry_of(variable)
+                    if entry is None or entry.value != value:
+                        break
             else:
-                entry = view.entry(variable)
-                if entry is None or entry.value != value:
-                    return False
-        # A confirmed violation is the retention notion of "use"; the flag
-        # is only set for use-tracking policies, so keep-all runs pay one
-        # falsy test here and nothing else.
-        if self._track_use and self._retention is not None:
-            self._retention.on_use(nogood)
-        return True
+                count += 1
+                if found is not None:
+                    found.append(nogood)
+                if touch is not None:
+                    touch(nogood)
+                if first:
+                    break
+        self.counter.total += checks
+        return count
 
     # -- priority classification (not cost-counted) ------------------------
+
+    def _outranking(
+        self, view: AgentView, own_priority: int
+    ) -> AbstractSet[VariableId]:
+        """The owner plus every variable that outranks it under *view*.
+
+        A nogood is higher exactly when its variables are a subset of this
+        set. An unknown variable reads as priority 0, and joining the view
+        at priority 0 does not bump ``view.priority_version``, so the set
+        never depends on view membership at priority 0: at own priority 0
+        it is every id below the owner's plus the view's variables at a
+        positive priority (variable ids are non-negative); above 0 only
+        view variables at a positive priority can outrank the owner. One
+        slot suffices, since priorities change on backtracks only: the set
+        is rebuilt when the view object, its priority version or the
+        owner's priority changes.
+        """
+        key = (view, view.priority_version, own_priority)
+        if key == self._above_for:
+            self.key_cache_hits += 1
+            return self._above
+        self.key_cache_misses += 1
+        own = self.own_variable
+        # Refilled in place: a fresh set per rebuild was most of the
+        # store's transient allocation under the alloc bench's probe.
+        above = self._above
+        above.clear()
+        if own_priority == 0:
+            above.update(range(own))
+        above.add(own)
+        for variable, entry in view._entries.items():
+            priority = entry.priority
+            if priority > own_priority or (
+                priority == own_priority and variable < own
+            ):
+                above.add(variable)
+        self._above_for = key
+        return above
 
     def priority_key_of(self, nogood: Nogood, view: AgentView) -> OrderKey:
         """The nogood's priority key under the priorities recorded in *view*.
 
         Defined by the paper as the lowest-ranked variable in the nogood
         other than the owner's. Unknown variables contribute priority 0.
-
-        Keys are cached per (view, priority version): they are consulted on
-        every candidate-value scan but only change when some priority does
-        (i.e. on backtracks), which makes this the store's hottest cacheable
-        computation by a wide margin.
+        Only resolvent selection needs the key itself; the scans classify
+        by :meth:`is_higher`'s variable set instead.
         """
-        cache = self._key_caches.get(view)
-        if cache is None or cache.version != view.priority_version:
-            cache = _KeyCache(view.priority_version)
-            self._key_caches[view] = cache
-        key = cache.keys.get(nogood)
-        if key is None:
-            self.key_cache_misses += 1
-            # Scalar min loop over (priority, -variable) instead of
-            # delegating to ``nogood_priority_key``: the genexp frame and
-            # the per-variable input tuples were the store's single largest
-            # transient allocation (lint rule H1). The one tuple built here
-            # is the cached result itself, bit-identical to the helper's.
-            own_variable = self.own_variable
-            best_priority: Optional[int] = None
-            best_neg = 0
-            for variable in nogood.variables:
-                if variable == own_variable:
-                    continue
-                priority = view.priority_of(variable)
-                neg = -variable
-                if (
-                    best_priority is None
-                    or priority < best_priority
-                    or (priority == best_priority and neg < best_neg)
-                ):
-                    best_priority = priority
-                    best_neg = neg
-            if best_priority is None:
-                key = TOP_KEY
-            else:
-                key = (best_priority, best_neg)
-            cache.keys[nogood] = key
-        else:
-            self.key_cache_hits += 1
-        return key
+        own_variable = self.own_variable
+        priority_of = view.priority_of
+        return nogood_priority_key(
+            (priority_of(variable), variable)
+            for variable in nogood.variables
+            if variable != own_variable
+        )
 
     def is_higher(
         self, nogood: Nogood, view: AgentView, own_priority: int
     ) -> bool:
-        """True if *nogood* ranks higher than the owner's variable."""
-        return self.priority_key_of(nogood, view) > order_key(
-            own_priority, self.own_variable
-        )
+        """True if *nogood* ranks higher than the owner's variable.
+
+        Equal to ``priority_key_of(nogood, view) > order_key(own_priority,
+        owner)``, tested as one subset check against the cached set of
+        variables that outrank the owner.
+        """
+        return nogood.variables <= self._outranking(view, own_priority)
 
     # -- composite queries used by the algorithms ---------------------------
 
     def violated(self, view: AgentView, own_value: Value) -> List[Nogood]:
-        """All stored nogoods violated with the owner at *own_value*.
-
-        One check per consulted nogood, exactly like the explicit
-        ``for_value`` + ``is_violated`` loop it replaces.
-        """
-        return [
-            nogood
-            for nogood in self.for_value(own_value)
-            if self.is_violated(nogood, view, own_value)
-        ]
+        """All stored nogoods violated with the owner at *own_value*."""
+        found: List[Nogood] = []
+        self._scan(self.for_value(own_value), view, own_value, found=found)
+        return found
 
     def is_consistent(self, view: AgentView, own_value: Value) -> bool:
         """True when no stored nogood is violated with the owner at *own_value*.
@@ -493,16 +521,12 @@ class NogoodStore:
         Short-circuits on the first violation (and stops counting checks
         there), matching ABT's classical consistency scan.
         """
-        for nogood in self.for_value(own_value):
-            if self.is_violated(nogood, view, own_value):
-                return False
-        return True
+        return not self._scan(
+            self.for_value(own_value), view, own_value, first=True
+        )
 
     def violated_higher(
-        self,
-        view: AgentView,
-        own_value: Value,
-        own_priority: int,
+        self, view: AgentView, own_value: Value, own_priority: int
     ) -> List[Nogood]:
         """The higher nogoods violated with the owner at *own_value*.
 
@@ -511,78 +535,53 @@ class NogoodStore:
         without a check), matching the paper's rule that an agent "only
         performs this test for a nogood whose priority is higher".
         """
-        my_key = order_key(own_priority, self.own_variable)
-        violated = []
-        for nogood in self.for_value(own_value):
-            if self.priority_key_of(nogood, view) > my_key and self.is_violated(
-                nogood, view, own_value
-            ):
-                violated.append(nogood)
-        return violated
+        found: List[Nogood] = []
+        above = self._outranking(view, own_priority)
+        self._scan(
+            self.for_value(own_value), view, own_value, above, found=found
+        )
+        return found
 
     def count_violated_higher(
-        self,
-        view: AgentView,
-        own_value: Value,
-        own_priority: int,
+        self, view: AgentView, own_value: Value, own_priority: int
     ) -> int:
         """How many higher nogoods are violated with the owner at *own_value*.
 
         Exactly :meth:`violated_higher` without materialising the list —
         same scan, same per-higher-nogood check counting, same retention
-        touches — for the callers that only test the result's truthiness
-        (lint rule H1: the list was per-message garbage).
+        touches — for the callers that only test the result's truthiness.
         """
-        my_key = order_key(own_priority, self.own_variable)
-        count = 0
-        for nogood in self.for_value(own_value):
-            if self.priority_key_of(nogood, view) > my_key and self.is_violated(
-                nogood, view, own_value
-            ):
-                count += 1
-        return count
+        above = self._outranking(view, own_priority)
+        return self._scan(self.for_value(own_value), view, own_value, above)
 
     def count_violated_lower(
-        self,
-        view: AgentView,
-        own_value: Value,
-        own_priority: int,
+        self, view: AgentView, own_value: Value, own_priority: int
     ) -> int:
         """How many lower nogoods are violated with the owner at *own_value*."""
-        my_key = order_key(own_priority, self.own_variable)
-        count = 0
-        for nogood in self.for_value(own_value):
-            if self.priority_key_of(nogood, view) <= my_key and self.is_violated(
-                nogood, view, own_value
-            ):
-                count += 1
-        return count
+        above = self._outranking(view, own_priority)
+        return self._scan(
+            self.for_value(own_value), view, own_value, above, False
+        )
 
     def count_violated(self, view: AgentView, own_value: Value) -> int:
         """How many stored nogoods are violated with the owner at *own_value*."""
-        count = 0
-        for nogood in self.for_value(own_value):
-            if self.is_violated(nogood, view, own_value):
-                count += 1
-        return count
+        return self._scan(self.for_value(own_value), view, own_value)
 
     # -- batch entry points (one pass over a candidate-value list) ----------
 
     def violated_batch(
         self, view: AgentView, values: Sequence[Value]
     ) -> List[List[Nogood]]:
-        """:meth:`violated` for every candidate value, in order.
-
-        Check counting is positionally identical to calling the
-        single-value method in a loop.
-        """
+        """:meth:`violated` for every candidate value, in order."""
         return [self.violated(view, value) for value in values]
 
     def count_violated_batch(
         self, view: AgentView, values: Sequence[Value]
     ) -> List[int]:
         """:meth:`count_violated` for every candidate value, in order."""
-        return [self.count_violated(view, value) for value in values]
+        return [
+            self._scan(self.for_value(value), view, value) for value in values
+        ]
 
     def violated_higher_batch(
         self, view: AgentView, values: Sequence[Value], own_priority: int
@@ -598,31 +597,23 @@ class NogoodStore:
     ) -> List[int]:
         """:meth:`count_violated_higher` for every candidate value, in order.
 
-        The list-of-lists shape of :meth:`violated_higher_batch` costs one
-        list object per candidate even when every entry is empty; callers
-        that only ask "is any higher nogood violated at this value?" get a
-        flat int list instead (lint rule H2). The owner's key is hoisted
-        out of the loop; counting is positionally identical to calling
-        :meth:`count_violated_higher` per value.
+        A flat int list for the callers that only ask "is any higher
+        nogood violated at this value?"; the outranking set is looked up
+        once for the whole batch.
         """
-        my_key = order_key(own_priority, self.own_variable)
-        results = []
-        for own_value in values:
-            count = 0
-            for nogood in self.for_value(own_value):
-                if self.priority_key_of(
-                    nogood, view
-                ) > my_key and self.is_violated(nogood, view, own_value):
-                    count += 1
-            results.append(count)
-        return results
+        above = self._outranking(view, own_priority)
+        return [
+            self._scan(self.for_value(value), view, value, above)
+            for value in values
+        ]
 
     def count_violated_lower_batch(
         self, view: AgentView, values: Sequence[Value], own_priority: int
     ) -> List[int]:
         """:meth:`count_violated_lower` for every candidate value, in order."""
+        above = self._outranking(view, own_priority)
         return [
-            self.count_violated_lower(view, value, own_priority)
+            self._scan(self.for_value(value), view, value, above, False)
             for value in values
         ]
 

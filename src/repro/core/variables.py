@@ -1,11 +1,12 @@
 """Variables and domains.
 
-A variable is identified by a plain ``int``; ids double as the alphabetical
-tie-break order required by the AWC priority rules (see
-:mod:`repro.core.priorities`). A :class:`Domain` is an immutable, ordered
-collection of hashable values. Ordering matters for reproducibility: agents
-iterate domains in a fixed order, so two runs with the same seeds make
-identical choices.
+A variable is identified by a plain non-negative ``int``; ids double as the
+alphabetical tie-break order required by the AWC priority rules (see
+:mod:`repro.core.priorities`), and the nogood store enumerates the ids below
+its owner's. A :class:`Domain` is an immutable, ordered collection of
+hashable values. Ordering matters for reproducibility: agents iterate
+domains in a fixed order, so two runs with the same seeds make identical
+choices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Hashable, Iterable, Iterator, Tuple
 
 from .exceptions import ModelError
 
-#: Variables are plain integer ids.
+#: Variables are plain non-negative integer ids.
 VariableId = int
 
 #: Values only need to be hashable (ints for colors, bools encoded as 0/1).

@@ -37,8 +37,10 @@ def _prohibited_under(
     """True if some higher nogood forbids ``x_i = value`` using only *subset*.
 
     A nogood qualifies when all its non-own pairs are contained in *subset*
-    (values included) and its own-variable pair matches *value*. Each nogood
-    examined costs one check.
+    (values included) and its own-variable pair, if it has one, matches
+    *value*. ``for_value`` may return nogoods binding the owner to another
+    value (the linear store returns every nogood), so the own pair is
+    compared too. Each nogood examined costs one check.
     """
     store = context.store
     for nogood in store.for_value(value):
@@ -48,8 +50,10 @@ def _prohibited_under(
         applicable = True
         for variable, bound in nogood.pairs:
             if variable == context.variable:
-                continue
-            if subset.get(variable, _MISSING) != bound:
+                if bound != value:
+                    applicable = False
+                    break
+            elif subset.get(variable, _MISSING) != bound:
                 applicable = False
                 break
         if applicable:

@@ -31,6 +31,12 @@ class TestCsp:
         with pytest.raises(ModelError):
             CSP({}, [])
 
+    def test_rejects_negative_variable_ids(self):
+        # The nogood store's classification enumerates the ids below its
+        # owner's, so ids start at 0.
+        with pytest.raises(ModelError):
+            CSP({-1: integer_domain(2), 0: integer_domain(2)}, [])
+
     def test_rejects_nogood_on_unknown_variable(self):
         with pytest.raises(ModelError):
             CSP({0: integer_domain(2)}, [Nogood.of((5, 0))])

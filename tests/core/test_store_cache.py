@@ -1,13 +1,22 @@
-"""The priority-key cache: correctness under view changes.
+"""The store's cached outranking set: correctness under view changes.
 
-Priority keys are memoized per (view, priority_version); these tests pin
-the invalidation rules so the 7x hot-path speedup can never go stale.
+The scans classify a nogood as higher when its variables are a subset of
+one cached set (the owner plus the variables that outrank it), rebuilt per
+(view, priority_version, own priority). These tests pin the rebuild rules
+and check the classification against the priority-key definition, so the
+cache can never go stale.
 """
+
+import random
+
+import pytest
 
 from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood
 from repro.core.priorities import order_key
-from repro.core.store import NogoodStore
+from repro.core.store import LinearNogoodStore, NogoodStore
+
+STORE_CLASSES = (NogoodStore, LinearNogoodStore)
 
 
 def fresh(entries):
@@ -94,12 +103,11 @@ class TestCacheCorrectness:
         assert store.is_higher(nogood, view, own_priority=0)
 
 
-class TestCacheHitRate:
-    """The per-view key cache must not thrash when views alternate.
+class TestOutrankingSetReuse:
+    """``key_cache_hits``/``misses`` count reuse of the outranking set.
 
-    A single latest-view cache slot would miss on every query here; the
-    per-view (weak) cache misses once per nogood per view and hits ever
-    after. The observational hit/miss counters pin that behaviour.
+    One lookup per classified consultation (a batch counts once);
+    unclassified scans make none.
     """
 
     def make_store(self, count=20):
@@ -108,32 +116,32 @@ class TestCacheHitRate:
             store.add(Nogood.of((0, 0), (peer, 1)))
         return store
 
-    def test_alternating_views_keep_a_high_hit_rate(self):
-        store = self.make_store()
-        first = fresh({1: (1, 2)})
-        second = fresh({1: (1, 3)})
-        for _round in range(10):
-            for view in (first, second):
-                store.violated_higher(view, 0, 0)
-        # One cold miss per nogood per view; everything else must hit.
-        assert store.key_cache_misses == 2 * 20
-        assert store.key_cache_hits == 2 * 9 * 20
-        total = store.key_cache_hits + store.key_cache_misses
-        assert store.key_cache_hits / total >= 0.9
+    def lookups(self, store):
+        return store.key_cache_hits, store.key_cache_misses
 
-    def test_priority_change_invalidates_only_that_view(self):
+    def test_first_lookup_misses_and_repeats_hit(self):
         store = self.make_store()
-        first = fresh({1: (1, 2)})
-        second = fresh({1: (1, 3)})
-        store.violated_higher(first, 0, 0)
-        store.violated_higher(second, 0, 0)
-        misses_after_warmup = store.key_cache_misses
-        first.update(1, 1, 9)  # bump first's priority version only
-        store.violated_higher(first, 0, 0)
-        store.violated_higher(second, 0, 0)
-        # first re-misses its 20 keys; second stays fully cached.
-        assert store.key_cache_misses == misses_after_warmup + 20
-        assert store.key_cache_hits == 20
+        view = fresh({1: (1, 2)})
+        store.violated_higher(view, 0, 0)
+        assert self.lookups(store) == (0, 1)
+        store.count_violated_lower(view, 0, 0)
+        store.is_higher(Nogood.of((0, 0), (1, 1)), view, 0)
+        assert self.lookups(store) == (2, 1)
+
+    def test_a_batch_looks_up_once(self):
+        store = self.make_store()
+        view = fresh({1: (1, 2)})
+        store.count_violated_higher_batch(view, [0, 1, 2], 0)
+        store.count_violated_lower_batch(view, [0, 1, 2], 0)
+        assert self.lookups(store) == (1, 1)
+
+    def test_unclassified_scans_do_not_look_up(self):
+        store = self.make_store()
+        view = fresh({1: (1, 2)})
+        store.violated(view, 0)
+        store.count_violated_batch(view, [0, 1])
+        store.is_consistent(view, 0)
+        assert self.lookups(store) == (0, 0)
 
     def test_value_changes_do_not_invalidate(self):
         store = self.make_store()
@@ -144,3 +152,96 @@ class TestCacheHitRate:
             view.update(1, value, 2)  # value churn, same priority
             store.violated_higher(view, 0, 0)
         assert store.key_cache_misses == misses
+
+    def test_priority_view_and_own_priority_changes_rebuild(self):
+        store = self.make_store()
+        view = fresh({1: (1, 2)})
+        store.violated_higher(view, 0, 0)
+        view.update(1, 1, 3)  # neighbour's priority
+        store.violated_higher(view, 0, 0)
+        store.violated_higher(view, 0, 1)  # owner's priority
+        store.violated_higher(fresh({1: (1, 3)}), 0, 1)  # another view
+        assert self.lookups(store) == (0, 4)
+
+    def test_joining_at_priority_zero_reuses_the_set(self):
+        # Unknown variables read as priority 0, so a variable joining the
+        # view at priority 0 bumps no version and must not need a rebuild.
+        store = NogoodStore(own_variable=5)
+        below = Nogood.of((5, 0), (3, 1))
+        above = Nogood.of((5, 0), (7, 1))
+        store.add(below)
+        store.add(above)
+        view = AgentView()
+        assert store.violated_higher(view, 0, 0) == []
+        view.update(3, 1, 0)
+        view.update(7, 1, 0)
+        assert store.violated_higher(view, 0, 0) == [below]
+        assert store.count_violated_lower(view, 0, 0) == 1
+        assert self.lookups(store) == (2, 1)
+
+
+def reference_is_higher(store, nogood, view, own_priority):
+    """The paper's definition: the nogood's key outranks the owner's."""
+    return store.priority_key_of(nogood, view) > order_key(
+        own_priority, store.own_variable
+    )
+
+
+class TestClassificationEquivalence:
+    """Randomized: the cached classification equals the key definition.
+
+    One store and one view per case, mutated in place between queries so
+    the cache sees value churn, priority changes, forgotten variables and
+    variables joining at priority 0 (which bump no version); nogoods mix
+    known and unknown variables, with and without the owner.
+    """
+
+    @pytest.mark.parametrize("store_class", STORE_CLASSES)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_is_higher_and_scans_match_priority_keys(self, store_class, seed):
+        rng = random.Random(seed)
+        own = rng.randrange(8)
+        store = store_class(own_variable=own)
+        others = [v for v in range(12) if v != own]
+        nogoods = []
+        for _ in range(25):
+            members = rng.sample(others, rng.randint(0, 3))
+            if rng.random() < 0.8:
+                members.append(own)
+            nogood = Nogood((v, rng.randrange(2)) for v in members)
+            nogoods.append(nogood)
+            store.add(nogood)
+        known = rng.sample(others, 8)  # the other three stay unknown
+        view = AgentView()
+        for _ in range(30):
+            variable = rng.choice(known)
+            if rng.random() < 0.15:
+                view.forget(variable)
+            else:
+                view.update(
+                    variable, rng.randrange(2), rng.choice((0, 0, 1, 2, 3))
+                )
+            own_priority = rng.choice((0, 0, 1, 2, 3))
+            for nogood in nogoods:
+                assert store.is_higher(
+                    nogood, view, own_priority
+                ) == reference_is_higher(store, nogood, view, own_priority)
+            own_value = rng.randrange(2)
+            scanned = store.for_value(own_value)
+            higher = [
+                nogood
+                for nogood in scanned
+                if reference_is_higher(store, nogood, view, own_priority)
+            ]
+            before = store.counter.total
+            got = store.violated_higher(view, own_value, own_priority)
+            assert store.counter.total - before == len(higher)
+            assert got == [
+                nogood
+                for nogood in higher
+                if nogood.prohibits({**view.as_assignment(), own: own_value})
+            ]
+            before = store.counter.total
+            lower = store.count_violated_lower(view, own_value, own_priority)
+            assert store.counter.total - before == len(scanned) - len(higher)
+            assert lower + len(got) == store.count_violated(view, own_value)

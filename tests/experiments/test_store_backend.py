@@ -49,6 +49,27 @@ class TestTrialParity:
         linear = run_trial(sat, with_linear_store(awc("Rslv")), seed=1)
         assert_same_trajectory_counting_more(linear, baseline)
 
+    def test_linear_matches_trajectory_for_mcs(self, coloring):
+        baseline = run_trial(coloring, awc("Mcs"), seed=0)
+        linear = run_trial(coloring, with_linear_store(awc("Mcs")), seed=0)
+        assert_same_trajectory_counting_more(linear, baseline)
+
+    def test_linear_matches_trajectory_for_mcs_on_sat(self, sat):
+        baseline = run_trial(sat, awc("Mcs"), seed=1)
+        linear = run_trial(sat, with_linear_store(awc("Mcs")), seed=1)
+        assert_same_trajectory_counting_more(linear, baseline)
+
+    def test_mcs_on_linear_finds_no_false_unsolvability(self):
+        # Mcs's conflict-set test once skipped the owner's pair; on the
+        # linear store, whose for_value returns nogoods binding the owner
+        # to any value, every subset then passed as a conflict set and
+        # this solvable instance was reported unsolvable after 7 cycles.
+        problem = random_coloring_instance(12, seed=0).to_discsp()
+        linear = run_trial(problem, with_linear_store(awc("Mcs")), seed=0)
+        assert linear.solved
+        assert not linear.unsolvable
+        assert linear.cycles == run_trial(problem, awc("Mcs"), seed=0).cycles
+
     def test_linear_matches_trajectory_for_db(self, coloring):
         baseline = run_trial(coloring, db(), seed=2)
         linear = run_trial(coloring, with_linear_store(db()), seed=2)

@@ -228,18 +228,6 @@ class TestCacheInvalidationOnRemoval:
         assert store.for_value(0) == []
         assert store.for_value(1) == [b]
 
-    def test_priority_key_cache_purged(self):
-        store = NogoodStore(own_variable=0)
-        nogood = Nogood.of((0, 0), (3, 1))
-        store.add(nogood)
-        view = make_view({3: (1, 5)})
-        key = store.priority_key_of(nogood, view)
-        assert key is not None
-        store.remove(nogood)
-        cache = store._key_caches.get(view)
-        assert cache is not None
-        assert nogood not in cache.keys
-
 
 class TestLinearOracleAfterRemoval:
     def test_queries_match_dict_after_interleaved_removals(self):
