@@ -235,7 +235,7 @@ class AwcAgent(SingleVariableAgent):
             }
             for owner in sorted(owners):
                 outgoing.append((owner, announcement))
-        self.priority = self._highest_known_priority() + 1
+        self.priority = max(self.priority, self.view.highest_priority()) + 1
         # At the raised priority every nogood involving other variables is
         # now *lower*; only learned unary nogoods on this very variable can
         # still rank higher (their priority is TOP). The paper's "value
@@ -309,14 +309,6 @@ class AwcAgent(SingleVariableAgent):
             self.rng,
         )
         return chosen[0]
-
-    def _highest_known_priority(self) -> int:
-        highest = self.priority
-        for variable in self.view:
-            priority = self.view.priority_of(variable)
-            if priority > highest:
-                highest = priority
-        return highest
 
     def _ok_message(self) -> OkMessage:
         return OkMessage(self.id, self.variable, self.value, self.priority)

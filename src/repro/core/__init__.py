@@ -6,7 +6,7 @@ library. Import the common names directly from here::
     from repro.core import CSP, DisCSP, Domain, Nogood, NogoodStore
 """
 
-from .assignment import AgentView, ViewEntry, merge_assignments
+from .assignment import AgentView, merge_assignments
 from .exceptions import (
     GenerationError,
     ModelError,
@@ -55,7 +55,6 @@ __all__ = [
     "UnsolvableError",
     "Value",
     "VariableId",
-    "ViewEntry",
     "integer_domain",
     "merge_assignments",
     "nogood_priority_key",

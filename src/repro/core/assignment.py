@@ -14,18 +14,9 @@ solution checking and for the centralized solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .variables import Value, VariableId
-
-
-@dataclass(frozen=True)
-class ViewEntry:
-    """The last known state of one remote variable."""
-
-    value: Value
-    priority: int = 0
 
 
 class AgentView:
@@ -34,12 +25,20 @@ class AgentView:
     Only ever updated from received ``ok?`` messages, so it reflects possibly
     stale information — that staleness is inherent to asynchronous search and
     exactly what nogoods are expressed against.
+
+    The state is kept in two plain dicts: ``_values`` maps every known
+    variable to its value, and ``_priorities`` holds the *non-zero*
+    priorities only (its keys are a subset of ``_values``'s). An update
+    allocates nothing, and the nogood store's counted scan reads
+    ``_values`` directly (package-internal; algorithm code goes through
+    the methods, lint rule R1).
     """
 
-    __slots__ = ("_entries", "priority_version")
+    __slots__ = ("_values", "_priorities", "priority_version")
 
     def __init__(self) -> None:
-        self._entries: Dict[VariableId, ViewEntry] = {}
+        self._values: Dict[VariableId, Value] = {}
+        self._priorities: Dict[VariableId, int] = {}
         #: Bumped whenever some variable's *priority* (not value) changes.
         #: Consumers that derive priority-dependent data (the nogood store's
         #: cached set of variables outranking its owner) use this to
@@ -55,32 +54,34 @@ class AgentView:
         Returns True if this changed the view (new variable, new value, or
         new priority).
         """
-        entry = ViewEntry(value, priority)
-        previous = self._entries.get(variable)
-        if previous == entry:
-            return False
+        values = self._values
+        priorities = self._priorities
         # An unknown variable reads as priority 0, so only a transition to
         # or from a non-zero priority is a priority change.
-        old_priority = previous.priority if previous is not None else 0
-        if old_priority != priority:
+        if priorities.get(variable, 0) != priority:
             self.priority_version += 1
-        self._entries[variable] = entry
+            if priority:
+                priorities[variable] = priority
+            else:
+                del priorities[variable]
+        elif values.get(variable, _MISSING) == value:
+            return False
+        values[variable] = value
         return True
 
     def forget(self, variable: VariableId) -> None:
         """Drop *variable* from the view (ABT uses this when backtracking)."""
-        previous = self._entries.pop(variable, None)
-        if previous is not None and previous.priority != 0:
+        self._values.pop(variable, None)
+        if self._priorities.pop(variable, 0):
             self.priority_version += 1
 
     def knows(self, variable: VariableId) -> bool:
         """True if the view holds a value for *variable*."""
-        return variable in self._entries
+        return variable in self._values
 
     def value_of(self, variable: VariableId) -> Optional[Value]:
         """The last known value of *variable*, or None if unknown."""
-        entry = self._entries.get(variable)
-        return entry.value if entry is not None else None
+        return self._values.get(variable)
 
     def priority_of(self, variable: VariableId) -> int:
         """The last known priority of *variable* (0 if unknown).
@@ -89,37 +90,44 @@ class AgentView:
         variable we have never heard from cannot have raised it as far as we
         know.
         """
-        entry = self._entries.get(variable)
-        return entry.priority if entry is not None else 0
+        return self._priorities.get(variable, 0)
 
-    def entry(self, variable: VariableId) -> Optional[ViewEntry]:
-        """The full entry for *variable*, or None."""
-        return self._entries.get(variable)
+    def highest_priority(self) -> int:
+        """The highest priority recorded at a non-zero value, else 0.
+
+        AWC raises its own priority above this at a deadend; only the
+        variables at a non-zero priority are read.
+        """
+        return max(self._priorities.values(), default=0)
 
     def items(self) -> Iterator[Tuple[VariableId, Value]]:
         """Iterate ``(variable, value)`` pairs in view insertion order."""
-        return ((var, entry.value) for var, entry in self._entries.items())
+        return iter(self._values.items())
 
     def as_assignment(self) -> Dict[VariableId, Value]:
         """The view as a plain ``{variable: value}`` dictionary (a copy)."""
-        return {var: entry.value for var, entry in self._entries.items()}
+        return dict(self._values)
 
     def variables(self) -> Tuple[VariableId, ...]:
         """The variables currently in the view, in ascending id order."""
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._values))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[VariableId]:
-        return iter(self._entries)
+        return iter(self._values)
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"x{var}={entry.value!r}@{entry.priority}"
-            for var, entry in sorted(self._entries.items())
+            f"x{var}={value!r}@{self.priority_of(var)}"
+            for var, value in sorted(self._values.items())
         )
         return f"AgentView({inner})"
+
+
+#: Reads as "no value" in the update test: None is a legal value.
+_MISSING = object()
 
 
 def merge_assignments(

@@ -142,7 +142,7 @@ class NogoodStore:
         #: adds. Without this, every candidate scan in the presence of
         #: unconditional nogoods allocated a fresh O(bucket) list.
         self._combined_cache: Dict[Value, ReadOnlyBucket] = {}
-        # The owner plus the variables outranking it (see _outranking),
+        # The owner plus the variables outranking it (see outranking),
         # and the (view, priority version, own priority) it was built for.
         self._above_for: Tuple[object, int, int] = (None, -1, -1)
         self._above: Set[VariableId] = set()
@@ -402,17 +402,19 @@ class NogoodStore:
     ) -> int:
         """How many of *nogoods* are violated; the one counted scan.
 
-        With *above* (see :meth:`_outranking`) only the higher nogoods are
+        With *above* (see :meth:`outranking`) only the higher nogoods are
         tested, or only the lower ones when *higher* is False; the others
         are skipped without a check. Every tested nogood costs one check,
         added to the counter once per scan. Violated nogoods are appended
         to *found* and, for use-tracking retention policies, touched in
         scan order. *first* stops at the first violation.
         """
-        # Package-internal reads of the view's map and the nogoods' sets:
-        # this loop is where the checks happen, and a property or method
-        # call per nogood or pair cost more than the checks themselves.
-        entry_of = view._entries.get
+        # Package-internal reads of the view's value dict and the nogoods'
+        # sets: this loop is where the checks happen, and a property or
+        # method call per nogood or pair cost more than the checks
+        # themselves. The sentinel stands for "unknown": None is a value.
+        value_of = view._values.get
+        missing = _MISSING
         own_variable = self.own_variable
         touch = self._on_use
         checks = 0
@@ -425,10 +427,8 @@ class NogoodStore:
                 if variable == own_variable:
                     if value != own_value:
                         break
-                else:
-                    entry = entry_of(variable)
-                    if entry is None or entry.value != value:
-                        break
+                elif value_of(variable, missing) != value:
+                    break
             else:
                 count += 1
                 if found is not None:
@@ -442,21 +442,25 @@ class NogoodStore:
 
     # -- priority classification (not cost-counted) ------------------------
 
-    def _outranking(
+    def outranking(
         self, view: AgentView, own_priority: int
     ) -> AbstractSet[VariableId]:
         """The owner plus every variable that outranks it under *view*.
 
         A nogood is higher exactly when its variables are a subset of this
-        set. An unknown variable reads as priority 0, and joining the view
-        at priority 0 does not bump ``view.priority_version``, so the set
-        never depends on view membership at priority 0: at own priority 0
-        it is every id below the owner's plus the view's variables at a
-        positive priority (variable ids are non-negative); above 0 only
-        view variables at a positive priority can outrank the owner. One
-        slot suffices, since priorities change on backtracks only: the set
-        is rebuilt when the view object, its priority version or the
-        owner's priority changes.
+        set. The set is the store's own, refilled in place: callers read it
+        and must not mutate it or keep it across a priority change.
+
+        An unknown variable reads as priority 0, and joining the view at
+        priority 0 does not bump ``view.priority_version``, so the set never
+        depends on view membership at priority 0: at own priority 0 it is
+        every id below the owner's plus the view's variables at a positive
+        priority (variable ids are non-negative); above 0 only view
+        variables at a positive priority can outrank the owner. Either way
+        only the view's non-zero priorities are read. One slot suffices,
+        since priorities change on backtracks only: the set is rebuilt when
+        the view object, its priority version or the owner's priority
+        changes.
         """
         key = (view, view.priority_version, own_priority)
         if key == self._above_for:
@@ -471,8 +475,7 @@ class NogoodStore:
         if own_priority == 0:
             above.update(range(own))
         above.add(own)
-        for variable, entry in view._entries.items():
-            priority = entry.priority
+        for variable, priority in view._priorities.items():
             if priority > own_priority or (
                 priority == own_priority and variable < own
             ):
@@ -505,7 +508,7 @@ class NogoodStore:
         owner)``, tested as one subset check against the cached set of
         variables that outrank the owner.
         """
-        return nogood.variables <= self._outranking(view, own_priority)
+        return nogood.variables <= self.outranking(view, own_priority)
 
     # -- composite queries used by the algorithms ---------------------------
 
@@ -536,7 +539,7 @@ class NogoodStore:
         performs this test for a nogood whose priority is higher".
         """
         found: List[Nogood] = []
-        above = self._outranking(view, own_priority)
+        above = self.outranking(view, own_priority)
         self._scan(
             self.for_value(own_value), view, own_value, above, found=found
         )
@@ -551,14 +554,14 @@ class NogoodStore:
         same scan, same per-higher-nogood check counting, same retention
         touches — for the callers that only test the result's truthiness.
         """
-        above = self._outranking(view, own_priority)
+        above = self.outranking(view, own_priority)
         return self._scan(self.for_value(own_value), view, own_value, above)
 
     def count_violated_lower(
         self, view: AgentView, own_value: Value, own_priority: int
     ) -> int:
         """How many lower nogoods are violated with the owner at *own_value*."""
-        above = self._outranking(view, own_priority)
+        above = self.outranking(view, own_priority)
         return self._scan(
             self.for_value(own_value), view, own_value, above, False
         )
@@ -601,7 +604,7 @@ class NogoodStore:
         nogood violated at this value?"; the outranking set is looked up
         once for the whole batch.
         """
-        above = self._outranking(view, own_priority)
+        above = self.outranking(view, own_priority)
         return [
             self._scan(self.for_value(value), view, value, above)
             for value in values
@@ -611,7 +614,7 @@ class NogoodStore:
         self, view: AgentView, values: Sequence[Value], own_priority: int
     ) -> List[int]:
         """:meth:`count_violated_lower` for every candidate value, in order."""
-        above = self._outranking(view, own_priority)
+        above = self.outranking(view, own_priority)
         return [
             self._scan(self.for_value(value), view, value, above, False)
             for value in values
@@ -625,6 +628,7 @@ class NogoodStore:
 
 
 _EMPTY: ReadOnlyBucket = ReadOnlyBucket()
+_MISSING = object()
 
 
 class LinearNogoodStore(NogoodStore):

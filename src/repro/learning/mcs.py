@@ -40,25 +40,29 @@ def _prohibited_under(
     (values included) and its own-variable pair, if it has one, matches
     *value*. ``for_value`` may return nogoods binding the owner to another
     value (the linear store returns every nogood), so the own pair is
-    compared too. Each nogood examined costs one check.
+    compared too. Each higher nogood examined costs one check; the
+    outranking set is fetched once per call and the checks are added once.
     """
     store = context.store
+    above = store.outranking(context.view, context.priority)
+    own_variable = context.variable
+    checks = 0
+    prohibited = False
     for nogood in store.for_value(value):
-        if not store.is_higher(nogood, context.view, context.priority):
+        if not nogood.variables <= above:
             continue
-        store.counter.bump()
-        applicable = True
+        checks += 1
         for variable, bound in nogood.pairs:
-            if variable == context.variable:
+            if variable == own_variable:
                 if bound != value:
-                    applicable = False
                     break
             elif subset.get(variable, _MISSING) != bound:
-                applicable = False
                 break
-        if applicable:
-            return True
-    return False
+        else:
+            prohibited = True
+            break
+    store.counter.bump(checks)
+    return prohibited
 
 
 _MISSING = object()

@@ -54,9 +54,9 @@ READ_ONLY_METHODS = frozenset(
         "violated_batch", "count_violated_batch", "violated_higher_batch",
         "count_violated_higher_batch", "count_violated_lower_batch",
         "for_value", "nogoods",
-        "priority_key_of", "is_higher",
+        "priority_key_of", "is_higher", "outranking",
         # AgentView accessors
-        "knows", "value_of", "priority_of", "entry", "items",
+        "knows", "value_of", "priority_of", "highest_priority", "items",
         "as_assignment", "variables",
         # problem/structure accessors (immutable per trial)
         "owner_of", "variables_of", "domain_of", "neighbors_of",

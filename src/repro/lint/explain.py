@@ -56,12 +56,14 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "R1": Explanation(
         rationale=(
-            "Neighbor state carries a monotonic counter so stale "
-            "messages cannot roll the view backwards. Writing the view "
-            "dict directly bypasses the staleness guard."
+            "AgentView.update and forget bump priority_version whenever "
+            "a priority changes, and the store rebuilds its set of "
+            "variables outranking the owner on that counter. Writing the "
+            "view's dicts directly skips the bump, so the store keeps "
+            "classifying nogoods by a stale set."
         ),
         bad="self.view._values[sender] = value",
-        good="self.view.update(sender, value, counter)",
+        good="self.view.update(sender, value, priority)",
     ),
     "H1": Explanation(
         rationale=(

@@ -16,7 +16,8 @@ H2     Per-dispatch construction of a constant-shape container — e.g.
        of constants. The shape never changes; precompute it once.
 H3     ``sorted()`` copy of instance state on a hot path. Sorting the
        same attribute on every call re-does work an incrementally
-       maintained cache (like the store's priority-key cache) already
+       maintained cache (like the store's set of outranking variables,
+       rebuilt only when the view's ``priority_version`` moves) already
        solved; filling such a cache (``self._x = sorted(...)``) is the
        fix and is exempt.
 H4     Closure/lambda creation inside hot dispatch. Every ``lambda``
@@ -224,8 +225,9 @@ class SortedCopyRule(_HotPathRule):
     ) -> Iterator[Finding]:
         hint = (
             "maintain the sorted view incrementally (the store's "
-            "priority-key cache is the pattern): cache the sorted copy on "
-            "the instance and invalidate on mutation; the cache-filling "
+            "outranking set, rebuilt when priority_version moves, is the "
+            "pattern): cache the sorted copy on the instance and "
+            "invalidate on mutation; the cache-filling "
             "assignment itself (self._x = sorted(...)) is exempt"
         )
         for qualname, node, module, hot in self._hot_functions(path, graph):

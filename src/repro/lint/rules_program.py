@@ -19,11 +19,12 @@ A1     Agent/transport separation. Agents interact with the world only
        guarantee.
 R1     View-counter bypass. Neighbor state lives in an
        :class:`~repro.core.assignment.AgentView`, whose ``update`` guards
-       every write with the priority counter that the store's priority-key
-       cache invalidates on. Reaching around the API — touching the view's
-       private internals or item-assigning into it — records unstable
-       neighbor state without bumping that counter, so a reordered
-       delivery can leave the store reading a stale cache.
+       every write with ``priority_version``, the counter on which the
+       store rebuilds its set of variables outranking the owner. Reaching
+       around the API — touching the view's private dicts or
+       item-assigning into it — records unstable neighbor state without
+       bumping that counter, so a reordered delivery can leave the store
+       classifying nogoods by a stale set.
 =====  ======================================================================
 """
 
@@ -245,10 +246,10 @@ class ViewCounterBypassRule(Rule):
             lambda: graph.subclasses_of("SimulatedAgent"),
         )
         hint = (
-            "go through AgentView.update/forget — they bump the priority "
-            "counter that the store's priority-key cache invalidates on; "
-            "raw writes leave the cache serving stale keys after a "
-            "reordered delivery"
+            "go through AgentView.update/forget — they bump "
+            "priority_version, on which the store rebuilds its set of "
+            "variables outranking the owner; raw writes leave that set "
+            "stale after a reordered delivery"
         )
         for cls in module.classes.values():
             if cls.name not in agent_classes:

@@ -49,12 +49,15 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
     :class:`GlobalSolutionDetector` re-evaluates every original nogood on
     every call — O(constraints) work per cycle even when a single agent
     moved. This variant keeps the last observed assignment and a per-nogood
-    violated flag; each call diffs the new assignment against the previous
-    one and re-evaluates only the nogoods adjacent (via the problem's
-    variable→constraint index) to the variables that changed, maintaining a
-    running violated count. Per cycle that is O(variables) for the diff plus
-    O(constraints touching changed variables) for re-evaluation, instead of
-    O(all constraints).
+    violated flag, with the original nogoods indexed by every
+    ``(variable, value)`` pair they bind. Each call diffs the new
+    assignment against the previous one. When a variable leaves value *a*,
+    the nogoods binding it to *a* can no longer be violated: their flags
+    are cleared without a test. Only the nogoods binding a changed variable
+    to its *new* value are re-evaluated. A running violated count is kept
+    throughout. Per cycle that is O(variables) for the diff plus
+    O(constraints binding a changed variable to its new value) for
+    re-evaluation, instead of O(all constraints).
 
     Detection is purely observational: it performs no
     :meth:`~repro.core.store.NogoodStore.is_violated` calls, so it
@@ -74,12 +77,15 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
         self._domains = {
             variable: csp.domain_of(variable) for variable in self._variables
         }
-        # Adjacency and flags key nogoods by identity: the tuples returned
-        # by relevant_nogoods() hold the same objects as csp.nogoods, and
-        # identity keys cost one pointer hash instead of hashing pair sets.
-        self._adjacent: Dict[VariableId, Tuple[Nogood, ...]] = {
-            variable: csp.relevant_nogoods(variable)
-            for variable in self._variables
+        # The index and the flags key nogoods by identity: the index holds
+        # the same objects as csp.nogoods, and identity keys cost one
+        # pointer hash instead of hashing pair sets.
+        binding: Dict[Tuple[VariableId, Value], List[Nogood]] = {}
+        for nogood in csp.nogoods:
+            for pair in nogood.pairs:
+                binding.setdefault(pair, []).append(nogood)
+        self._binding: Dict[Tuple[VariableId, Value], Tuple[Nogood, ...]] = {
+            pair: tuple(nogoods) for pair, nogoods in binding.items()
         }
         self._violated_flag: Dict[int, bool] = {
             id(nogood): False for nogood in csp.nogoods
@@ -106,7 +112,7 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
     ) -> List[VariableId]:
         """The variables whose value differs from the last observation."""
         last = self._last
-        missing = object()
+        missing = _MISSING
         changed = [
             variable
             for variable in self._variables
@@ -120,23 +126,34 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
         assignment: Mapping[VariableId, Value],
     ) -> None:
         """Fold the changed variables into the detector's running state."""
+        last = self._last
+        binding = self._binding.get
+        flags = self._violated_flag
         touched: Dict[int, Nogood] = {}
         for variable in changed:
+            previous = last.pop(variable, _MISSING)
+            if previous is not _MISSING:
+                # The variable left *previous*: every nogood binding it
+                # there is satisfied now, whatever else changed.
+                for nogood in binding((variable, previous), ()):
+                    key = id(nogood)
+                    if flags[key]:
+                        flags[key] = False
+                        self._violated_count -= 1
             if variable in assignment:
                 value = assignment[variable]
-                self._last[variable] = value
+                last[variable] = value
                 if value in self._domains[variable]:
                     self._bad_vars.discard(variable)
                 else:
                     self._bad_vars.add(variable)
+                for nogood in binding((variable, value), ()):
+                    touched[id(nogood)] = nogood
             else:
-                self._last.pop(variable, None)
                 self._bad_vars.add(variable)
-            for nogood in self._adjacent[variable]:
-                touched[id(nogood)] = nogood
-        flags = self._violated_flag
+        # Tested only once every change is folded into the assignment.
         for key, nogood in touched.items():
-            now = nogood.prohibits(self._last)
+            now = nogood.prohibits(last)
             if now != flags[key]:
                 flags[key] = now
                 self._violated_count += 1 if now else -1
@@ -156,6 +173,10 @@ class QuiescentSolutionDetector(GlobalSolutionDetector):
 
     def is_solution(self, assignment: Mapping[VariableId, Value]) -> bool:
         return self._network.is_idle() and super().is_solution(assignment)
+
+
+#: Reads as "no value": None is a legal value.
+_MISSING = object()
 
 
 def collect_assignment(

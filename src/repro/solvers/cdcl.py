@@ -73,6 +73,8 @@ class CdclSolver:
         # Watch lists are keyed by the literal being falsified: watches[lit]
         # holds indices of clauses currently watching lit.
         self._watches: Dict[int, List[int]] = {}
+        #: Conflicts met by the last completed :meth:`solve` call.
+        self.conflicts = 0
         for clause in clauses:
             self.add_clause(clause)
 
@@ -125,7 +127,9 @@ class CdclSolver:
             for variable, value in polarity.items():
                 if 1 <= variable <= self.num_vars:
                     state.phase[variable] = value
-        return state.run()
+        model = state.run()
+        self.conflicts = state.conflicts
+        return model
 
     def is_satisfiable(self, assumptions: Sequence[int] = ()) -> bool:
         """True if a model exists under *assumptions*."""
@@ -147,7 +151,10 @@ class _SearchState:
             literal: list(indices)
             for literal, indices in solver._watches.items()
         }
-        self.assign = [_UNASSIGNED] * (self.num_vars + 1)
+        # The truth value of every *literal*, read as vals[literal]: 2n+1
+        # slots, so literal -v indexes from the end (slot 2n+1-v) and slot
+        # 0 is unused. Assigning a variable writes both of its literals.
+        self.vals = [_UNASSIGNED] * (2 * self.num_vars + 1)
         self.level = [0] * (self.num_vars + 1)
         self.reason: List[Optional[int]] = [None] * (self.num_vars + 1)
         self.trail: List[int] = []  # literals in assignment order
@@ -166,20 +173,15 @@ class _SearchState:
     def decision_level(self) -> int:
         return len(self.trail_limits)
 
-    def value_of(self, literal: int) -> int:
-        state = self.assign[abs(literal)]
-        if state == _UNASSIGNED:
-            return _UNASSIGNED
-        return state if literal > 0 else -state
-
     def enqueue(self, literal: int, reason: Optional[int]) -> bool:
-        current = self.value_of(literal)
+        current = self.vals[literal]
         if current == _TRUE:
             return True
         if current == _FALSE:
             return False
         variable = abs(literal)
-        self.assign[variable] = _TRUE if literal > 0 else _FALSE
+        self.vals[literal] = _TRUE
+        self.vals[-literal] = _FALSE
         self.level[variable] = self.decision_level
         self.reason[variable] = reason
         self.phase[variable] = literal > 0
@@ -187,46 +189,69 @@ class _SearchState:
         return True
 
     def propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None."""
-        while self.queue_head < len(self.trail):
-            literal = self.trail[self.queue_head]
-            self.queue_head += 1
+        """Unit propagation; returns a conflicting clause index or None.
+
+        The hottest loop of the solver: literal values are read straight
+        from ``vals`` and the implied literal is enqueued inline, with the
+        same watch order and trail order as :meth:`enqueue` would give.
+        """
+        vals = self.vals
+        clauses = self.clauses
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        decision_level = len(self.trail_limits)
+        head = self.queue_head
+        while head < len(trail):
+            literal = trail[head]
+            head += 1
             falsified = -literal
-            watching = self.watches.get(falsified)
+            watching = watches.get(falsified)
             if not watching:
                 continue
             keep: List[int] = []
             conflict: Optional[int] = None
             for position, index in enumerate(watching):
-                clause = self.clauses[index]
+                clause = clauses[index]
                 # Ensure the falsified literal sits at slot 1.
                 if clause[0] == falsified:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self.value_of(first) == _TRUE:
+                first_value = vals[first]
+                if first_value == _TRUE:
                     keep.append(index)
                     continue
                 # Look for a replacement watch.
                 moved = False
                 for slot in range(2, len(clause)):
                     candidate = clause[slot]
-                    if self.value_of(candidate) != _FALSE:
+                    if vals[candidate] != _FALSE:
                         clause[1], clause[slot] = clause[slot], clause[1]
-                        self.watches.setdefault(candidate, []).append(index)
+                        watches.setdefault(candidate, []).append(index)
                         moved = True
                         break
                 if moved:
                     continue
                 keep.append(index)
-                if self.value_of(first) == _FALSE:
+                if first_value == _FALSE:
                     conflict = index
                     keep.extend(watching[position + 1:])
                     break
-                if not self.enqueue(first, reason=index):
-                    raise SolverError("enqueue failed on unassigned literal")
-            self.watches[falsified] = keep
+                # Unit: enqueue the unassigned first literal.
+                vals[first] = _TRUE
+                vals[-first] = _FALSE
+                variable = abs(first)
+                level[variable] = decision_level
+                reason[variable] = index
+                phase[variable] = first > 0
+                trail.append(first)
+            watches[falsified] = keep
             if conflict is not None:
+                self.queue_head = head
                 return conflict
+        self.queue_head = head
         return None
 
     # -- conflict analysis -----------------------------------------------------------
@@ -295,20 +320,22 @@ class _SearchState:
             limit = self.trail_limits.pop()
             while len(self.trail) > limit:
                 literal = self.trail.pop()
-                variable = abs(literal)
-                self.assign[variable] = _UNASSIGNED
-                self.reason[variable] = None
+                self.vals[literal] = _UNASSIGNED
+                self.vals[-literal] = _UNASSIGNED
+                self.reason[abs(literal)] = None
             self.queue_head = min(self.queue_head, len(self.trail))
 
     # -- the main loop -------------------------------------------------------------------
 
     def pick_variable(self) -> Optional[int]:
+        vals = self.vals
+        activity = self.activity
         best = None
         best_activity = -1.0
         for variable in range(1, self.num_vars + 1):
-            if self.assign[variable] == _UNASSIGNED:
-                if self.activity[variable] > best_activity:
-                    best_activity = self.activity[variable]
+            if vals[variable] == _UNASSIGNED:
+                if activity[variable] > best_activity:
+                    best_activity = activity[variable]
                     best = variable
         return best
 
@@ -356,7 +383,7 @@ class _SearchState:
             variable = self.pick_variable()
             if variable is None:
                 return {
-                    v: self.assign[v] == _TRUE
+                    v: self.vals[v] == _TRUE
                     for v in range(1, self.num_vars + 1)
                 }
             self.trail_limits.append(len(self.trail))

@@ -1,6 +1,10 @@
 """Agent views: values and priorities learned from ok? messages."""
 
-from repro.core.assignment import AgentView, ViewEntry, merge_assignments
+import random
+
+import pytest
+
+from repro.core.assignment import AgentView, merge_assignments
 
 
 class TestAgentView:
@@ -16,7 +20,7 @@ class TestAgentView:
         assert view.knows(1)
         assert view.value_of(1) == "red"
         assert view.priority_of(1) == 2
-        assert view.entry(1) == ViewEntry("red", 2)
+        assert list(view.items()) == [(1, "red")]
 
     def test_update_reports_change(self):
         view = AgentView()
@@ -53,6 +57,68 @@ class TestAgentView:
         view = AgentView()
         view.update(3, 0, 0)
         assert list(view) == [3]
+
+    def test_highest_priority(self):
+        view = AgentView()
+        assert view.highest_priority() == 0
+        view.update(1, 0, 0)
+        assert view.highest_priority() == 0
+        view.update(2, 0, 4)
+        view.update(3, 0, 2)
+        assert view.highest_priority() == 4
+        view.update(2, 0, 0)
+        assert view.highest_priority() == 2
+
+
+class TestAgainstReferenceModel:
+    """Random update/forget sequences against a plain reference dict.
+
+    The reference keeps ``{variable: (value, priority)}``; an update
+    changes the view iff that pair differs, and ``priority_version``
+    bumps iff the priority changes, an unknown variable reading as 0.
+    ``None`` is among the values: it is a legal value, not "unknown".
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_operations(self, seed):
+        rng = random.Random(seed)
+        view = AgentView()
+        reference = {}
+        version = 0
+        for _ in range(300):
+            variable = rng.randrange(6)
+            old_value, old_priority = reference.get(variable, (None, 0))
+            if rng.random() < 0.15:
+                view.forget(variable)
+                if old_priority != 0:
+                    version += 1
+                reference.pop(variable, None)
+            else:
+                value = rng.choice([None, 0, 1, "a"])
+                priority = rng.choice([0, 0, 1, 2, 5])
+                expected = reference.get(variable) != (value, priority)
+                assert view.update(variable, value, priority) is expected
+                if old_priority != priority:
+                    version += 1
+                reference[variable] = (value, priority)
+            assert view.priority_version == version
+            assert len(view) == len(reference)
+            assert list(view) == list(reference)
+            assert list(view.items()) == [
+                (var, value) for var, (value, _) in reference.items()
+            ]
+            assert view.as_assignment() == {
+                var: value for var, (value, _) in reference.items()
+            }
+            assert view.variables() == tuple(sorted(reference))
+            assert view.highest_priority() == max(
+                (priority for _, priority in reference.values()), default=0
+            )
+            for probe in range(7):
+                assert view.knows(probe) is (probe in reference)
+                value, priority = reference.get(probe, (None, 0))
+                assert view.value_of(probe) == value
+                assert view.priority_of(probe) == priority
 
 
 class TestMergeAssignments:

@@ -65,6 +65,12 @@ class TestGoldenDigests:
         instance = unique_solution_3sat(12)
         assert digest(sat_payload(instance)) == "3eed1474be4f6d70"
 
+    def test_unique_solution_3sat_learn_workload_size(self):
+        # n=50 is the size the learn benchmark certifies; its final UNSAT
+        # proofs exercise the CDCL kernel far more than n=12 does.
+        instance = unique_solution_3sat(50)
+        assert digest(sat_payload(instance)) == "f2f2fbe784422557"
+
     def test_random_binary_csp_default_seed(self):
         instance = random_binary_csp(10, 4, 0.3, 0.2)
         assert digest(binary_csp_payload(instance)) == "1e971a259597ca9a"

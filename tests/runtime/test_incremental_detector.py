@@ -3,6 +3,10 @@ full per-cycle re-scan it replaces: same verdict on every cycle of real
 runs, same verdict on adversarial synthetic sequences, and zero effect on
 the paper's cost accounting."""
 
+import random
+
+import pytest
+
 from repro.algorithms.awc import build_awc_agents
 from repro.core.nogood import Nogood
 from repro.core.variables import Domain
@@ -95,6 +99,47 @@ class TestAgreementWithGlobalDetector:
             assert incremental.is_solution(assignment) == full.is_solution(
                 assignment
             ), f"detectors disagree at step {step}"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_walks_agree_with_the_problem(self, seed):
+        """Several changes per call, reverts, gaps and foreign values."""
+        rng = random.Random(seed)
+        size = rng.randint(3, 6)
+        domains = {variable: Domain((0, 1, 2)) for variable in range(size)}
+        planted = {variable: rng.randrange(3) for variable in range(size)}
+        nogoods = set()
+        while len(nogoods) < 3 * size:
+            scope = rng.sample(range(size), rng.randint(1, 3))
+            pairs = [(variable, rng.randrange(3)) for variable in scope]
+            if any(planted[variable] != value for variable, value in pairs):
+                nogoods.add(Nogood.of(*pairs))
+        ordered = sorted(nogoods, key=lambda nogood: sorted(nogood.pairs))
+        problem = DisCSP.one_variable_per_agent(domains, ordered)
+        incremental = IncrementalSolutionDetector(problem)
+        assignment = {}
+        history = []
+        verdicts = set()
+        for _step in range(400):
+            roll = rng.random()
+            if roll < 0.1 and history:
+                assignment = dict(rng.choice(history))
+            elif roll < 0.25:
+                assignment = dict(planted)
+            else:
+                for _change in range(rng.randint(1, size)):
+                    variable = rng.randrange(size)
+                    kind = rng.random()
+                    if kind < 0.15:
+                        assignment.pop(variable, None)
+                    elif kind < 0.25:
+                        assignment[variable] = 9  # outside every domain
+                    else:
+                        assignment[variable] = rng.randrange(3)
+            history.append(dict(assignment))
+            verdict = problem.is_solution(assignment)
+            assert incremental.is_solution(assignment) == verdict, assignment
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_already_solved_initial_assignment(self):
         problem = tiny_problem()

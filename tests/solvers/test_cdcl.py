@@ -123,6 +123,34 @@ class TestAgainstDpll:
             assert dpll == cdcl, clauses
 
 
+def random_3sat(seed, num_vars, num_clauses):
+    rng = random.Random(seed)
+    return [
+        [rng.choice([1, -1]) * v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
+
+
+class TestPinnedSearch:
+    """The search itself is pinned: the unique-solution generator's
+    instances depend on which models the solver finds, so a kernel change
+    must keep the watch order, decision order and learned clauses."""
+
+    def test_satisfiable_formula_model_and_conflicts(self):
+        solver = CdclSolver(60, random_3sat(3, 60, 250))
+        model = solver.solve()
+        assert solver.conflicts == 95  # past the first restart (64)
+        bits = "".join("1" if model[v] else "0" for v in range(1, 61))
+        assert bits == (
+            "110011000000011000101100110110011110101011111010001100000000"
+        )
+
+    def test_unsatisfiable_formula_conflicts(self):
+        solver = CdclSolver(60, random_3sat(1, 60, 250))
+        assert solver.solve() is None
+        assert solver.conflicts == 141
+
+
 class TestHardFormulas:
     def test_pigeonhole_unsat(self):
         num_vars, clauses = pigeonhole(5)
