@@ -106,8 +106,9 @@ QUICK_SCALE = Scale(
 #: The paper's problem sizes with reduced trial counts (6 per cell instead
 #: of 100): the full size axis at a fraction of the wall-clock. The
 #: unique-solution family stops at n=100 — certifying uniqueness at n=200
-#: is a multi-hour DPLL job; use the paper scale (and patience, or the
-#: original AIM files dropped into the cache) for that last column.
+#: takes the CDCL engine tens of minutes per instance; use the paper scale
+#: (and patience, or the original AIM files dropped into the cache) for
+#: that last column.
 PAPERLITE_SCALE = Scale(
     name="paperlite",
     coloring=((60, 3, 2), (90, 3, 2), (120, 3, 2), (150, 3, 2)),

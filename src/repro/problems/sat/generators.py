@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ...core.exceptions import GenerationError
 from ...runtime.random_source import Seed, derive_rng
@@ -214,11 +214,11 @@ def unique_solution_3sat(
     """A satisfiable 3SAT instance with exactly one model (3ONESAT-GEN style).
 
     The uniqueness proof is the final UNSAT call of the elimination loop:
-    when the DPLL solver finds no model besides the planted one, exactly one
-    model remains. Padding afterwards only adds clauses the planted model
-    satisfies, which cannot create new models. Set *verify* for an
-    independent ``count_models(limit=2) == 1`` re-check (redundant but
-    reassuring; used by the tests).
+    when the SAT engine (CDCL by default) finds no model besides the
+    planted one, exactly one model remains. Padding afterwards only adds
+    clauses the planted model satisfies, which cannot create new models.
+    Set *verify* for an independent ``count_models(limit=2) == 1``
+    re-check (redundant but reassuring; used by the tests).
     """
     rng = derive_rng(seed, "3onesat-gen", num_vars)
     base = planted_3sat(
@@ -233,20 +233,28 @@ def unique_solution_3sat(
     away_from_model = {variable: not value for variable, value in model.items()}
     if max_iterations is None:
         max_iterations = 200 * num_vars + 1000
+    solver: Union[CdclSolver, DpllSolver]
+    if engine == "cdcl":
+        # One solver per instance. Each separating clause goes in at its
+        # sorted place among the 3-clauses, ahead of the n-literal block,
+        # so every round searches exactly as a rebuild would.
+        solver = CdclSolver(num_vars, sorted(clauses))
+        solver.add_clause(block)
+    elif engine != "dpll":
+        raise GenerationError(f"unknown solver engine {engine!r}")
     for _iteration in range(max_iterations):
-        if engine == "cdcl":
-            solver = CdclSolver(num_vars, sorted(clauses))
-        elif engine == "dpll":
+        if engine == "dpll":
             solver = DpllSolver(
                 num_vars, sorted(clauses), max_nodes=max_nodes
             )
-        else:
-            raise GenerationError(f"unknown solver engine {engine!r}")
-        solver.add_clause(block)
+            solver.add_clause(block)
         other = solver.solve(polarity=away_from_model)
         if other is None:
             break
-        clauses.add(_separating_clause(model, other, rng, num_vars, clauses))
+        separating = _separating_clause(model, other, rng, num_vars, clauses)
+        clauses.add(separating)
+        if isinstance(solver, CdclSolver):
+            solver.insert_clause(separating)
     else:
         raise GenerationError(
             f"unique-solution elimination did not converge within "

@@ -82,29 +82,60 @@ class CdclSolver:
 
     def add_clause(self, literals: Sequence[int]) -> bool:
         """Add a clause (tautologies dropped; returns False for those)."""
-        clause = normalize_clause(literals)
-        if clause is None:
+        return self._add(literals, in_order=False)
+
+    def insert_clause(self, literals: Sequence[int]) -> bool:
+        """Add a clause at its sorted place in its two watch lists.
+
+        Watch order fixes propagation order. :meth:`add_clause` appends, so
+        a solver built from clauses in ``(len, literals)`` order has every
+        watch list in that order; this method keeps it so. A solver grown
+        by inserting searches exactly like one rebuilt from the sorted
+        clauses, which lets a caller add clauses between :meth:`solve`
+        calls without changing a single model. Same return and errors as
+        :meth:`add_clause`.
+        """
+        return self._add(literals, in_order=True)
+
+    def _add(self, literals: Sequence[int], in_order: bool) -> bool:
+        normalized = normalize_clause(literals)
+        if normalized is None:
             return False
-        for literal in clause:
-            if abs(literal) > self.num_vars:
-                raise SolverError(
-                    f"literal {literal} exceeds num_vars={self.num_vars}"
-                )
-        if len(clause) == 0:
+        if not normalized:
             self._has_empty_clause = True
             return True
-        if len(clause) == 1:
-            self._units.append(clause[0])
+        # Normalised clauses are sorted by variable: the last is the largest.
+        if abs(normalized[-1]) > self.num_vars:
+            raise SolverError(
+                f"literal {normalized[-1]} exceeds num_vars={self.num_vars}"
+            )
+        if len(normalized) == 1:
+            self._units.append(normalized[0])
             return True
-        self._attach(list(clause))
-        return True
-
-    def _attach(self, clause: List[int]) -> int:
+        clause = list(normalized)
         index = len(self._clauses)
         self._clauses.append(clause)
-        self._watches.setdefault(clause[0], []).append(index)
-        self._watches.setdefault(clause[1], []).append(index)
-        return index
+        for literal in clause[:2]:
+            watching = self._watches.setdefault(literal, [])
+            if in_order:
+                watching.insert(self._sorted_slot(watching, clause), index)
+            else:
+                watching.append(index)
+        return True
+
+    def _sorted_slot(self, watching: List[int], clause: List[int]) -> int:
+        """Where *clause* goes in *watching* by ``(len, literals)`` order.
+
+        Before the first larger clause, so equal keys keep arrival order.
+        Watch lists hold a handful of clauses: a linear scan is enough.
+        """
+        key = (len(clause), clause)
+        clauses = self._clauses
+        for slot, index in enumerate(watching):
+            other = clauses[index]
+            if (len(other), other) > key:
+                return slot
+        return len(watching)
 
     # -- public API ----------------------------------------------------------------
 
@@ -147,14 +178,16 @@ class _SearchState:
         self.clauses: List[List[int]] = [
             list(clause) for clause in solver._clauses
         ]
-        self.watches: Dict[int, List[int]] = {
-            literal: list(indices)
-            for literal, indices in solver._watches.items()
-        }
         # The truth value of every *literal*, read as vals[literal]: 2n+1
         # slots, so literal -v indexes from the end (slot 2n+1-v) and slot
         # 0 is unused. Assigning a variable writes both of its literals.
         self.vals = [_UNASSIGNED] * (2 * self.num_vars + 1)
+        # Watch lists, indexed by literal the same way as vals.
+        self.watches: List[List[int]] = [
+            [] for _ in range(2 * self.num_vars + 1)
+        ]
+        for literal, indices in solver._watches.items():
+            self.watches[literal] = list(indices)
         self.level = [0] * (self.num_vars + 1)
         self.reason: List[Optional[int]] = [None] * (self.num_vars + 1)
         self.trail: List[int] = []  # literals in assignment order
@@ -169,10 +202,6 @@ class _SearchState:
 
     # -- assignment primitives --------------------------------------------------
 
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_limits)
-
     def enqueue(self, literal: int, reason: Optional[int]) -> bool:
         current = self.vals[literal]
         if current == _TRUE:
@@ -182,7 +211,7 @@ class _SearchState:
         variable = abs(literal)
         self.vals[literal] = _TRUE
         self.vals[-literal] = _FALSE
-        self.level[variable] = self.decision_level
+        self.level[variable] = len(self.trail_limits)
         self.reason[variable] = reason
         self.phase[variable] = literal > 0
         self.trail.append(literal)
@@ -205,52 +234,46 @@ class _SearchState:
         decision_level = len(self.trail_limits)
         head = self.queue_head
         while head < len(trail):
-            literal = trail[head]
+            falsified = -trail[head]
             head += 1
-            falsified = -literal
-            watching = watches.get(falsified)
+            watching = watches[falsified]
             if not watching:
                 continue
             keep: List[int] = []
-            conflict: Optional[int] = None
             for position, index in enumerate(watching):
                 clause = clauses[index]
                 # Ensure the falsified literal sits at slot 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
                 first_value = vals[first]
                 if first_value == _TRUE:
                     keep.append(index)
                     continue
                 # Look for a replacement watch.
-                moved = False
                 for slot in range(2, len(clause)):
                     candidate = clause[slot]
                     if vals[candidate] != _FALSE:
-                        clause[1], clause[slot] = clause[slot], clause[1]
-                        watches.setdefault(candidate, []).append(index)
-                        moved = True
+                        clause[1], clause[slot] = candidate, clause[1]
+                        watches[candidate].append(index)
                         break
-                if moved:
-                    continue
-                keep.append(index)
-                if first_value == _FALSE:
-                    conflict = index
-                    keep.extend(watching[position + 1:])
-                    break
-                # Unit: enqueue the unassigned first literal.
-                vals[first] = _TRUE
-                vals[-first] = _FALSE
-                variable = abs(first)
-                level[variable] = decision_level
-                reason[variable] = index
-                phase[variable] = first > 0
-                trail.append(first)
+                else:
+                    keep.append(index)
+                    if first_value == _FALSE:
+                        keep.extend(watching[position + 1:])
+                        watches[falsified] = keep
+                        self.queue_head = head
+                        return index
+                    # Unit: enqueue the unassigned first literal.
+                    vals[first] = _TRUE
+                    vals[-first] = _FALSE
+                    variable = abs(first)
+                    level[variable] = decision_level
+                    reason[variable] = index
+                    phase[variable] = first > 0
+                    trail.append(first)
             watches[falsified] = keep
-            if conflict is not None:
-                self.queue_head = head
-                return conflict
         self.queue_head = head
         return None
 
@@ -265,14 +288,19 @@ class _SearchState:
 
     def analyze(self, conflict_index: int) -> Tuple[List[int], int]:
         """First-UIP learned clause and its backjump level."""
+        clauses = self.clauses
+        level = self.level
+        trail = self.trail
+        bump = self.bump
+        current_level = len(self.trail_limits)
         learned: List[int] = [0]  # slot 0 reserved for the asserting literal
         seen = [False] * (self.num_vars + 1)
         counter = 0  # literals of the current level still to resolve
         literal = 0
         index = conflict_index
-        trail_position = len(self.trail) - 1
+        trail_position = len(trail) - 1
         while True:
-            clause = self.clauses[index]
+            clause = clauses[index]
             # For a *reason* clause the asserting literal sits at slot 0
             # (propagation maintains this while the clause is locked as a
             # reason) and is the resolved-upon variable: skip it. The
@@ -280,18 +308,19 @@ class _SearchState:
             relevant = clause if literal == 0 else clause[1:]
             for clause_literal in relevant:
                 variable = abs(clause_literal)
-                if seen[variable] or self.level[variable] == 0:
+                variable_level = level[variable]
+                if seen[variable] or variable_level == 0:
                     continue
                 seen[variable] = True
-                self.bump(variable)
-                if self.level[variable] == self.decision_level:
+                bump(variable)
+                if variable_level == current_level:
                     counter += 1
                 else:
                     learned.append(clause_literal)
             # Find the next current-level literal on the trail to resolve.
-            while not seen[abs(self.trail[trail_position])]:
+            while not seen[abs(trail[trail_position])]:
                 trail_position -= 1
-            literal = self.trail[trail_position]
+            literal = trail[trail_position]
             seen[abs(literal)] = False
             counter -= 1
             trail_position -= 1
@@ -307,23 +336,26 @@ class _SearchState:
         # put a literal of that level in slot 1 (watch invariant).
         best_slot = 1
         for slot in range(2, len(learned)):
-            if (
-                self.level[abs(learned[slot])]
-                > self.level[abs(learned[best_slot])]
-            ):
+            if level[abs(learned[slot])] > level[abs(learned[best_slot])]:
                 best_slot = slot
         learned[1], learned[best_slot] = learned[best_slot], learned[1]
-        return learned, self.level[abs(learned[1])]
+        return learned, level[abs(learned[1])]
 
     def backjump(self, target_level: int) -> None:
-        while self.decision_level > target_level:
-            limit = self.trail_limits.pop()
-            while len(self.trail) > limit:
-                literal = self.trail.pop()
-                self.vals[literal] = _UNASSIGNED
-                self.vals[-literal] = _UNASSIGNED
-                self.reason[abs(literal)] = None
-            self.queue_head = min(self.queue_head, len(self.trail))
+        trail_limits = self.trail_limits
+        if len(trail_limits) <= target_level:
+            return
+        limit = trail_limits[target_level]
+        del trail_limits[target_level:]
+        vals = self.vals
+        reason = self.reason
+        trail = self.trail
+        for literal in trail[limit:]:
+            vals[literal] = _UNASSIGNED
+            vals[-literal] = _UNASSIGNED
+            reason[abs(literal)] = None
+        del trail[limit:]
+        self.queue_head = min(self.queue_head, limit)
 
     # -- the main loop -------------------------------------------------------------------
 
@@ -358,7 +390,7 @@ class _SearchState:
                         f"CDCL conflict budget exhausted "
                         f"({self.base.max_conflicts})"
                     )
-                if self.decision_level == 0:
+                if not self.trail_limits:
                     return None
                 learned, backjump_level = self.analyze(conflict)
                 self.backjump(backjump_level)
@@ -368,12 +400,12 @@ class _SearchState:
                 else:
                     index = len(self.clauses)
                     self.clauses.append(learned)
-                    self.watches.setdefault(learned[0], []).append(index)
-                    self.watches.setdefault(learned[1], []).append(index)
+                    self.watches[learned[0]].append(index)
+                    self.watches[learned[1]].append(index)
                     self.enqueue(learned[0], reason=index)
                 self.activity_increment *= 1.05
                 conflicts_until_restart -= 1
-                if conflicts_until_restart <= 0 and self.decision_level > 0:
+                if conflicts_until_restart <= 0 and self.trail_limits:
                     restart_index += 1
                     conflicts_until_restart = self.base.restart_base * luby(
                         restart_index

@@ -45,13 +45,13 @@ def normalize_clause(literals: Sequence[int]) -> Optional[Clause]:
     Returns None for tautologies (a literal and its negation). Raises
     :class:`SolverError` for malformed input (a zero literal).
     """
-    unique = sorted(set(literals), key=abs)
-    if any(literal == 0 for literal in unique):
+    seen = set(literals)
+    if 0 in seen:
         raise SolverError("clause contains the literal 0")
-    seen = set(unique)
-    if any(-literal in seen for literal in unique):
+    # Duplicates are gone, so two literals share a variable only as v, -v.
+    if len(set(map(abs, seen))) != len(seen):
         return None
-    return tuple(unique)
+    return tuple(sorted(seen, key=abs))
 
 
 class DpllSolver:

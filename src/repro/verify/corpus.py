@@ -17,6 +17,7 @@ internal carryover work — on top of deliveries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from ..algorithms.registry import algorithm_by_name
@@ -57,27 +58,37 @@ class CorpusEntry:
             )
 
     def problem(self) -> DisCSP:
-        instance = random_coloring_instance(
-            self.num_nodes,
-            num_colors=self.num_colors,
-            seed=self.instance_seed,
-            num_edges=self.num_edges,
-        )
-        if self.num_agents is None:
-            return instance.to_discsp()
-        csp = instance.to_csp()
-        owner = {
-            variable: variable % self.num_agents
-            for variable in csp.variables
-        }
-        return DisCSP.from_csp(csp, owner)
+        """The entry's DisCSP, built once per entry and then shared.
+
+        Sharing is safe because a DisCSP is immutable (tuples, frozensets
+        and immutable domains behind read-only accessors): agents only read
+        it. An exploration builds agents for thousands of schedules.
+        """
+        return _problem_of(self)
 
     def build(self) -> Tuple[DisCSP, Sequence[SimulatedAgent]]:
-        """Fresh problem + agents; identical on every call (pinned seeds)."""
+        """The shared problem + fresh agents; identical on every call."""
         problem = self.problem()
         spec = algorithm_by_name(self.algorithm)
         agents = spec.build(problem, MetricsCollector(), self.agent_seed, None)
         return problem, agents
+
+
+@lru_cache(maxsize=None)
+def _problem_of(entry: CorpusEntry) -> DisCSP:
+    instance = random_coloring_instance(
+        entry.num_nodes,
+        num_colors=entry.num_colors,
+        seed=entry.instance_seed,
+        num_edges=entry.num_edges,
+    )
+    if entry.num_agents is None:
+        return instance.to_discsp()
+    csp = instance.to_csp()
+    owner = {
+        variable: variable % entry.num_agents for variable in csp.variables
+    }
+    return DisCSP.from_csp(csp, owner)
 
 
 #: The corpus CI explores and BENCH_verify.json measures. Names are stable

@@ -13,6 +13,8 @@ so in the changelog — that is a results-invalidating change.
 
 import hashlib
 
+import pytest
+
 from repro.problems.binary_csp import random_binary_csp
 from repro.problems.coloring import random_coloring_instance
 from repro.problems.sat.generators import planted_3sat, unique_solution_3sat
@@ -70,6 +72,25 @@ class TestGoldenDigests:
         # proofs exercise the CDCL kernel far more than n=12 does.
         instance = unique_solution_3sat(50)
         assert digest(sat_payload(instance)) == "f2f2fbe784422557"
+
+    @pytest.mark.parametrize(
+        "num_vars, expected",
+        [
+            # n=4 is the smallest that generates: planted_3sat(3) cannot
+            # draw its 8 distinct balanced clauses from the 6 that exist.
+            (4, "59e4392cd82110e6"),
+            (20, "7078dcdc4ad142b9"),
+            (30, "0c8935939ac2aa30"),
+            (75, "8fdd7fe16727935d"),
+        ],
+    )
+    def test_unique_solution_3sat_sizes(self, num_vars, expected):
+        instance = unique_solution_3sat(num_vars)
+        assert digest(sat_payload(instance)) == expected
+
+    def test_unique_solution_3sat_dpll_engine(self):
+        instance = unique_solution_3sat(20, engine="dpll")
+        assert digest(sat_payload(instance)) == "de0cf38fd4734818"
 
     def test_random_binary_csp_default_seed(self):
         instance = random_binary_csp(10, 4, 0.3, 0.2)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.exceptions import SolverError
 from repro.solvers.cdcl import CdclSolver, luby
-from repro.solvers.dpll import DpllSolver
+from repro.solvers.dpll import DpllSolver, blocking_clause, normalize_clause
 
 
 def pigeonhole(holes: int):
@@ -149,6 +149,63 @@ class TestPinnedSearch:
         solver = CdclSolver(60, random_3sat(1, 60, 250))
         assert solver.solve() is None
         assert solver.conflicts == 141
+
+
+def watched_clauses(solver):
+    """Each watch list as the clauses it names, in watch order."""
+    return {
+        literal: [tuple(solver._clauses[index]) for index in indices]
+        for literal, indices in solver._watches.items()
+    }
+
+
+def distinct_3sat(seed, num_vars, num_clauses):
+    """Sorted distinct normalised 3-clauses, as the generators keep them."""
+    return sorted({
+        normalize_clause(clause)
+        for clause in random_3sat(seed, num_vars, num_clauses)
+    })
+
+
+class TestInsertClause:
+    """A solver grown with insert_clause searches exactly like a solver
+    rebuilt from the sorted clauses: the unique-solution generator relies
+    on it to keep its instances while reusing one solver."""
+
+    def test_grown_solver_matches_fresh_build(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            n = rng.randint(6, 30)
+            clauses = distinct_3sat(seed, n, round(4.2 * n))
+            rest = rng.sample(clauses, rng.randint(1, len(clauses) - 1))
+            base = sorted(set(clauses) - set(rest))
+            planted = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+            block = blocking_clause(planted)
+            polarity = {v: not value for v, value in planted.items()}
+
+            grown = CdclSolver(n, base)
+            grown.add_clause(block)
+            for clause in rest:
+                assert grown.insert_clause(clause) is True
+            fresh = CdclSolver(n, clauses)
+            fresh.add_clause(block)
+
+            assert watched_clauses(grown) == watched_clauses(fresh)
+            assert grown.solve(polarity=polarity) == fresh.solve(
+                polarity=polarity
+            )
+            assert grown.conflicts == fresh.conflicts
+
+    def test_inserted_clause_sorts_before_longer_clauses(self):
+        solver = CdclSolver(4, [[1, 2, 3, 4]])
+        solver.insert_clause([2, 1, -3])
+        assert watched_clauses(solver)[1] == [(1, 2, -3), (1, 2, 3, 4)]
+
+    def test_screens_like_add_clause(self):
+        solver = CdclSolver(3)
+        assert solver.insert_clause([1, -1]) is False
+        with pytest.raises(SolverError):
+            solver.insert_clause([1, 4])
 
 
 class TestHardFormulas:

@@ -1,6 +1,7 @@
 """The DPLL substrate: solving, counting, and the blocking-clause helper."""
 
 import itertools
+import random
 
 import pytest
 
@@ -38,6 +39,34 @@ class TestNormalize:
 
     def test_empty_clause_allowed(self):
         assert normalize_clause([]) == ()
+
+    def test_matches_reference_on_random_lists(self):
+        # Literals in -4..4 give zeros, duplicates, tautologies and (at
+        # length 0) empty lists in one stream.
+        rng = random.Random(5)
+        for _ in range(2000):
+            literals = [rng.randint(-4, 4) for _ in range(rng.randint(0, 6))]
+            assert _outcome(normalize_clause, literals) == _outcome(
+                reference_normalize, literals
+            ), literals
+
+
+def reference_normalize(literals):
+    """The original generator-scan screen, kept as a test oracle."""
+    unique = sorted(set(literals), key=abs)
+    if any(literal == 0 for literal in unique):
+        raise SolverError("clause contains the literal 0")
+    seen = set(unique)
+    if any(-literal in seen for literal in unique):
+        return None
+    return tuple(unique)
+
+
+def _outcome(normalize, literals):
+    try:
+        return normalize(literals)
+    except SolverError as error:
+        return ("error", str(error))
 
 
 class TestSolve:

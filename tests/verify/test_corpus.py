@@ -31,6 +31,16 @@ class TestEntry:
         assert first_problem.variables == second_problem.variables
         assert [a.id for a in first_agents] == [a.id for a in second_agents]
 
+    def test_build_shares_the_problem_and_makes_fresh_agents(self):
+        entry = PINNED_CORPUS[0]
+        first_problem, first_agents = entry.build()
+        second_problem, second_agents = entry.build()
+        assert first_problem is second_problem
+        assert all(
+            first is not second
+            for first, second in zip(first_agents, second_agents)
+        )
+
     def test_reowning_produces_multi_variable_agents(self):
         entry = next(e for e in PINNED_CORPUS if e.num_agents is not None)
         problem, agents = entry.build()
