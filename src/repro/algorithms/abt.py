@@ -59,7 +59,7 @@ def _smallest_nogood_order(nogood: Nogood) -> Tuple[int, object]:
     """Sort key for "the smallest violated nogood": size, then structure.
 
     Module-level (not a lambda at the ``min()`` call) so the per-deadend
-    path allocates no closure (lint rule H4).
+    path allocates no closure.
     """
     return (len(nogood), stable_nogood_key(nogood))
 
@@ -226,7 +226,7 @@ class AbtAgent(SingleVariableAgent):
         # As in AWC, the sender's pin slot rotates onto its latest
         # backtrack nogood so retention policies cannot evict the copy
         # the sender's backjump reasoning depends on. The duplicate-add
-        # path returns an empty tuple, not a throwaway list (lint rule H1).
+        # path returns an empty tuple, not a throwaway list.
         if not self.store.add(nogood, slot=sender):
             return ()
         requests: List[Outgoing] = []

@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # the builder imports derive_rng lazily at runtime
     from ..runtime.random_source import Seed
 
 #: Score accessor for (candidate, lower-count) pairs; module-level so the
-#: per-message selection path allocates no closure (lint rule H4).
+#: per-message selection path allocates no closure.
 _lower_count_of = itemgetter(1)
 
 
@@ -72,14 +72,14 @@ class AwcAgent(SingleVariableAgent):
         self.learning = learning
         # The agent keeps only its own append-only log, never the shared
         # collector: a collector alias would outlive reset_episode's swap
-        # to a fresh collector (lint rule S3).
+        # to a fresh collector.
         self.generation_log = metrics.generation_log_for(agent_id)
         self.priority = 0
         self.view = AgentView()
         self.last_generated: Optional[Nogood] = None
         # Reusable candidate-value buffers for the per-message decision
         # procedure: ``clear()`` keeps list capacity, so once warm the scan
-        # allocates nothing (lint rule H2). Both are consumed before any
+        # allocates nothing. Both are consumed before any
         # call that could re-enter the decision procedure.
         self._scratch_others: List[Value] = []
         self._scratch_candidates: List[Value] = []
@@ -136,7 +136,7 @@ class AwcAgent(SingleVariableAgent):
         # Value requests and broadcast bookkeeping live in reusable scratch
         # sets, and outgoing messages accumulate in one list from the start
         # (the old requests-then-copy shape allocated a set, a list and a
-        # copy on every delivery, lint rule H2). Message order is unchanged:
+        # copy on every delivery). Message order is unchanged:
         # add-link requests first, then the reaction, then requester oks.
         state_changed = False
         requesters = self._scratch_requesters
@@ -274,7 +274,7 @@ class AwcAgent(SingleVariableAgent):
 
         Returns an empty tuple on the no-request paths — under ``norec``
         policies that is every call, so the refused path must not build a
-        throwaway list (lint rule H1).
+        throwaway list.
         """
         if not self.learning.should_record(nogood):
             return ()

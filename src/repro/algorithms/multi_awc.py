@@ -101,7 +101,7 @@ class MultiVariableAwcAgent(SimulatedAgent):
             handler.store.counter = self.check_counter
             self._handlers[variable] = handler
         # The handler map is fixed from here on; iterate this instead of
-        # re-sorting the keys on every dispatch (lint rule H3).
+        # re-sorting the keys on every dispatch.
         self._ordered_variables: Tuple[VariableId, ...] = tuple(
             sorted(self._handlers)
         )

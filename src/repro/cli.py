@@ -685,12 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="smoke benchmarks: lint analyzer, interleaving verifier, "
-        "retention subsystem, handler allocation churn (writes "
-        "BENCH_*.json)",
+        "retention subsystem (writes BENCH_*.json)",
     )
     bench.add_argument(
         "--axis",
-        choices=("lint", "verify", "retention", "alloc"),
+        choices=("lint", "verify", "retention"),
         required=True,
         help="what to measure (see repro.experiments.bench)",
     )
@@ -701,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="",
         default=None,
         metavar="BASELINE",
-        help="(--axis lint/verify/retention/alloc) fail if the axis's "
+        help="(--axis lint/verify/retention) fail if the axis's "
         "metric regressed more than 20%% vs the BASELINE report",
     )
     bench.set_defaults(func=_cmd_bench)

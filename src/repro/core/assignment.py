@@ -31,7 +31,7 @@ class AgentView:
     priorities only (its keys are a subset of ``_values``'s). An update
     allocates nothing, and the nogood store's counted scan reads
     ``_values`` directly (package-internal; algorithm code goes through
-    the methods, lint rule R1).
+    the methods, which keep ``priority_version`` in step).
     """
 
     __slots__ = ("_values", "_priorities", "priority_version")

@@ -75,7 +75,7 @@ class Nogood:
 
         Precomputed at construction: consultation paths read this on every
         priority-key computation, and rebuilding the frozenset there was
-        measurable per-message garbage (lint rule H3).
+        measurable per-message garbage.
         """
         return self._variables
 

@@ -469,7 +469,7 @@ class NogoodStore:
         self.key_cache_misses += 1
         own = self.own_variable
         # Refilled in place: a fresh set per rebuild was most of the
-        # store's transient allocation under the alloc bench's probe.
+        # store's transient allocation per message.
         above = self._above
         above.clear()
         if own_priority == 0:

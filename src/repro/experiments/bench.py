@@ -1,11 +1,10 @@
-"""Smoke benchmarks for the lint analyzer, the verifier, retention and
-allocation churn.
+"""Smoke benchmarks for the lint analyzer, the verifier and retention.
 
 Each axis measures one subsystem on a fixed small workload, asserts the
 results it depends on, and writes a JSON report. ``repro bench`` exposes
 it as a CLI subcommand.
 
-Four axes:
+Three axes:
 
 * ``--axis lint`` — two full-tree runs of the whole-program repro-lint
   analyzer (``src/`` + ``tests/``); identical findings are the
@@ -22,18 +21,11 @@ Four axes:
   every policy, asserting solution re-verification and budget
   compliance. Writes ``BENCH_kb_memory.json``; ``--gate`` applies the
   20% rule to the soak stream's checks/sec.
-* ``--axis alloc`` — per-message allocation churn of the handler hot
-  paths: replays the d3c/d3s cells with a ``tracemalloc`` probe around
-  every ``initialize``/``step`` call and reports transient bytes per 1k
-  delivered messages (the garbage the H1-H4 lint rules police; lower is
-  better). The instrumented replay must match the uninstrumented
-  reference bit-for-bit. Writes ``BENCH_alloc.json``; ``--gate`` applies
-  the 20% rule as a ceiling.
 
 Usage::
 
     PYTHONPATH=src python -m repro.cli bench
-        --axis lint|verify|retention|alloc
+        --axis lint|verify|retention
         [--output PATH] [--gate [BASELINE]]
 
 The workloads are deliberately small (quick-scale sizes, seconds per
@@ -47,26 +39,16 @@ repro-lint determinism rules ban inside the simulation layers.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import platform
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.registry import algorithm_by_name
-from ..runtime.metrics import MetricsCollector
-from ..runtime.simulator import SynchronousSimulator
 from .paper import instances_for
-from .runner import (
-    CellResult,
-    random_initial_assignment,
-    run_cell,
-    synchronous_network_factory,
-    trial_parameters,
-)
+from .runner import run_cell
 
 #: (family, n, instances, inits, algorithm label) — fixed quick-scale grid.
 GRID = (
@@ -327,6 +309,8 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
     from ..verify.explorer import explore_corpus
 
     report_data = explore_corpus()
+    prune_ratio = report_data.prune_ratio
+    assert prune_ratio is not None  # explore_corpus counts naive by default
     schedules_per_second = report_data.schedules_per_second
     report = {
         "benchmark": "verify_smoke",
@@ -334,7 +318,7 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
         "cores": os.cpu_count() or 1,
         "verify": {
             "schedules_per_second": round(schedules_per_second, 1),
-            "prune_ratio": round(report_data.prune_ratio, 2),
+            "prune_ratio": round(prune_ratio, 2),
             "explored": report_data.explored,
             "naive": report_data.naive,
             "total_runs": report_data.total_runs,
@@ -353,7 +337,7 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
     print(
         f"verify: {report_data.explored} schedules explored "
         f"({report_data.total_runs} runs), prune ratio "
-        f"{report_data.prune_ratio:.1f}x, "
+        f"{prune_ratio:.1f}x, "
         f"{schedules_per_second:,.0f} schedules/s"
     )
     print(f"wrote {output}")
@@ -361,9 +345,9 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
         for violation in report_data.violations:
             print(f"FATAL: invariant violation: {violation}")
         return 1
-    if report_data.prune_ratio < 10.0:
+    if prune_ratio < 10.0:
         print(
-            f"FATAL: prune ratio {report_data.prune_ratio:.1f}x fell "
+            f"FATAL: prune ratio {prune_ratio:.1f}x fell "
             "below the 10x bar — the commutativity matrix is no longer "
             "pruning effectively"
         )
@@ -373,233 +357,6 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
         return check_gate(
             gate, schedules_per_second, metric_path, label, direction
         )
-    return 0
-
-
-# -- the alloc axis -------------------------------------------------------------
-
-#: The d3c/d3s cells replayed for per-message allocation accounting.
-ALLOC_GRID = GRID[:4]
-
-#: Pre-remediation reference for the alloc axis, measured on this tree
-#: immediately before the H1-H4 fixes (same grid, same seeds, same
-#: probe). Committed so ``BENCH_alloc.json`` can report the reduction the
-#: fixes bought without needing to check out the old tree.
-ALLOC_PRE_FIX_REFERENCE = {
-    "transient_bytes_per_1k_messages": 391277.0,
-    "python": "3.11.7",
-    "note": (
-        "measured before the H1-H4 remediation: hoisted hot-path lambdas, "
-        "cached domain/recipient/nogood-variable views, count-based store "
-        "consultation instead of throwaway violation lists, reusable "
-        "candidate scratch buffers, and a tuple-free priority-key miss path"
-    ),
-}
-
-
-class _AllocProbe:
-    """Accumulates transient allocation across instrumented handler calls.
-
-    ``wrap()`` shadows an agent's ``initialize``/``step`` bound methods
-    with closures that bracket the call in ``tracemalloc.reset_peak()`` /
-    ``get_traced_memory()``. ``peak - current`` after the call is the
-    memory that existed at some point during the handler but not at its
-    end — i.e. the per-message garbage H1-H4 police. Retained allocation
-    (nogoods entering the store) appears in both terms and cancels out.
-    """
-
-    def __init__(self) -> None:
-        self.handler_calls = 0
-        self.delivered_messages = 0
-        self.transient_bytes = 0
-
-    def wrap(self, agent) -> None:
-        probe = self
-        inner_initialize = agent.initialize
-        inner_step = agent.step
-
-        def initialize():
-            probe.handler_calls += 1
-            tracemalloc.reset_peak()
-            result = inner_initialize()
-            current, peak = tracemalloc.get_traced_memory()
-            probe.transient_bytes += peak - current
-            return result
-
-        def step(messages):
-            probe.handler_calls += 1
-            probe.delivered_messages += len(messages)
-            tracemalloc.reset_peak()
-            result = inner_step(messages)
-            current, peak = tracemalloc.get_traced_memory()
-            probe.transient_bytes += peak - current
-            return result
-
-        agent.initialize = initialize
-        agent.step = step
-
-
-def _run_alloc_trial(problem, spec, seed, probe: _AllocProbe):
-    """One instrumented trial; mirrors ``runner.run_trial`` (sync/dict)."""
-    metrics = MetricsCollector()
-    initial = random_initial_assignment(problem, seed)
-    agents = spec.build(problem, metrics, seed, initial)
-    for agent in agents:
-        probe.wrap(agent)
-    simulator = SynchronousSimulator(
-        problem,
-        agents,
-        network=synchronous_network_factory(seed),
-        max_cycles=MAX_CYCLES,
-        metrics=metrics,
-    )
-    return simulator.run()
-
-
-def run_alloc_bench(output: str, gate: Optional[str]) -> int:
-    """``--axis alloc``: allocation churn per 1k delivered messages.
-
-    Replays the d3c/d3s cells twice: once uninstrumented (the reference),
-    once with every handler call bracketed by a :class:`_AllocProbe`. The
-    probe is purely observational, so the instrumented leg must reproduce
-    the reference results bit-for-bit — a divergence means the probe (or
-    an allocation "fix") changed behaviour, and the run fails. The
-    headline metric is transient bytes per 1k delivered messages (lower
-    is better); the committed :data:`ALLOC_PRE_FIX_REFERENCE` turns it
-    into the reduction the H1-H4 remediation bought.
-    """
-    print(
-        f"bench_smoke: alloc axis — {len(ALLOC_GRID)} d3c/d3s cells, "
-        "tracemalloc transient probe around every handler call"
-    )
-    rows = []
-    mismatches = []
-    totals = {
-        "handler_calls": 0,
-        "delivered_messages": 0,
-        "transient_bytes": 0,
-    }
-    for family, n, num_instances, inits, label in ALLOC_GRID:
-        instances = instances_for(family, n, num_instances, MASTER_SEED)
-        spec = algorithm_by_name(label)
-        reference_cell = run_cell(
-            instances,
-            spec,
-            inits_per_instance=inits,
-            master_seed=MASTER_SEED,
-            n=n,
-            max_cycles=MAX_CYCLES,
-            workers=1,
-        )
-        probe = _AllocProbe()
-        trials = []
-        # A cyclic collection inside a probed call would count garbage
-        # left by earlier trials as that call's transient bytes, and when
-        # collections fire depends on every allocation since start-up.
-        # The collector stays off while the probe runs.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            for instance_index, _init_index, seed in trial_parameters(
-                num_instances, inits, MASTER_SEED
-            ):
-                trials.append(
-                    _run_alloc_trial(
-                        instances[instance_index], spec, seed, probe
-                    )
-                )
-        finally:
-            tracemalloc.stop()
-            if gc_was_enabled:
-                gc.enable()
-        instrumented_cell = CellResult(label=label, n=n, trials=trials)
-        if cell_measures(reference_cell) != cell_measures(instrumented_cell):
-            mismatches.append(f"{family}-n{n}-{label}")
-        per_1k = (
-            probe.transient_bytes * 1000.0 / probe.delivered_messages
-            if probe.delivered_messages
-            else 0.0
-        )
-        rows.append(
-            {
-                "family": family,
-                "n": n,
-                "algorithm": label,
-                "trials": len(trials),
-                "handler_calls": probe.handler_calls,
-                "delivered_messages": probe.delivered_messages,
-                "transient_bytes": probe.transient_bytes,
-                "transient_bytes_per_1k_messages": round(per_1k, 1),
-            }
-        )
-        for key in totals:
-            totals[key] += getattr(probe, key)
-    if mismatches:
-        print(
-            "FATAL: instrumented replay diverges from the reference run: "
-            f"{mismatches}"
-        )
-        return 1
-    bytes_per_1k = (
-        totals["transient_bytes"] * 1000.0 / totals["delivered_messages"]
-        if totals["delivered_messages"]
-        else 0.0
-    )
-    reference_per_1k = ALLOC_PRE_FIX_REFERENCE[
-        "transient_bytes_per_1k_messages"
-    ]
-    reduction = (
-        1.0 - bytes_per_1k / reference_per_1k if reference_per_1k else 0.0
-    )
-    report = {
-        "benchmark": "alloc_smoke",
-        "grid": [
-            {
-                "family": family,
-                "n": n,
-                "instances": instances,
-                "inits": inits,
-                "algorithm": label,
-            }
-            for family, n, instances, inits, label in ALLOC_GRID
-        ],
-        "max_cycles": MAX_CYCLES,
-        "master_seed": MASTER_SEED,
-        "machine": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "cells": rows,
-        "alloc": {
-            **totals,
-            "transient_bytes_per_1k_messages": round(bytes_per_1k, 1),
-        },
-        "pre_fix_reference": ALLOC_PRE_FIX_REFERENCE,
-        "reduction_vs_pre_fix": round(reduction, 3),
-        "results_identical": True,
-        "note": (
-            "transient bytes = tracemalloc peak minus surviving bytes per "
-            "handler call, summed over the replay and normalised per 1k "
-            "delivered messages; it counts per-message garbage (temporary "
-            "containers, sort copies, closures) while retained state "
-            "(nogoods entering the store) cancels out. Deterministic for "
-            "a fixed Python version; lower is better"
-        ),
-    }
-    Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"alloc: {totals['delivered_messages']:,} messages over "
-        f"{totals['handler_calls']:,} handler calls, "
-        f"{bytes_per_1k:,.0f} transient bytes/1k msgs "
-        f"({reduction:.1%} below the pre-fix reference)"
-    )
-    print(f"wrote {output}")
-    if gate is not None:
-        metric_path, metric_label, direction = GATE_METRICS["alloc"]
-        return check_gate(gate, bytes_per_1k, metric_path, metric_label,
-                          direction)
     return 0
 
 
@@ -622,11 +379,6 @@ GATE_METRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
         "retention soak checks/sec",
         "max",
     ),
-    "alloc": (
-        ("alloc", "transient_bytes_per_1k_messages"),
-        "transient bytes/1k messages",
-        "min",
-    ),
 }
 
 
@@ -640,8 +392,8 @@ def check_gate(
     """Fail if *measured* regressed >20% against the committed baseline.
 
     ``direction`` says which way is better: ``"max"`` metrics (throughput)
-    gate on a floor 20% below the baseline, ``"min"`` metrics (allocation
-    churn) on a ceiling 20% above it.
+    gate on a floor 20% below the baseline, ``"min"`` metrics (wall time)
+    on a ceiling 20% above it.
 
     A gate was explicitly requested, so a baseline that cannot be read is
     an error, never a silent skip — one line, no traceback.
@@ -692,7 +444,6 @@ AXES = {
     "lint": "BENCH_lint.json",
     "verify": "BENCH_verify.json",
     "retention": "BENCH_kb_memory.json",
-    "alloc": "BENCH_alloc.json",
 }
 
 
@@ -704,9 +455,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         required=True,
         help="what to measure: two passes of the whole-program lint "
         "analyzer, the interleaving verifier's schedule-exploration "
-        "throughput, the nogood retention subsystem's parity and soak "
-        "stream, or the per-message allocation churn of the handler hot "
-        "paths",
+        "throughput, or the nogood retention subsystem's parity and soak "
+        "stream",
     )
     parser.add_argument(
         "--output",
@@ -732,6 +482,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_lint_bench(repo_root, output, gate)
     if args.axis == "verify":
         return run_verify_bench(output, gate)
-    if args.axis == "alloc":
-        return run_alloc_bench(output, gate)
     return run_retention_bench(output, gate)

@@ -11,13 +11,9 @@ from __future__ import annotations
 from typing import Set, Tuple
 
 from .rules import BASE_RULES, Rule
-from .rules_alloc import ALLOC_RULES
-from .rules_dist import DIST_RULES
 from .rules_program import PROGRAM_RULES
 
-ALL_RULES: Tuple[Rule, ...] = (
-    BASE_RULES + PROGRAM_RULES + ALLOC_RULES + DIST_RULES
-)
+ALL_RULES: Tuple[Rule, ...] = BASE_RULES + PROGRAM_RULES
 
 #: Rule ids accepted in disable= comments (X0 itself cannot be disabled:
 #: a malformed suppression must be fixed, not suppressed).

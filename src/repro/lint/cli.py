@@ -31,11 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Whole-program invariant checker: payload immutability (P2), "
-            "agent/transport separation (A1), metric accounting (M1), "
-            "view-counter discipline (R1), hot-path allocation discipline "
-            "(H1-H4), non-blocking handlers (S2), plus trace "
-            "cross-validation "
+            "Whole-program invariant checker: agent/transport separation "
+            "(A1) and metric accounting (M1), plus trace cross-validation "
             "(--check-trace). See CONTRIBUTING.md for the rule catalogue, "
             "or --explain RULE for one entry with examples."
         ),
@@ -137,8 +134,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             doc = (rule.__doc__ or "").strip().splitlines()[0]
             print(f"{rule.id}  {rule.title}: {doc}")
         print(
-            "X0  control comments: a disable= without justification, or "
-            "a hotpaths.toml item that names nothing, is itself a finding."
+            "X0  control comments: a disable= without justification is "
+            "itself a finding."
         )
         return 0
     if args.explain is not None:

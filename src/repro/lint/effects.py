@@ -20,7 +20,7 @@ The result is memoised per :class:`~repro.lint.graph.ProjectGraph` (via
 :meth:`~ProjectGraph.cached`). Its consumer is the DPOR schedule explorer
 (:mod:`repro.verify`), which uses the matrix to prune equivalent delivery
 orders — deliveries to the same agent whose handlers commute need only be
-explored in one order. Rule S2 reuses the dispatch discovery.
+explored in one order.
 
 The analysis is deliberately conservative: an attribute method it cannot
 classify as read-only counts as a write, so "commutes" is only reported
@@ -71,15 +71,6 @@ READ_ONLY_METHODS = frozenset(
 
 #: Method-name prefixes assumed read-only when the name is unknown.
 READ_ONLY_PREFIXES = ("is_", "has_", "count_", "sorted_")
-
-#: Attribute methods that mutate their receiver (footprint write).
-MUTATING_METHODS = frozenset(
-    {
-        "add", "update", "forget", "remove", "discard", "pop", "popitem",
-        "clear", "append", "extend", "insert", "setdefault", "sort",
-        "reverse", "appendleft", "extendleft", "push", "bump",
-    }
-)
 
 #: The base class whose subclass closure defines "agent code".
 AGENT_BASE = "SimulatedAgent"

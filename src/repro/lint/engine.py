@@ -26,7 +26,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 from .catalogue import ALL_RULES, KNOWN_RULE_IDS
 from .findings import Finding
 from .graph import ProjectGraph
-from .hotpaths import find_config_file, load_hot_config, unresolved_items
 from .rules import Rule
 from .suppressions import parse_suppressions
 
@@ -171,9 +170,8 @@ def lint_paths(
 
     Builds the :class:`~repro.lint.graph.ProjectGraph` **once** over every
     selected file and shares it across all rules and files — each file is
-    parsed a single time, and whole-program analyses (handler effects,
-    the H rules' allocation sites) are memoised
-    on the graph. This sharing is what keeps a
+    parsed a single time, and whole-program analyses (the agent subclass
+    closure) are memoised on the graph. This sharing is what keeps a
     full-tree run inside the bench budget (see ``BENCH_lint.json``).
     """
     findings: List[Finding] = []
@@ -181,64 +179,12 @@ def lint_paths(
     graph = ProjectGraph.build(files)
     for path in files:
         findings.extend(lint_file(path, rules=rules, graph=graph))
-    findings.extend(hot_config_findings(files, graph))
     if baseline:
         findings = [
             finding
             for finding in findings
             if _baseline_key(finding) not in baseline
         ]
-    return findings
-
-
-def hot_config_findings(
-    files: Sequence[str], graph: ProjectGraph
-) -> List[Finding]:
-    """X0 for every ``hotpaths.toml`` item that names no module or function.
-
-    The package root comes from the first linted in-package file; a run
-    with none (fixtures only) has no tree to check the policy against.
-    """
-    for path in files:
-        scope = scope_of(path)
-        if scope is not None:
-            break
-    else:
-        return []
-    config_path = find_config_file(Path(path))
-    if config_path is None:
-        return []
-    package_root = Path(path).parents[len(Path(scope).parts) - 1]
-    missing = unresolved_items(
-        graph, load_hot_config(Path(path)), package_root
-    )
-    lines = config_path.read_text(encoding="utf-8").splitlines()
-    display = os.path.relpath(config_path).replace(os.sep, "/")
-    findings = []
-    for item in missing:
-        line = next(
-            (
-                number
-                for number, text in enumerate(lines, 1)
-                if f'"{item}"' in text
-            ),
-            1,
-        )
-        findings.append(
-            Finding(
-                path=display,
-                line=line,
-                column=1,
-                rule="X0",
-                message=f"hot-path item {item!r} names no module or function",
-                hint=(
-                    "point the item at an existing repro-relative module "
-                    "or scope::Class.method, or delete it"
-                ),
-                source=lines[line - 1].strip() if lines else "",
-                anchor=config_path.name,
-            )
-        )
     return findings
 
 

@@ -1,20 +1,18 @@
-"""The project symbol/import graph shared by every whole-program rule.
+"""The project symbol/import graph shared by the whole-program analyses.
 
-PR 2's rules were file-local: each saw one ``ast.Module`` and nothing
-else. The bug classes that bite when the runtime goes distributed — RNG
-seeds laundered through helper functions, payloads aliased across a
-transport boundary, agent code reaching around the message protocol — are
-*inter-procedural* by nature, so the analyzer needs one shared picture of
-the whole tree:
+A file-local rule sees one ``ast.Module`` and nothing else. Agent code
+reaching around the message protocol (rule A1) and the handler-effect
+table the interleaving verifier prunes with
+(:mod:`repro.lint.effects`) need the class hierarchy across files, so
+the analyzer keeps one shared picture of the whole tree:
 
 * every file parsed **once** (the engine reuses these ASTs instead of
   re-parsing per rule — this cache is what keeps a full-tree run under the
   10-second budget);
-* a symbol table per module: top-level functions, classes (with dataclass
-  flags, ``frozen=``, and annotated fields), and methods;
-* import resolution repro-relative: ``from ..runtime.random_source import
-  derive_rng`` inside ``algorithms/awc.py`` resolves to the function object
-  in ``runtime/random_source.py`` when that file is part of the run;
+* a symbol table per module: top-level functions, classes and methods;
+* import resolution repro-relative: ``from ..core.assignment import
+  AgentView`` inside ``algorithms/awc.py`` resolves to the class object in
+  ``core/assignment.py`` when that file is part of the run;
 * a subclass closure, so a rule can ask "every class that is (transitively)
   a :class:`~repro.runtime.agent.SimulatedAgent`" without hard-coding the
   algorithm modules.
@@ -59,21 +57,6 @@ class FunctionInfo:
     module: "ModuleInfo"
     #: Enclosing class name for methods, None for module-level functions.
     class_name: Optional[str] = None
-    #: Lexically enclosing functions, outermost first (for closures).
-    enclosing: Tuple["FunctionInfo", ...] = ()
-
-    @property
-    def params(self) -> List[str]:
-        """Positional + keyword parameter names, ``self``/``cls`` included."""
-        args = self.node.args  # type: ignore[attr-defined]
-        names = [arg.arg for arg in args.posonlyargs]
-        names += [arg.arg for arg in args.args]
-        names += [arg.arg for arg in args.kwonlyargs]
-        if args.vararg is not None:
-            names.append(args.vararg.arg)
-        if args.kwarg is not None:
-            names.append(args.kwarg.arg)
-        return names
 
     def __repr__(self) -> str:
         return f"FunctionInfo({self.module.scope or self.module.path}::{self.qualname})"
@@ -81,7 +64,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class definition with its dataclass metadata."""
+    """One class definition."""
 
     name: str
     node: ast.ClassDef
@@ -89,10 +72,6 @@ class ClassInfo:
     #: Base class simple names (``SingleVariableAgent``; dotted bases keep
     #: only the final attribute).
     bases: Tuple[str, ...] = ()
-    is_dataclass: bool = False
-    frozen: bool = False
-    #: Class-level annotated assignments: field name -> annotation node.
-    fields: Dict[str, ast.expr] = field(default_factory=dict)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
 
     def __repr__(self) -> str:
@@ -242,21 +221,14 @@ class ProjectGraph:
                 bases.append(base.id)
             elif isinstance(base, ast.Attribute):
                 bases.append(base.attr)
-        is_dataclass, frozen = _dataclass_flags(node)
         info = ClassInfo(
             name=node.name,
             node=node,
             module=module,
             bases=tuple(bases),
-            is_dataclass=is_dataclass,
-            frozen=frozen,
         )
         for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(
-                item.target, ast.Name
-            ):
-                info.fields[item.target.id] = item.annotation
-            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.methods[item.name] = FunctionInfo(
                     name=item.name,
                     qualname=f"{node.name}.{item.name}",
@@ -271,29 +243,11 @@ class ProjectGraph:
     def module_at(self, path: str) -> Optional[ModuleInfo]:
         return self.modules.get(path)
 
-    def module_by_scope(self, scope: str) -> Optional[ModuleInfo]:
-        return self.by_scope.get(scope)
-
-    def resolve_function(
-        self, module: ModuleInfo, name: str
-    ) -> Optional[FunctionInfo]:
-        """The FunctionInfo a bare *name* refers to inside *module*: a local
-        definition, or a from-import into another module of the run."""
-        local = module.functions.get(name)
-        if local is not None:
-            return local
-        origin = module.import_names.get(name)
-        if origin is None:
-            return None
-        target = self.by_scope.get(origin[0])
-        if target is None:
-            return None
-        return target.functions.get(origin[1])
-
     def resolve_class(
         self, module: ModuleInfo, name: str
     ) -> Optional[ClassInfo]:
-        """Like :meth:`resolve_function`, for classes."""
+        """The ClassInfo a bare *name* refers to inside *module*: a local
+        definition, or a from-import into another module of the run."""
         local = module.classes.get(name)
         if local is not None:
             return local
@@ -340,32 +294,3 @@ class ProjectGraph:
             self._analysis_cache[key] = compute()  # type: ignore[operator]
         return self._analysis_cache[key]
 
-
-def _dataclass_flags(node: ast.ClassDef) -> Tuple[bool, bool]:
-    """(is_dataclass, frozen) from the decorator list."""
-    is_dataclass = False
-    frozen = False
-    for decorator in node.decorator_list:
-        target = decorator
-        keywords: List[ast.keyword] = []
-        if isinstance(decorator, ast.Call):
-            target = decorator.func
-            keywords = decorator.keywords
-        name = (
-            target.id
-            if isinstance(target, ast.Name)
-            else target.attr
-            if isinstance(target, ast.Attribute)
-            else None
-        )
-        if name != "dataclass":
-            continue
-        is_dataclass = True
-        for keyword in keywords:
-            if (
-                keyword.arg == "frozen"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                frozen = True
-    return is_dataclass, frozen

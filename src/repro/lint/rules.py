@@ -12,8 +12,7 @@ M1     Metric accounting: agent code must not call uncounted consistency
        but a store. Every check must bump the ``CheckCounter`` that feeds
        ``maxcck`` (Section 4's cost measure).
 X0     Malformed control comments (a ``disable=`` without justification is
-       itself a finding — suppressions document why an invariant holds),
-       and ``hotpaths.toml`` items that name no module or function.
+       itself a finding — suppressions document why an invariant holds).
 =====  ======================================================================
 """
 
@@ -26,9 +25,6 @@ from .findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .graph import ProjectGraph
-
-#: Directories (repro-relative) whose code runs *inside* a simulated trial.
-SIMULATED_DIRS = ("algorithms/", "problems/", "runtime/")
 
 #: Methods on a store object that perform *counted* consistency checks.
 COUNTED_CHECKS = frozenset(
@@ -62,7 +58,7 @@ class Rule:
         lines: Sequence[str], graph: "ProjectGraph",
     ) -> Iterator[Finding]:
         """Yield findings for one file. File-local rules ignore *graph*;
-        the whole-program rules (P2/A1 and up) consult it."""
+        the whole-program rule A1 consults it."""
         raise NotImplementedError
 
     def _finding(

@@ -116,7 +116,7 @@ def _print_matrix() -> int:
 
 def _print_text(report: ExplorationReport) -> None:
     for entry in report.entries:
-        ratio = f"{entry.prune_ratio:.1f}x"
+        ratio = _ratio_text(entry.prune_ratio)
         if entry.naive_capped:
             ratio = f">={ratio}"
         outcomes = ", ".join(
@@ -135,10 +135,15 @@ def _print_text(report: ExplorationReport) -> None:
     print(
         f"total: {report.explored} schedules explored "
         f"({report.total_runs} runs incl. naive count), "
-        f"prune ratio {report.prune_ratio:.1f}x, "
+        f"prune ratio {_ratio_text(report.prune_ratio)}, "
         f"{report.schedules_per_second:.0f} schedules/sec, "
         f"{len(report.violations)} violation(s)"
     )
+
+
+def _ratio_text(ratio: Optional[float]) -> str:
+    """``12.3x``, or ``n/a`` when no naive count ran."""
+    return "n/a" if ratio is None else f"{ratio:.1f}x"
 
 
 if __name__ == "__main__":

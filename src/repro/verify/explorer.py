@@ -102,14 +102,15 @@ class EntryReport:
     seconds: float = 0.0
 
     @property
-    def prune_ratio(self) -> float:
-        """Naive schedules per explored schedule (>= 1.0).
+    def prune_ratio(self) -> Optional[float]:
+        """Naive schedules per explored schedule (>= 1.0), or None when
+        no naive count ran: an unmeasured ratio is not a ratio of 1.
 
         A lower bound whenever ``naive_capped`` — the naive walk stopped
         counting at its budget, not at the end of its tree.
         """
         if not self.naive_counted or self.explored == 0:
-            return 1.0
+            return None
         return self.naive / self.explored
 
     @property
@@ -134,7 +135,7 @@ class EntryReport:
             "naive_capped": self.naive_capped,
             "branch_points": self.branch_points,
             "max_enabled": self.max_enabled,
-            "prune_ratio": round(self.prune_ratio, 2),
+            "prune_ratio": _rounded(self.prune_ratio),
             "schedules_per_second": round(self.schedules_per_second, 1),
             "outcomes": dict(self.outcomes),
             "violations": list(self.violations),
@@ -161,11 +162,12 @@ class ExplorationReport:
         return sum(entry.total_runs for entry in self.entries)
 
     @property
-    def prune_ratio(self) -> float:
+    def prune_ratio(self) -> Optional[float]:
+        """The ratio over the entries with a naive count (None if none)."""
         counted = [entry for entry in self.entries if entry.naive_counted]
         explored = sum(entry.explored for entry in counted)
         if explored == 0:
-            return 1.0
+            return None
         return sum(entry.naive for entry in counted) / explored
 
     @property
@@ -193,11 +195,15 @@ class ExplorationReport:
         return {
             "explored": self.explored,
             "naive": self.naive,
-            "prune_ratio": round(self.prune_ratio, 2),
+            "prune_ratio": _rounded(self.prune_ratio),
             "schedules_per_second": round(self.schedules_per_second, 1),
             "violations": self.violations,
             "entries": [entry.as_dict() for entry in self.entries],
         }
+
+
+def _rounded(ratio: Optional[float]) -> Optional[float]:
+    return None if ratio is None else round(ratio, 2)
 
 
 # -- the static matrix, built once per process ---------------------------------

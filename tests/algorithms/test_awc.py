@@ -248,6 +248,24 @@ class TestBuilder:
             agent.initialize()
         assert [a.value for a in agents] == [2, 1, 0]
 
+    def test_awc_agents_hold_no_collector_reference(self):
+        # Agents keep a private GenerationLog that the collector merges at
+        # cycle boundaries; an agent holding the shared collector would
+        # keep recording into it after reset_episode swaps in a fresh one.
+        problem = random_coloring_instance(4, seed=1, num_edges=5).to_discsp()
+        metrics = MetricsCollector()
+        agents = build_awc_agents(
+            problem, learning_method("Rslv"), metrics, seed=0
+        )
+        for agent in agents:
+            assert not hasattr(agent, "metrics")
+            assert agent.generation_log is metrics.generation_log_for(
+                agent.id
+            )
+        # Logs are per-agent objects, not one shared alias.
+        logs = {id(agent.generation_log) for agent in agents}
+        assert len(logs) == len(agents)
+
 
 class TestResetEpisode:
     def test_generations_go_to_the_episode_collector(self):

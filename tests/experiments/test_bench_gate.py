@@ -75,30 +75,20 @@ class TestFloor:
         assert "verify schedules/sec" in capsys.readouterr().out
         assert check_gate(str(path), 100.0, metric_path, label, direction) == 1
 
-    def test_alloc_axis_gates_on_a_ceiling(self, tmp_path, capsys):
+    def test_lint_axis_gates_on_a_ceiling(self, tmp_path, capsys):
         """direction="min": the gate is a ceiling, not a floor."""
-        path = tmp_path / "BENCH_alloc.json"
-        path.write_text(
-            json.dumps(
-                {"alloc": {"transient_bytes_per_1k_messages": 1000.0}}
-            )
-        )
-        metric_path, label, direction = GATE_METRICS["alloc"]
+        path = tmp_path / "BENCH_lint.json"
+        path.write_text(json.dumps({"pass_wall_max_seconds": 4.0}))
+        metric_path, label, direction = GATE_METRICS["lint"]
         assert direction == "min"
         # 10% above baseline: within the 20% ceiling.
-        assert (
-            check_gate(str(path), 1100.0, metric_path, label, direction) == 0
-        )
+        assert check_gate(str(path), 4.4, metric_path, label, direction) == 0
         assert "ceiling" in capsys.readouterr().out
-        # 30% above baseline: the churn regressed, gate fails.
-        assert (
-            check_gate(str(path), 1300.0, metric_path, label, direction) == 1
-        )
+        # 30% above baseline: the pass got slower, gate fails.
+        assert check_gate(str(path), 5.2, metric_path, label, direction) == 1
         assert "regressed more than 20%" in capsys.readouterr().out
         # Well below baseline (an improvement) always passes.
-        assert (
-            check_gate(str(path), 200.0, metric_path, label, direction) == 0
-        )
+        assert check_gate(str(path), 1.0, metric_path, label, direction) == 0
 
     def test_committed_verify_baseline_has_the_gated_metric(self):
         payload = json.loads(open("BENCH_verify.json").read())

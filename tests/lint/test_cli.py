@@ -125,9 +125,9 @@ class TestBaselineShrink:
 
 class TestExplain:
     def test_known_rule_prints_catalogue_entry(self, capsys):
-        assert lint_main(["--explain", "H1"]) == 0
+        assert lint_main(["--explain", "M1"]) == 0
         out = capsys.readouterr().out
-        assert "H1" in out and "hot" in out.lower()
+        assert "M1" in out and "counted" in out.lower()
         assert "Why:" in out and "Bad:" in out and "Good:" in out
 
     def test_every_rule_id_has_an_explanation(self, capsys):

@@ -29,18 +29,18 @@ class TestProjectGraph:
         graph = graph_of(
             (
                 "src/repro/runtime/helper.py",
-                "def derive(seed):\n    return seed\n",
+                "class Derived:\n    pass\n",
                 "runtime/helper.py",
             ),
             (
                 "src/repro/algorithms/user.py",
-                "from ..runtime.helper import derive\n\n"
-                "def build(seed):\n    return derive(seed)\n",
+                "from ..runtime.helper import Derived\n\n"
+                "def build(seed):\n    return Derived()\n",
                 "algorithms/user.py",
             ),
         )
         user = graph.module_at("src/repro/algorithms/user.py")
-        resolved = graph.resolve_function(user, "derive")
+        resolved = graph.resolve_class(user, "Derived")
         assert resolved is not None
         assert resolved.module.scope == "runtime/helper.py"
 
@@ -67,15 +67,3 @@ class TestProjectGraph:
         assert first == second == "value"
         assert len(calls) == 1
 
-    def test_dataclass_metadata_is_extracted(self):
-        graph = graph_of(
-            (
-                "src/repro/runtime/msg.py",
-                "from dataclasses import dataclass\n\n"
-                "@dataclass(frozen=True)\nclass Ping:\n    payload: int\n",
-                "runtime/msg.py",
-            )
-        )
-        cls = graph.module_at("src/repro/runtime/msg.py").classes["Ping"]
-        assert cls.is_dataclass and cls.frozen
-        assert "payload" in cls.fields

@@ -44,7 +44,7 @@ class TestSarif:
 
     def test_rule_index_is_consistent(self):
         findings = lint_file(DIRTY) + lint_file(
-            str(FIXTURES / "p2_mutation_after_send.py")
+            str(FIXTURES / "a1_agent_transport.py")
         )
         log = to_sarif(findings)
         rules = log["runs"][0]["tool"]["driver"]["rules"]

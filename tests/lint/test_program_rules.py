@@ -1,9 +1,8 @@
-"""The whole-program rules (P2/A1) against their fixtures.
+"""The whole-program rule A1 against its fixture.
 
-Same golden pattern as ``test_rules.py``: each dirty fixture pins exact
-(rule, line) pairs, and each fixture carries clean counterexamples that
-must stay silent — the escape analyses are judged as much by what
-they ignore as by what they flag.
+Same golden pattern as ``test_rules.py``: the dirty fixture pins exact
+(rule, line) pairs and carries clean counterexamples that must stay
+silent.
 """
 
 from pathlib import Path
@@ -19,26 +18,6 @@ def findings_of(name):
 
 def located(findings):
     return sorted((finding.rule, finding.line) for finding in findings)
-
-
-class TestP2MutationAfterSend:
-    def test_flags_shallow_freeze_and_escaped_mutations(self):
-        findings = findings_of("p2_mutation_after_send.py")
-        assert located(findings) == [
-            ("P2", 10),  # Dict field on a frozen dataclass
-            ("P2", 21),  # append after send (straight line)
-            ("P2", 28),  # append after send inside the same loop
-        ]
-
-    def test_rebinds_and_pre_send_mutations_pass(self):
-        lines = [f.line for f in findings_of("p2_mutation_after_send.py")]
-        for clean_line in (15, 35, 40):
-            assert clean_line not in lines
-
-    def test_messages_point_back_at_the_send(self):
-        by_line = {f.line: f for f in findings_of("p2_mutation_after_send.py")}
-        assert "line 20" in by_line[21].message
-        assert "Tuple" in by_line[10].hint
 
 
 class TestA1AgentTransport:

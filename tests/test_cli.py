@@ -43,11 +43,13 @@ class TestParser:
             ["bench", "--axis", "workers"],
             ["bench", "--axis", "backend"],
             ["bench", "--axis", "lint", "--jobs", "2"],
+            ["bench", "--axis", "alloc"],
         ],
     )
     def test_one_engine_and_no_engine_bench_axes(self, argv):
         # The synchronous simulator is the only engine, and bench has no
-        # default axis left once the engine and workers axes are gone.
+        # default axis left once the engine and workers axes are gone; the
+        # allocation axis is gone too.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 

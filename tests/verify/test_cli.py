@@ -57,3 +57,17 @@ class TestExploreMode:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"][0]["explored_capped"] is True
+
+    def test_no_naive_reports_no_prune_ratio(self, capsys):
+        # Without a naive count the ratio was never measured: JSON says
+        # null and the text report n/a, not a ratio of 1.
+        argv = ["--explore", "--only", "multi-awc-n5", "--no-naive",
+                "--budget", "3"]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prune_ratio"] is None
+        assert payload["entries"][0]["prune_ratio"] is None
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "prune=n/a" in out
+        assert "prune ratio n/a" in out
