@@ -119,9 +119,7 @@ class AbtAgent(SingleVariableAgent):
             elif isinstance(message, NogoodMessage):
                 changed = True
                 nogood_senders.add(message.sender)
-                outgoing.extend(
-                    self._receive_nogood(message.nogood, message.sender)
-                )
+                outgoing.extend(self._receive_nogood(message.nogood))
             elif isinstance(message, RequestValueMessage):
                 self.recipients.add(message.sender)
                 requesters.add(message.sender)
@@ -220,14 +218,10 @@ class AbtAgent(SingleVariableAgent):
             )
         return Nogood(pairs)
 
-    def _receive_nogood(
-        self, nogood: Nogood, sender: AgentId
-    ) -> Sequence[Outgoing]:
-        # As in AWC, the sender's pin slot rotates onto its latest
-        # backtrack nogood so retention policies cannot evict the copy
-        # the sender's backjump reasoning depends on. The duplicate-add
-        # path returns an empty tuple, not a throwaway list.
-        if not self.store.add(nogood, slot=sender):
+    def _receive_nogood(self, nogood: Nogood) -> Sequence[Outgoing]:
+        # The duplicate-add path returns an empty tuple, not a throwaway
+        # list.
+        if not self.store.add(nogood):
             return ()
         requests: List[Outgoing] = []
         for variable in sorted(nogood.variables):

@@ -32,7 +32,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ..core.assignment import AgentView
-from ..core.exceptions import ModelError
 from ..core.nogood import Nogood
 from ..core.problem import AgentId, DisCSP
 from ..core.variables import Value, VariableId
@@ -71,8 +70,7 @@ class AwcAgent(SingleVariableAgent):
         super().__init__(agent_id, problem, rng, initial_value, variable)
         self.learning = learning
         # The agent keeps only its own append-only log, never the shared
-        # collector: a collector alias would outlive reset_episode's swap
-        # to a fresh collector.
+        # collector, so agents share no mutable metrics state.
         self.generation_log = metrics.generation_log_for(agent_id)
         self.priority = 0
         self.view = AgentView()
@@ -84,35 +82,6 @@ class AwcAgent(SingleVariableAgent):
         self._scratch_others: List[Value] = []
         self._scratch_candidates: List[Value] = []
         self._scratch_requesters: Set[AgentId] = set()
-
-    def reset_episode(
-        self,
-        metrics: MetricsCollector,
-        initial_value: Optional[Value] = None,
-    ) -> None:
-        """Prepare this agent for another episode on the same instance.
-
-        The soak harness re-solves one instance repeatedly with fresh
-        initial values through a persistent population. Search state is
-        reset — priority, view, the completeness rule's memory, the
-        failure flag, the configured initial value — while everything
-        learned persists: the store (with its retention policy, pins and
-        interner), the grown recipient set, and the agent's RNG stream.
-        Learned nogoods are logical consequences of the same instance's
-        constraints, so carrying them across episodes is sound.
-        """
-        if initial_value is not None and initial_value not in self.domain:
-            raise ModelError(
-                f"initial value {initial_value!r} is outside the domain "
-                f"of x{self.variable}"
-            )
-        self.generation_log = metrics.generation_log_for(self.id)
-        self.priority = 0
-        self.view = AgentView()
-        self.last_generated = None
-        self.failure = None
-        self._initial_value = initial_value
-        self.value = self.domain.values[0]
 
     # -- simulator protocol ----------------------------------------------------
 
@@ -152,9 +121,7 @@ class AwcAgent(SingleVariableAgent):
                 # Keep the generator informed of our future moves: it built
                 # this nogood from our announced value.
                 self.recipients.add(message.sender)
-                outgoing.extend(
-                    self._receive_nogood(message.nogood, message.sender)
-                )
+                outgoing.extend(self._receive_nogood(message.nogood))
                 state_changed = True
             elif isinstance(message, RequestValueMessage):
                 self.recipients.add(message.sender)
@@ -262,15 +229,8 @@ class AwcAgent(SingleVariableAgent):
         outgoing.extend(self._broadcast_ok(self.sorted_recipients()))
         return outgoing
 
-    def _receive_nogood(
-        self, nogood: Nogood, sender: AgentId
-    ) -> Sequence[Outgoing]:
+    def _receive_nogood(self, nogood: Nogood) -> Sequence[Outgoing]:
         """Record an announced nogood (policy permitting); request unknowns.
-
-        The add rotates *sender*'s pin slot onto this nogood: the
-        completeness rule in :meth:`_backtrack` assumes the sender's
-        latest announced resolvent is still recorded somewhere, so a
-        retention policy must never evict it (the completeness caveat).
 
         Returns an empty tuple on the no-request paths — under ``norec``
         policies that is every call, so the refused path must not build a
@@ -278,7 +238,7 @@ class AwcAgent(SingleVariableAgent):
         """
         if not self.learning.should_record(nogood):
             return ()
-        if not self.store.add(nogood, slot=sender):
+        if not self.store.add(nogood):
             return ()
         requests: List[Outgoing] = []
         for variable in sorted(nogood.variables):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -25,9 +24,6 @@ from ..core.problem import AgentId, DisCSP
 from ..core.store import NogoodStore
 from ..core.variables import Domain, Value, VariableId
 from ..runtime.agent import SimulatedAgent
-
-if TYPE_CHECKING:
-    from ..retention import NogoodInterner, PolicyFactory
 
 T = TypeVar("T")
 
@@ -100,11 +96,11 @@ class SingleVariableAgent(SimulatedAgent):
         self.variable: VariableId = variable
         self.domain: Domain = problem.csp.domain_of(self.variable)
         self.rng = rng
-        self.store = self.store_class(self.variable, self.check_counter)
-        # Initial constraints are permanently pinned: solutions are
-        # verified against them, so no retention policy may evict one.
-        for nogood in problem.csp.relevant_nogoods(self.variable):
-            self.store.add(nogood, pinned=True)
+        self.store = self.store_class(
+            self.variable,
+            self.check_counter,
+            problem.csp.relevant_nogoods(self.variable),
+        )
         # Owners of the variables we share nogoods with. When this agent
         # hosts several variables (multi_awc), its own id can appear here:
         # the hosting wrapper routes such messages internally.
@@ -134,32 +130,15 @@ class SingleVariableAgent(SimulatedAgent):
         if type(self.store) is store_class:
             return
         old = self.store
-        replacement = store_class(self.variable, self.check_counter)
-        # Replay with retention detached (no policy can evict during the
-        # replay), preserving each nogood's pinned status; then carry over
-        # the slot pins, the shared interner and the policy object itself —
-        # its per-nogood state is keyed structurally, so it stays valid.
-        for nogood in old.nogoods():
-            replacement.add(
-                nogood, pinned=old.is_permanently_pinned(nogood)
-            )
-        for slot, nogood in old.slot_pins():
-            replacement.pin_slot(slot, nogood)
-        if old.interner is not None:
-            replacement.adopt_interner(old.interner)
-        replacement.set_retention(old.retention)
+        nogoods = list(old.nogoods())
+        # Initial nogoods come first in insertion order.
+        initial = len(nogoods) - old.learned_count()
+        replacement = store_class(
+            self.variable, self.check_counter, nogoods[:initial]
+        )
+        for nogood in nogoods[initial:]:
+            replacement.add(nogood)
         self.store = replacement
-
-    def attach_retention(
-        self,
-        policy_factory: Optional["PolicyFactory"],
-        interner: Optional["NogoodInterner"] = None,
-    ) -> None:
-        """Apply the ``--retention`` axis to this agent's store."""
-        if interner is not None:
-            self.store.adopt_interner(interner)
-        if policy_factory is not None:
-            self.store.set_retention(policy_factory())
 
     def pick_initial_value(self) -> Value:
         """The configured initial value, or a uniform random one."""

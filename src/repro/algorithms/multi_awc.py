@@ -52,7 +52,6 @@ from ..runtime.metrics import MetricsCollector
 from .awc import AwcAgent
 
 if TYPE_CHECKING:  # the builder imports derive_rng lazily at runtime
-    from ..retention import NogoodInterner, PolicyFactory
     from ..runtime.random_source import Seed
 
 #: Default bound on intra-agent message rounds within one cycle.
@@ -133,17 +132,6 @@ class MultiVariableAwcAgent(SimulatedAgent):
         """Rebind every handler's store; all keep the shared check counter."""
         for variable in self._ordered_variables:
             self._handlers[variable].rebind_store(store_class)
-
-    def attach_retention(
-        self,
-        policy_factory: Optional["PolicyFactory"],
-        interner: Optional["NogoodInterner"] = None,
-    ) -> None:
-        """Apply the retention axis per handler (one policy per store)."""
-        for variable in self._ordered_variables:
-            self._handlers[variable].attach_retention(
-                policy_factory, interner
-            )
 
     def has_pending_work(self) -> bool:
         """Carryover left by a capped intra-round drain awaits another step.

@@ -56,22 +56,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             "to a sequential run."
         ),
     )
-    _add_retention_option(parser)
-
-
-def _add_retention_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--retention",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "nogood retention policy: keep-all (default; the paper's "
-            "record-forever behaviour), lru[:CAP], decay[:CAP[:HALF_LIFE]] "
-            "or subsume. Bounded policies evict learned nogoods but never "
-            "pinned ones (initial constraints, latest resolvent per "
-            "sender); see repro.retention."
-        ),
-    )
 
 
 def _resolve_scale(name: Optional[str]):
@@ -83,13 +67,11 @@ def _resolve_scale(name: Optional[str]):
 def _print_table(number: int, args: argparse.Namespace) -> None:
     scale = _resolve_scale(args.scale)
     jobs = getattr(args, "jobs", None)
-    retention = getattr(args, "retention", None)
     if number == 4:
         for table in run_table4(
             scale=scale,
             seed=args.seed,
             workers=jobs,
-            retention=retention,
         ):
             print(table.format_text())
             print()
@@ -105,7 +87,6 @@ def _print_table(number: int, args: argparse.Namespace) -> None:
         scale=scale,
         seed=args.seed,
         workers=jobs,
-        retention=retention,
     )
     reference = None if args.no_reference else reference_for_table(number)
     print(table.format_text(reference))
@@ -254,7 +235,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
         max_cycles=args.max_cycles,
         tracer=tracer,
-        retention=args.retention,
     )
     if profiler is not None:
         import pstats
@@ -376,55 +356,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return verify_main(forwarded)
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
-    from .experiments.soak import (
-        DEFAULT_BUDGET,
-        DEFAULT_EPISODE_CYCLES,
-        DEFAULT_EPISODES,
-        DEFAULT_POLICIES,
-        DEFAULT_POOL,
-        run_soak,
-    )
-
-    if args.policy is None:
-        policies = DEFAULT_POLICIES
-    else:
-        policies = tuple(
-            name.strip() for name in args.policy.split(",") if name.strip()
-        )
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-    report = run_soak(
-        policies=policies,
-        budget=budget,
-        episodes=(
-            args.episodes if args.episodes is not None else DEFAULT_EPISODES
-        ),
-        pool=args.pool if args.pool is not None else DEFAULT_POOL,
-        family=args.family,
-        n=args.n,
-        learning=args.learning,
-        seed=args.seed,
-        max_cycles=(
-            args.max_cycles
-            if args.max_cycles is not None
-            else DEFAULT_EPISODE_CYCLES
-        ),
-    )
-    print(report.format_text())
-    if args.output:
-        report.write_json(args.output)
-        print(f"wrote {args.output}")
-    if not report.all_verified:
-        print("FATAL: a solved episode failed solution re-verification")
-        return 1
-    if not report.all_within_budget:
-        print(
-            f"FATAL: a bounded policy exceeded the {budget}-nogood budget"
-        )
-        return 1
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments.bench import main as bench_main
 
@@ -542,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the full message/value-change trace and write it "
         "to PATH as JSON Lines",
     )
-    _add_retention_option(solve)
     solve.add_argument(
         "--profile",
         default=None,
@@ -625,71 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.set_defaults(func=_cmd_verify)
 
-    soak = sub.add_parser(
-        "soak",
-        help="stream episodes through persistent agent populations "
-        "under a nogood budget, one row per retention policy",
-    )
-    soak.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="learned-nogood cap per store for bounded policies "
-        "(default 64)",
-    )
-    soak.add_argument(
-        "--policy",
-        default=None,
-        metavar="SPECS",
-        help="comma-separated retention policies "
-        "(default keep-all,lru,decay,subsume; bare lru/decay get "
-        "the budget as their cap)",
-    )
-    soak.add_argument(
-        "--episodes",
-        type=int,
-        default=None,
-        help="stream length (default 200)",
-    )
-    soak.add_argument(
-        "--pool",
-        type=int,
-        default=None,
-        help="distinct instances the stream cycles through (default 10)",
-    )
-    soak.add_argument(
-        "--family",
-        choices=("d3c", "d3s", "d3s1"),
-        default="d3c",
-        help="problem family of the pool (default d3c)",
-    )
-    soak.add_argument("--n", type=int, default=20, help="problem size")
-    soak.add_argument(
-        "--learning",
-        default="Rslv",
-        help="AWC learning method for the population (default Rslv)",
-    )
-    soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument(
-        "--max-cycles",
-        type=int,
-        default=None,
-        help="per-episode cycle cap (default 1000)",
-    )
-    soak.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="also write the JSON report here",
-    )
-    soak.set_defaults(func=_cmd_soak)
-
     bench = sub.add_parser(
         "bench",
-        help="smoke benchmarks: lint analyzer, interleaving verifier, "
-        "retention subsystem (writes BENCH_*.json)",
+        help="smoke benchmarks: lint analyzer and interleaving verifier "
+        "(writes BENCH_*.json)",
     )
     bench.add_argument(
         "--axis",
-        choices=("lint", "verify", "retention"),
+        choices=("lint", "verify"),
         required=True,
         help="what to measure (see repro.experiments.bench)",
     )
@@ -700,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         const="",
         default=None,
         metavar="BASELINE",
-        help="(--axis lint/verify/retention) fail if the axis's "
+        help="(--axis lint/verify) fail if the axis's "
         "metric regressed more than 20%% vs the BASELINE report",
     )
     bench.set_defaults(func=_cmd_bench)

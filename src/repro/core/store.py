@@ -23,11 +23,9 @@ oracle the parity tests compare :class:`NogoodStore` against.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     AbstractSet,
-    Callable,
     Dict,
-    Hashable,
+    Iterable,
     Iterator,
     List,
     NoReturn,
@@ -38,14 +36,9 @@ from typing import (
 )
 
 from .assignment import AgentView
-from .exceptions import ModelError
 from .nogood import Nogood
 from .priorities import OrderKey, nogood_priority_key
 from .variables import Value, VariableId
-
-if TYPE_CHECKING:  # retention imports core at runtime, not vice versa
-    from ..retention.interner import NogoodInterner
-    from ..retention.policy import RetentionPolicy
 
 
 class CheckCounter:
@@ -114,20 +107,14 @@ class NogoodStore:
         "_above",
         "key_cache_hits",
         "key_cache_misses",
-        "_retention",
-        "_on_use",
-        "_interner",
-        "_pinned",
-        "_slot_pins",
-        "_slot_pin_counts",
-        "_learned_count",
-        "evictions",
+        "_initial_count",
     )
 
     def __init__(
         self,
         own_variable: VariableId,
         counter: Optional[CheckCounter] = None,
+        initial: Iterable[Nogood] = (),
     ) -> None:
         self.own_variable = own_variable
         self.counter = counter if counter is not None else CheckCounter()
@@ -150,52 +137,17 @@ class NogoodStore:
         #: consultation (observational; the traced benchmark reports them).
         self.key_cache_hits = 0
         self.key_cache_misses = 0
-        # Retention state (see repro.retention). With no policy attached
-        # the store behaves exactly as before the subsystem existed:
-        # every add is kept forever and the hot path pays one flag test.
-        self._retention: Optional["RetentionPolicy"] = None
-        #: The policy's ``on_use``, for use-tracking policies only.
-        self._on_use: Optional[Callable[[Nogood], object]] = None
-        self._interner: Optional["NogoodInterner"] = None
-        #: Permanently pinned nogoods (the problem's initial constraints):
-        #: they define soundness and are never evictable.
-        self._pinned: Set[Nogood] = set()
-        #: slot -> the nogood that slot currently protects. AWC/ABT pin
-        #: the latest deadend resolvent per announcing agent here — the
-        #: completeness rule ("same nogood as before → do nothing") is
-        #: only sound while the recorded copy survives at the recipients.
-        self._slot_pins: Dict[Hashable, Nogood] = {}
-        #: nogood -> how many slots currently protect it (several agents
-        #: may have announced the same structural nogood).
-        self._slot_pin_counts: Dict[Nogood, int] = {}
-        #: Learned (non-initial) nogoods currently stored; the quantity
-        #: retention budgets bound.
-        self._learned_count = 0
-        #: How many nogoods have been evicted over this store's lifetime.
-        self.evictions = 0
+        for nogood in initial:
+            self.add(nogood)
+        #: How many of the stored nogoods are *initial* (the problem's own
+        #: constraints); every later add is a learned nogood.
+        self._initial_count = len(self._all)
 
     # -- content management ------------------------------------------------
 
-    def add(
-        self,
-        nogood: Nogood,
-        *,
-        pinned: bool = False,
-        slot: Optional[Hashable] = None,
-    ) -> bool:
-        """Record *nogood*; returns False if it was already present.
-
-        ``pinned`` marks the nogood permanently unevictable (used for the
-        problem's initial constraints). ``slot`` additionally takes the
-        rotating pin of that slot (see :meth:`pin_slot`) — applied before
-        the retention policy runs, so a mandatory nogood can never be
-        evicted in the same add that records it.
-        """
-        if self._interner is not None:
-            nogood = self._interner.intern(nogood)
+    def add(self, nogood: Nogood) -> bool:
+        """Record *nogood*; returns False if it was already present."""
         if nogood in self._all:
-            if slot is not None:
-                self.pin_slot(slot, nogood)
             return False
         self._all.add(nogood)
         list.append(self._insertion, nogood)
@@ -208,142 +160,11 @@ class NogoodStore:
         else:
             list.append(self._unconditional, nogood)
             self._combined_cache.clear()
-        if pinned:
-            self._pinned.add(nogood)
-        else:
-            self._learned_count += 1
-        if slot is not None:
-            self.pin_slot(slot, nogood)
-        if self._retention is not None:
-            victims = self._retention.on_add(self, nogood, not pinned)
-            for victim in victims:
-                self.remove(victim)
         return True
-
-    def remove(self, nogood: Nogood) -> bool:
-        """Evict *nogood* from the store; returns False if it was absent.
-
-        Raises :class:`~repro.core.exceptions.ModelError` for a pinned
-        nogood — initial constraints and mandatory deadend resolvents
-        must never leave the store (the completeness caveat), so even a
-        buggy retention policy cannot drop them.
-
-        Every derived structure is kept consistent: the per-value index,
-        the insertion order and the ``for_value`` combined-list cache all
-        forget the nogood (a stale cached batch would otherwise keep
-        serving the evicted nogood).
-        """
-        if nogood not in self._all:
-            return False
-        if nogood in self._pinned or nogood in self._slot_pin_counts:
-            raise ModelError(
-                f"refusing to evict pinned nogood {nogood!r}: pinned "
-                "nogoods are completeness-critical (initial constraints "
-                "and mandatory deadend resolvents)"
-            )
-        self._all.discard(nogood)
-        list.remove(self._insertion, nogood)
-        if nogood.mentions(self.own_variable):
-            own_value = nogood.value_of(self.own_variable)
-            bucket = self._by_value.get(own_value)
-            if bucket is not None:
-                list.remove(bucket, nogood)
-                if not bucket:
-                    del self._by_value[own_value]
-            self._combined_cache.pop(own_value, None)
-        else:
-            list.remove(self._unconditional, nogood)
-            self._combined_cache.clear()
-        self._learned_count -= 1
-        self.evictions += 1
-        if self._retention is not None:
-            self._retention.on_remove(nogood)
-        return True
-
-    # -- retention plumbing -------------------------------------------------
-
-    @property
-    def retention(self) -> Optional["RetentionPolicy"]:
-        """The attached retention policy (None = keep everything)."""
-        return self._retention
-
-    def set_retention(self, policy: Optional["RetentionPolicy"]) -> None:
-        """Attach *policy* (per-store instance; None detaches)."""
-        self._retention = policy
-        self._on_use = (
-            policy.on_use if policy is not None and policy.tracks_use else None
-        )
-
-    @property
-    def interner(self) -> Optional["NogoodInterner"]:
-        """The shared cross-agent interner, if one was adopted."""
-        return self._interner
-
-    def adopt_interner(self, interner: "NogoodInterner") -> None:
-        """Intern future adds through *interner*; register current contents.
-
-        Existing stored references are left in place (they stay
-        structurally equal to the canonical instances), but registering
-        them means every *other* agent that later records an equal
-        nogood shares this store's object.
-        """
-        self._interner = interner
-        for nogood in self._insertion:
-            interner.intern(nogood)
-
-    def pin_slot(self, slot: Hashable, nogood: Nogood) -> None:
-        """Protect *nogood* from eviction until *slot* pins another one.
-
-        One slot per announcing agent keeps the pin population bounded by
-        the neighborhood size while guaranteeing the *latest* mandatory
-        deadend resolvent from each peer survives. A nogood not in the
-        store is ignored (e.g. one the recording policy dropped).
-        """
-        if nogood not in self._all:
-            return
-        previous = self._slot_pins.get(slot)
-        if previous == nogood:
-            return
-        if previous is not None:
-            count = self._slot_pin_counts[previous] - 1
-            if count:
-                self._slot_pin_counts[previous] = count
-            else:
-                del self._slot_pin_counts[previous]
-        self._slot_pins[slot] = nogood
-        self._slot_pin_counts[nogood] = (
-            self._slot_pin_counts.get(nogood, 0) + 1
-        )
-
-    def is_pinned(self, nogood: Nogood) -> bool:
-        """True when *nogood* is protected from eviction."""
-        return nogood in self._pinned or nogood in self._slot_pin_counts
-
-    def is_permanently_pinned(self, nogood: Nogood) -> bool:
-        """True when *nogood* was added with ``pinned=True`` (initial)."""
-        return nogood in self._pinned
-
-    def slot_pins(self) -> Iterator[Tuple[Hashable, Nogood]]:
-        """The rotating pins, in slot-establishment order."""
-        return iter(self._slot_pins.items())
 
     def learned_count(self) -> int:
-        """How many learned (non-initial) nogoods are currently stored."""
-        return self._learned_count
-
-    def evictable_nogoods(self) -> List[Nogood]:
-        """The learned, unpinned nogoods, in insertion order.
-
-        This is the candidate set retention policies choose victims
-        from; its deterministic order makes tie-breaks reproducible.
-        """
-        pinned = self._pinned
-        slot_pinned = self._slot_pin_counts
-        return [
-            nogood
-            for nogood in self._insertion
-            if nogood not in pinned and nogood not in slot_pinned
-        ]
+        """How many learned (non-initial) nogoods are stored."""
+        return len(self._all) - self._initial_count
 
     def __contains__(self, nogood: Nogood) -> bool:
         return nogood in self._all
@@ -406,8 +227,7 @@ class NogoodStore:
         tested, or only the lower ones when *higher* is False; the others
         are skipped without a check. Every tested nogood costs one check,
         added to the counter once per scan. Violated nogoods are appended
-        to *found* and, for use-tracking retention policies, touched in
-        scan order. *first* stops at the first violation.
+        to *found* in scan order. *first* stops at the first violation.
         """
         # Package-internal reads of the view's value dict and the nogoods'
         # sets: this loop is where the checks happen, and a property or
@@ -416,7 +236,6 @@ class NogoodStore:
         value_of = view._values.get
         missing = _MISSING
         own_variable = self.own_variable
-        touch = self._on_use
         checks = 0
         count = 0
         for nogood in nogoods:
@@ -433,8 +252,6 @@ class NogoodStore:
                 count += 1
                 if found is not None:
                     found.append(nogood)
-                if touch is not None:
-                    touch(nogood)
                 if first:
                     break
         self.counter.total += checks
@@ -551,8 +368,7 @@ class NogoodStore:
         """How many higher nogoods are violated with the owner at *own_value*.
 
         Exactly :meth:`violated_higher` without materialising the list —
-        same scan, same per-higher-nogood check counting, same retention
-        touches — for the callers that only test the result's truthiness.
+        same scan, same per-higher-nogood check counting — for the callers that only test the result's truthiness.
         """
         above = self.outranking(view, own_priority)
         return self._scan(self.for_value(own_value), view, own_value, above)

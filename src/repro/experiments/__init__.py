@@ -50,7 +50,6 @@ from .validation import (
     validate_delay_model,
 )
 from .parallel import resolve_workers, run_cell_parallel
-from .soak import PolicySoakResult, SoakReport, run_soak
 from .runner import (
     CellResult,
     random_initial_assignment,
@@ -102,11 +101,8 @@ __all__ = [
     "run_cell_parallel",
     "run_figure2",
     "run_table",
-    "PolicySoakResult",
     "ReportResult",
     "ShapeCheck",
-    "SoakReport",
-    "run_soak",
     "run_table4",
     "run_table_cell",
     "run_trial",

@@ -1,10 +1,10 @@
-"""Smoke benchmarks for the lint analyzer, the verifier and retention.
+"""Smoke benchmarks for the lint analyzer and the verifier.
 
 Each axis measures one subsystem on a fixed small workload, asserts the
 results it depends on, and writes a JSON report. ``repro bench`` exposes
 it as a CLI subcommand.
 
-Three axes:
+Two axes:
 
 * ``--axis lint`` — two full-tree runs of the whole-program repro-lint
   analyzer (``src/`` + ``tests/``); identical findings are the
@@ -15,21 +15,15 @@ Three axes:
   ratio, and zero invariant violations. Writes ``BENCH_verify.json``;
   ``--gate`` fails the run if schedules/sec regressed more than 20%
   against a committed baseline report.
-* ``--axis retention`` — the nogood retention subsystem
-  (:mod:`repro.retention`): keep-all parity against the retention-free
-  default, then the soak stream (:mod:`repro.experiments.soak`) over
-  every policy, asserting solution re-verification and budget
-  compliance. Writes ``BENCH_kb_memory.json``; ``--gate`` applies the
-  20% rule to the soak stream's checks/sec.
 
 Usage::
 
     PYTHONPATH=src python -m repro.cli bench
-        --axis lint|verify|retention
+        --axis lint|verify
         [--output PATH] [--gate [BASELINE]]
 
-The workloads are deliberately small (quick-scale sizes, seconds per
-axis) so CI can afford them; every report records the machine it ran on.
+The workloads are deliberately small (seconds per axis) so CI can
+afford them; every report records the machine it ran on.
 
 This module lives under ``experiments/`` (not ``runtime/`` or
 ``algorithms/``) deliberately: benchmarking needs wall clocks, which the
@@ -46,55 +40,16 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..algorithms.registry import algorithm_by_name
-from .paper import instances_for
-from .runner import run_cell
-
-#: (family, n, instances, inits, algorithm label) — fixed quick-scale grid.
-GRID = (
-    ("d3c", 15, 2, 2, "AWC+Rslv"),
-    ("d3c", 15, 2, 2, "AWC+No"),
-    ("d3s", 12, 2, 2, "AWC+Rslv"),
-    ("d3s", 12, 2, 2, "AWC+No"),
-    ("d3s1", 10, 2, 2, "AWC+Rslv"),
-    ("d3s1", 10, 2, 2, "DB"),
-)
-
-MAX_CYCLES = 3_000
-MASTER_SEED = 0
-
 #: CI wall-time budget (seconds) for one full-tree lint pass.
 LINT_BUDGET_SECONDS = 10.0
 
-#: Maximum tolerated checks/sec regression for ``--gate`` (fraction).
+#: Maximum tolerated metric regression for ``--gate`` (fraction).
 GATE_TOLERANCE = 0.20
-
-#: Fields that must agree between the two legs of an axis.
-MEASURE_FIELDS = (
-    "solved",
-    "cycles",
-    "maxcck",
-    "total_checks",
-    "messages_sent",
-    "assignment",
-)
 
 
 def _repo_root() -> Path:
     """The repository root (this file lives at src/repro/experiments/)."""
     return Path(__file__).resolve().parents[3]
-
-
-def cell_measures(cell):
-    return [
-        tuple(
-            sorted(getattr(trial, name).items())
-            if name == "assignment"
-            else getattr(trial, name)
-            for name in MEASURE_FIELDS
-        )
-        for trial in cell.trials
-    ]
 
 
 def run_lint_bench(
@@ -168,131 +123,6 @@ def run_lint_bench(
     if gate is not None:
         metric_path, label, direction = GATE_METRICS["lint"]
         return check_gate(gate, slowest, metric_path, label, direction)
-    return 0
-
-
-# -- the retention axis ---------------------------------------------------------
-
-#: Soak-stream shape for ``--axis retention`` (kept small for CI).
-RETENTION_SOAK_EPISODES = 40
-RETENTION_SOAK_POOL = 4
-RETENTION_SOAK_N = 15
-RETENTION_SOAK_BUDGET = 32
-RETENTION_SOAK_CYCLES = 500
-
-#: Grid cells re-run for the keep-all parity leg (a subset of GRID).
-RETENTION_PARITY_GRID = GRID[:2] + GRID[2:3]
-
-
-def run_retention_bench(output: str, gate: Optional[str]) -> int:
-    """The ``--axis retention`` benchmark: policy parity + the soak stream.
-
-    Two load-bearing properties, asserted rather than merely reported:
-
-    * ``retention=None`` and ``retention="keep-all"`` reproduce each
-      other bit-identically on real table cells (the paper's
-      record-forever behaviour is the literal default code path);
-    * the soak stream solves with every solution re-verified against the
-      original constraints, and bounded policies never exceed the
-      nogood budget.
-
-    The gated throughput metric is the soak stream's counted checks per
-    second — the end-to-end cost of consulting bounded knowledge bases.
-    """
-    from .soak import DEFAULT_POLICIES, run_soak
-
-    print(
-        f"bench_smoke: retention axis — {len(RETENTION_PARITY_GRID)} "
-        "parity cells, then the soak stream over "
-        f"{len(DEFAULT_POLICIES)} policies"
-    )
-    parity_cells = []
-    for family, n, num_instances, inits, label in RETENTION_PARITY_GRID:
-        instances = instances_for(family, n, num_instances, MASTER_SEED)
-        spec = algorithm_by_name(label)
-        legs = {}
-        for leg, retention in (("default", None), ("keep-all", "keep-all")):
-            cell = run_cell(
-                instances,
-                spec,
-                inits_per_instance=inits,
-                master_seed=MASTER_SEED,
-                n=n,
-                max_cycles=MAX_CYCLES,
-                workers=1,
-                retention=retention,
-            )
-            legs[leg] = cell_measures(cell)
-        name = f"{family}-n{n}-{label}"
-        if legs["default"] != legs["keep-all"]:
-            print(f"FATAL: keep-all diverges from the default on {name}")
-            return 1
-        parity_cells.append(name)
-    print(f"parity: keep-all == default on {len(parity_cells)} cells")
-
-    started = time.perf_counter()
-    soak = run_soak(
-        policies=DEFAULT_POLICIES,
-        budget=RETENTION_SOAK_BUDGET,
-        episodes=RETENTION_SOAK_EPISODES,
-        pool=RETENTION_SOAK_POOL,
-        n=RETENTION_SOAK_N,
-        max_cycles=RETENTION_SOAK_CYCLES,
-        seed=MASTER_SEED,
-    )
-    elapsed = time.perf_counter() - started
-    if not soak.all_verified:
-        print("FATAL: a solved soak episode failed solution re-verification")
-        return 1
-    if not soak.all_within_budget:
-        print(
-            f"FATAL: a bounded policy exceeded the "
-            f"{RETENTION_SOAK_BUDGET}-nogood budget"
-        )
-        return 1
-    total_checks = sum(row.total_checks for row in soak.policies)
-    checks_per_second = round(total_checks / elapsed) if elapsed else 0
-
-    report = {
-        "benchmark": "kb_memory",
-        "machine": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "parity": {
-            "cells": parity_cells,
-            "legs": ["default", "keep-all"],
-            "results_identical": True,
-        },
-        "soak": {
-            **soak.to_json(),
-            "wall_seconds": round(elapsed, 4),
-            "total_checks": total_checks,
-            "checks_per_second": checks_per_second,
-        },
-        "results_identical": True,
-        "note": (
-            "parity reruns real table cells asserting keep-all == the "
-            "retention-free default (bit-identical); the soak leg "
-            "streams episodes through persistent agent populations "
-            "under a nogood budget, re-verifying every solution and "
-            "asserting bounded policies stay within budget — "
-            "checks_per_second is the gated end-to-end throughput"
-        ),
-    }
-    Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(soak.format_text())
-    print(
-        f"soak: {elapsed:.2f}s, {total_checks:,} checks "
-        f"({checks_per_second:,} checks/s)"
-    )
-    print(f"wrote {output}")
-    if gate is not None:
-        metric_path, label, direction = GATE_METRICS["retention"]
-        return check_gate(
-            gate, checks_per_second, metric_path, label, direction
-        )
     return 0
 
 
@@ -374,11 +204,6 @@ GATE_METRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
         "verify schedules/sec",
         "max",
     ),
-    "retention": (
-        ("soak", "checks_per_second"),
-        "retention soak checks/sec",
-        "max",
-    ),
 }
 
 
@@ -443,7 +268,6 @@ def check_gate(
 AXES = {
     "lint": "BENCH_lint.json",
     "verify": "BENCH_verify.json",
-    "retention": "BENCH_kb_memory.json",
 }
 
 
@@ -454,9 +278,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=tuple(AXES),
         required=True,
         help="what to measure: two passes of the whole-program lint "
-        "analyzer, the interleaving verifier's schedule-exploration "
-        "throughput, or the nogood retention subsystem's parity and soak "
-        "stream",
+        "analyzer, or the interleaving verifier's schedule-exploration "
+        "throughput",
     )
     parser.add_argument(
         "--output",
@@ -480,6 +303,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     gate = committed if args.gate == "" else args.gate
     if args.axis == "lint":
         return run_lint_bench(repo_root, output, gate)
-    if args.axis == "verify":
-        return run_verify_bench(output, gate)
-    return run_retention_bench(output, gate)
+    return run_verify_bench(output, gate)

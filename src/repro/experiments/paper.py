@@ -254,15 +254,12 @@ def run_table_cell(
     seed: Seed,
     max_cycles: int,
     workers: Optional[int] = None,
-    retention: Optional[str] = None,
 ) -> CellResult:
     """One (family, n, algorithm) cell at the given trial counts.
 
     ``workers`` selects the trial-execution parallelism (default: the
     ``REPRO_JOBS`` environment variable, else sequential); results are
-    identical either way. ``retention`` selects the nogood
-    retention policy (``None``/``keep-all`` is the paper's record-forever
-    behaviour; see :mod:`repro.retention`).
+    identical either way.
     """
     instances = instances_for(family, n, num_instances, seed)
     return run_cell(
@@ -273,7 +270,6 @@ def run_table_cell(
         n=n,
         max_cycles=max_cycles,
         workers=workers,
-        retention=retention,
     )
 
 
@@ -282,7 +278,6 @@ def run_table(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
     workers: Optional[int] = None,
-    retention: Optional[str] = None,
 ) -> Table:
     """Reproduce one of Tables 1–3 / 5–10."""
     if number == 4:
@@ -308,7 +303,6 @@ def run_table(
                 seed,
                 scale.max_cycles,
                 workers=workers,
-                        retention=retention,
             )
             table.add(TableRow.from_cell(cell))
     return table
@@ -318,7 +312,6 @@ def run_table4(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
     workers: Optional[int] = None,
-    retention: Optional[str] = None,
 ) -> List[Table]:
     """Reproduce Table 4: redundant nogood generations, rec vs norec.
 
@@ -346,7 +339,6 @@ def run_table4(
                     seed,
                     scale.max_cycles,
                     workers=workers,
-                                retention=retention,
                 )
                 table.add(
                     TableRow.from_cell(

@@ -119,7 +119,6 @@ def _init_worker(
     algorithm_ref: _AlgorithmRef,
     max_cycles: int,
     network_factory: NetworkFactory,
-    retention: Optional[str] = None,
 ) -> None:
     kind, payload = algorithm_ref
     algorithm = (
@@ -129,7 +128,6 @@ def _init_worker(
     _WORKER["algorithm"] = algorithm
     _WORKER["max_cycles"] = max_cycles
     _WORKER["network_factory"] = network_factory
-    _WORKER["retention"] = retention
 
 
 def _run_trial_task(
@@ -141,7 +139,6 @@ def _run_trial_task(
         trial_seed,
         max_cycles=_WORKER["max_cycles"],
         network_factory=_WORKER["network_factory"],
-        retention=_WORKER["retention"],
     )
     return trial_index, result
 
@@ -158,7 +155,6 @@ def run_cell_parallel(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     network_factory: NetworkFactory = synchronous_network_factory,
     workers: Optional[int] = None,
-    retention: Optional[str] = None,
 ) -> CellResult:
     """One cell, trials distributed over *workers* processes.
 
@@ -166,10 +162,7 @@ def run_cell_parallel(
     identical signature plus ``workers``, identical results apart from
     timing fields. Falls back to the sequential runner (with a warning)
     when the algorithm or network factory cannot be shipped to workers,
-    and silently when one worker would gain nothing. The ``retention``
-    policy spec ships as a plain string (workers rebuild the policy
-    objects from it, one per store, so no policy state crosses the
-    boundary).
+    and silently when one worker would gain nothing.
     """
     effective = resolve_workers(workers)
     tasks = list(
@@ -184,7 +177,6 @@ def run_cell_parallel(
             n,
             max_cycles,
             network_factory,
-            retention,
         )
     algorithm_ref = _algorithm_reference(algorithm)
     shippable = (
@@ -208,7 +200,6 @@ def run_cell_parallel(
             n,
             max_cycles,
             network_factory,
-            retention,
         )
     effective = min(effective, len(tasks))
     results: List[Optional[RunResult]] = [None] * len(tasks)
@@ -220,7 +211,6 @@ def run_cell_parallel(
             algorithm_ref,
             max_cycles,
             network_factory,
-            retention,
         ),
     ) as pool:
         futures = [
@@ -248,7 +238,6 @@ def _run_sequentially(
     n: int,
     max_cycles: int,
     network_factory: NetworkFactory,
-    retention: Optional[str] = None,
 ) -> CellResult:
     return _runner.run_cell(
         instances,
@@ -259,5 +248,4 @@ def _run_sequentially(
         max_cycles=max_cycles,
         network_factory=network_factory,
         workers=1,
-        retention=retention,
     )

@@ -122,35 +122,15 @@ def run_trial(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     network_factory: NetworkFactory = synchronous_network_factory,
     tracer: Optional["TraceRecorder"] = None,
-    retention: Optional[str] = None,
 ) -> RunResult:
     """One trial: build agents, simulate, return the run's measurements.
 
     The message medium comes from ``network_factory``, called with the
     trial seed; the default is the paper's one-cycle network.
-
-    ``retention`` selects the nogood retention policy (a spec such as
-    ``"lru:100"``; see :mod:`repro.retention`). One policy instance is
-    built per agent store, one :class:`~repro.retention.NogoodInterner`
-    is shared by all agents of the trial, and pinned nogoods — initial
-    constraints and the latest announced resolvent per sender — are
-    never evicted. ``None`` (and ``"keep-all"``) reproduce the paper's
-    record-forever behaviour exactly.
     """
-    policy_factory = None
-    if retention is not None and retention != "keep-all":
-        from ..retention import retention_factory
-
-        policy_factory = retention_factory(retention)
     metrics = MetricsCollector()
     initial = random_initial_assignment(problem, seed)
     agents = algorithm.build(problem, metrics, seed, initial)
-    if policy_factory is not None:
-        from ..retention import NogoodInterner
-
-        interner = NogoodInterner()
-        for agent in agents:
-            agent.attach_retention(policy_factory, interner)
     simulator = SynchronousSimulator(
         problem,
         agents,
@@ -245,7 +225,6 @@ def run_cell(
     max_cycles: int = DEFAULT_MAX_CYCLES,
     network_factory: NetworkFactory = synchronous_network_factory,
     workers: Optional[int] = None,
-    retention: Optional[str] = None,
 ) -> CellResult:
     """One cell: every instance × every initial-value set.
 
@@ -268,7 +247,6 @@ def run_cell(
             max_cycles=max_cycles,
             network_factory=network_factory,
             workers=workers,
-            retention=retention,
         )
     cell = CellResult(label=algorithm.name, n=n)
     for instance_index, _init_index, trial_seed in trial_parameters(
@@ -281,7 +259,6 @@ def run_cell(
                 trial_seed,
                 max_cycles=max_cycles,
                 network_factory=network_factory,
-                retention=retention,
             )
         )
     return cell

@@ -88,10 +88,6 @@ class HandlerEffect:
     message_type: str
     reads: FrozenSet[str]
     writes: FrozenSet[str]
-    #: repro-relative scope and line of the dispatch branch (for findings).
-    scope: Optional[str]
-    path: str
-    line: int
 
     def conflicts_with(self, other: "HandlerEffect") -> FrozenSet[str]:
         """The attributes on which this handler conflicts with *other*.
@@ -206,9 +202,6 @@ def _class_handler_effects(
                     message_type=message_type,
                     reads=frozenset(footprint.reads),
                     writes=frozenset(footprint.writes),
-                    scope=module.scope,
-                    path=module.path,
-                    line=branch.line,
                 )
                 if merged is not None:
                     effect = HandlerEffect(
@@ -216,9 +209,6 @@ def _class_handler_effects(
                         message_type=message_type,
                         reads=merged.reads | effect.reads,
                         writes=merged.writes | effect.writes,
-                        scope=merged.scope,
-                        path=merged.path,
-                        line=merged.line,
                     )
                 handlers[message_type] = effect
     return handlers
@@ -228,7 +218,6 @@ def _class_handler_effects(
 class _DispatchBranch:
     message_types: Tuple[str, ...]
     body: Tuple[ast.stmt, ...]
-    line: int
 
 
 def _dispatch_branches(method: FunctionInfo) -> Iterator[_DispatchBranch]:
@@ -243,7 +232,6 @@ def _dispatch_branches(method: FunctionInfo) -> Iterator[_DispatchBranch]:
             yield _DispatchBranch(
                 message_types=types,
                 body=tuple(inner.body),
-                line=inner.lineno,
             )
 
 

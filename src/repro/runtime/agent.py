@@ -17,16 +17,13 @@ accounting) airtight.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Type
 
 from ..core.exceptions import UnsolvableError
 from ..core.problem import AgentId
 from ..core.store import CheckCounter, NogoodStore
 from ..core.variables import Value, VariableId
 from .messages import Message, Outgoing
-
-if TYPE_CHECKING:
-    from ..retention import NogoodInterner, PolicyFactory
 
 
 class SimulatedAgent(ABC):
@@ -63,21 +60,6 @@ class SimulatedAgent(ABC):
         simply ignore the request. Subclasses that own stores must rebuild them with the same
         check counter and re-add every nogood in insertion order, so the
         swap is invisible to the cost accounting.
-        """
-
-    def attach_retention(
-        self,
-        policy_factory: Optional["PolicyFactory"],
-        interner: Optional["NogoodInterner"] = None,
-    ) -> None:
-        """Attach a nogood retention policy and/or a shared interner.
-
-        The experiment runner calls this after building (and possibly
-        rebinding) the agents to apply the ``--retention`` axis. The
-        factory is invoked once per store — policies hold per-nogood
-        state and must never be shared between stores — while the
-        interner is one object per trial, shared by every agent. The
-        default is a no-op for agents without a nogood store.
         """
 
     def has_pending_work(self) -> bool:

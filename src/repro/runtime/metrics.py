@@ -33,8 +33,7 @@ class GenerationLog:
     Agents hold a log instead of the collector itself: a log is private to
     its agent (append-only, never read by agent code), so agents share no
     mutable state through metrics — the collector alone merges logs at
-    cycle boundaries, and a harness that hands an agent a
-    fresh collector (``reset_episode``) gets all of its later events.
+    cycle boundaries.
     """
 
     __slots__ = ("events",)

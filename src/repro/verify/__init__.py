@@ -13,8 +13,9 @@ instances.
   :class:`~repro.runtime.network.ScheduledNetwork`, pruning reorderings
   the static commutativity matrix proves equivalent;
 * :mod:`repro.verify.invariants` — what must hold on *every* explored
-  interleaving: outcome agreement, no lost nogoods, termination-detector
-  agreement, and bit-identical replay on the synchronous network.
+  interleaving: outcome agreement, no lost nogoods, no quiescent
+  failure, termination-detector agreement, and bit-identical replay on the
+  synchronous network.
 
 See DESIGN.md ("Interleaving verification") for the equivalence-class
 argument and the soundness caveats of the pruning.

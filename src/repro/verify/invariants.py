@@ -11,6 +11,11 @@ what must **not** vary with it:
   policy says "record" must actually be present in the recipient's store at
   the end of the run. A reordering that drops a nogood silently breaks the
   completeness argument of the learning algorithms.
+* **No quiescent failure** — a schedule must not end quiescent (the
+  network idle, no agent owing work) with neither a solution nor a proof
+  of unsolvability. The explorer delivers channel heads only, so every
+  schedule is FIFO, where AWC and ABT are complete: an idle, unsolved
+  network means their completeness argument broke.
 * **Outcome agreement** (cross-run, checked by the explorer) — every
   schedule of the same pinned entry must reach the same solved/unsolvable
   verdict; solvable instances must not become unsolvable under reordering.
@@ -62,6 +67,12 @@ def check_run(
         violations.append(
             "detector disagreement: full re-check says "
             f"solved={recheck} but the run reported solved={result.solved}"
+        )
+    if result.quiescent and not result.finished:
+        violations.append(
+            "quiescent and unsolved: the run went idle after "
+            f"{result.cycles} cycles with no solution and no proof of "
+            "unsolvability"
         )
     by_id = {agent.id: agent for agent in agents}
     for delivery in deliveries:

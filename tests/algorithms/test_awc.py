@@ -15,7 +15,6 @@ from repro.runtime.messages import (
 )
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.random_source import derive_rng
-from repro.runtime.simulator import SynchronousSimulator
 
 from ..conftest import clique_graph, cycle_graph, triangle_graph
 
@@ -250,8 +249,7 @@ class TestBuilder:
 
     def test_awc_agents_hold_no_collector_reference(self):
         # Agents keep a private GenerationLog that the collector merges at
-        # cycle boundaries; an agent holding the shared collector would
-        # keep recording into it after reset_episode swaps in a fresh one.
+        # cycle boundaries, so no agent holds the shared collector.
         problem = random_coloring_instance(4, seed=1, num_edges=5).to_discsp()
         metrics = MetricsCollector()
         agents = build_awc_agents(
@@ -265,23 +263,3 @@ class TestBuilder:
         # Logs are per-agent objects, not one shared alias.
         logs = {id(agent.generation_log) for agent in agents}
         assert len(logs) == len(agents)
-
-
-class TestResetEpisode:
-    def test_generations_go_to_the_episode_collector(self):
-        # The soak harness hands every episode a fresh collector; the one
-        # the agents were built with must see none of that episode.
-        problem = coloring_discsp(clique_graph(4), 3)
-        built_with = MetricsCollector()
-        agents = build_awc_agents(
-            problem, learning_method("Rslv"), built_with, seed=1
-        )
-        episode = MetricsCollector()
-        for agent in agents:
-            agent.reset_episode(episode)
-        result = SynchronousSimulator(
-            problem, agents, max_cycles=20000, metrics=episode
-        ).run()
-        assert result.unsolvable
-        assert result.generated_nogoods > 0
-        assert built_with.generated_count == 0

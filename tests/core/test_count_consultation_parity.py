@@ -3,11 +3,11 @@
 ``count_violated_higher``/``count_violated_higher_batch`` exist so the
 AWC hot path can ask "is any higher nogood violated?" without building a
 throwaway list — but they must be *exactly* the list methods minus the
-list: same counter bumps, same retention touches, same numbers, on the
-dict store and the linear ablation store alike.
+list: same counter bumps, same numbers, on the dict store and the linear
+ablation store alike.
 These tests drive randomized store states through both the list and the
-count form, on fresh twin stores so the shared-counter and use-touch
-streams can be compared bump for bump.
+count form, on fresh twin stores so the shared counters can be compared
+bump for bump.
 """
 
 import random
@@ -15,7 +15,6 @@ import random
 from repro.core.assignment import AgentView
 from repro.core.nogood import Nogood
 from repro.core.store import LinearNogoodStore, NogoodStore
-from repro.retention.policy import RetentionPolicy
 
 from ..conftest import with_linear_store
 
@@ -24,21 +23,6 @@ STORE_CLASSES = (NogoodStore, LinearNogoodStore)
 OWN = 0
 PEERS = (1, 2, 3)
 VALUES = (0, 1, 2)
-
-
-class RecordingPolicy(RetentionPolicy):
-    """Keeps everything; records the on_use touch stream."""
-
-    tracks_use = True
-
-    def __init__(self):
-        self.touches = []
-
-    def on_use(self, nogood):
-        self.touches.append(nogood)
-
-    def on_add(self, store, nogood, learned):
-        return ()
 
 
 def random_nogoods(rng, count=18):
@@ -62,17 +46,29 @@ def random_view(rng):
     return view
 
 
-def twin_stores(backend, nogoods, policy=False):
-    """Two identical stores of *backend*, optionally with use tracking."""
+def cell_measures(cell):
+    """Per trial: (solved, cycles, maxcck, checks, messages, assignment)."""
+    return [
+        (
+            trial.solved,
+            trial.cycles,
+            trial.maxcck,
+            trial.total_checks,
+            trial.messages_sent,
+            sorted(trial.assignment.items()),
+        )
+        for trial in cell.trials
+    ]
+
+
+def twin_stores(backend, nogoods):
+    """Two identical stores of *backend*."""
     stores = []
     for _ in range(2):
         store = backend(OWN)
-        recorder = RecordingPolicy() if policy else None
-        if recorder is not None:
-            store.set_retention(recorder)
         for nogood in nogoods:
             store.add(nogood)
-        stores.append((store, recorder))
+        stores.append(store)
     return stores
 
 
@@ -82,7 +78,7 @@ class TestCountEqualsList:
         for backend in STORE_CLASSES:
             for trial in range(20):
                 nogoods = random_nogoods(rng)
-                (a, _), (b, _) = twin_stores(backend, nogoods)
+                a, b = twin_stores(backend, nogoods)
                 view_a, view_b = random_view(rng), random_view(rng)
                 # Same draws for both twins.
                 view_b = view_a
@@ -98,7 +94,7 @@ class TestCountEqualsList:
         for backend in STORE_CLASSES:
             for trial in range(20):
                 nogoods = random_nogoods(rng)
-                (a, _), (b, _) = twin_stores(backend, nogoods)
+                a, b = twin_stores(backend, nogoods)
                 view = random_view(rng)
                 priority = rng.randrange(3)
                 listed = a.violated_higher_batch(view, VALUES, priority)
@@ -112,7 +108,7 @@ class TestCountEqualsList:
         rng = random.Random(13)
         for backend in STORE_CLASSES:
             nogoods = random_nogoods(rng)
-            (a, _), (b, _) = twin_stores(backend, nogoods)
+            a, b = twin_stores(backend, nogoods)
             view = random_view(rng)
             batch = a.count_violated_higher_batch(view, VALUES, 1)
             singles = [
@@ -122,37 +118,20 @@ class TestCountEqualsList:
             assert a.counter.total == b.counter.total, backend.__name__
 
 
-class TestRetentionTouchParity:
-    def test_count_touches_exactly_like_the_list_form(self):
-        rng = random.Random(17)
-        for backend in STORE_CLASSES:
-            for trial in range(10):
-                nogoods = random_nogoods(rng)
-                (a, rec_a), (b, rec_b) = twin_stores(
-                    backend, nogoods, policy=True
-                )
-                view = random_view(rng)
-                priority = rng.randrange(3)
-                value = rng.choice(VALUES)
-                a.violated_higher(view, value, priority)
-                b.count_violated_higher(view, value, priority)
-                assert rec_a.touches == rec_b.touches, backend.__name__
-                a.violated_higher_batch(view, VALUES, priority)
-                b.count_violated_higher_batch(view, VALUES, priority)
-                assert rec_a.touches == rec_b.touches, backend.__name__
-
-    def test_touch_order_matches_dict_reference_across_backends(self):
+class TestScanOrderParity:
+    def test_found_order_matches_dict_reference_across_backends(self):
+        # Every generated nogood binds the owner, so the linear oracle's
+        # full scan finds the violated ones in the dict bucket's order.
         rng = random.Random(19)
         nogoods = random_nogoods(rng)
         view = random_view(rng)
-        streams = []
-        for backend in STORE_CLASSES:
-            ((store, recorder),) = [
-                twin_stores(backend, nogoods, policy=True)[0]
-            ]
-            store.count_violated_higher_batch(view, VALUES, 1)
-            streams.append(recorder.touches)
-        assert streams[0] == streams[1]
+        found = [
+            twin_stores(backend, nogoods)[0].violated_higher_batch(
+                view, VALUES, 1
+            )
+            for backend in STORE_CLASSES
+        ]
+        assert found[0] == found[1]
 
 
 class TestCellBackendWorkersCross:
@@ -164,7 +143,6 @@ class TestCellBackendWorkersCross:
         would surface as a differing measure row.
         """
         from repro.algorithms.registry import awc
-        from repro.experiments.bench import cell_measures
         from repro.experiments.runner import run_cell
         from repro.problems.coloring import random_coloring_instance
 

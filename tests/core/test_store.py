@@ -50,6 +50,42 @@ class TestAddAndLookup:
         assert len(list(store.nogoods())) == 2
 
 
+@pytest.mark.parametrize("store_class", (NogoodStore, LinearNogoodStore))
+class TestLearnedCount:
+    def test_initial_nogoods_not_counted_as_learned(self, store_class):
+        store = store_class(0, initial=[Nogood.of((0, 0), (1, 0))])
+        store.add(Nogood.of((0, 0), (1, 1)))
+        assert store.learned_count() == 1
+        assert len(store) == 2
+
+    def test_duplicates_are_not_learned(self, store_class):
+        constraint = Nogood.of((0, 0), (1, 0))
+        store = store_class(0, initial=[constraint, constraint])
+        assert len(store) == 1
+        assert store.add(constraint) is False
+        for k in range(3):
+            store.add(Nogood.of((0, 0), (1, k)))
+            store.add(Nogood.of((0, 0), (1, k)))
+        assert store.learned_count() == 2
+
+    def test_rebind_keeps_order_and_learned_count(self, store_class):
+        from repro.algorithms.registry import awc
+        from repro.problems.coloring import random_coloring_instance
+        from repro.runtime.metrics import MetricsCollector
+
+        problem = random_coloring_instance(10, seed=5).to_discsp()
+        [agent, *_] = awc("Rslv").build(problem, MetricsCollector(), 0, None)
+        learned = Nogood.of((agent.variable, 0), (99, 1))
+        agent.store.add(learned)
+        before = list(agent.store.nogoods())
+        counter = agent.store.counter
+        agent.rebind_store(store_class)
+        assert type(agent.store) is store_class
+        assert agent.store.counter is counter
+        assert list(agent.store.nogoods()) == before
+        assert agent.store.learned_count() == 1
+
+
 class TestViolationChecking:
     def test_violated_when_view_and_value_match(self):
         store = NogoodStore(own_variable=0)

@@ -7,6 +7,7 @@ the oracle, and no algorithm may claim success on an unsolvable instance.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.algorithms.registry import abt, awc, db
@@ -38,12 +39,16 @@ planted_instances = st.builds(
 
 
 class TestCompleteAlgorithmsMatchOracle:
+    # Mcs once reported solvable instances as unsolvable.
+    @pytest.mark.parametrize("learning", ["Rslv", "Mcs"])
     @given(unplanted_instances, st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
-    def test_awc_rslv_verdict_matches_backtracking(self, instance, seed):
+    def test_awc_verdict_matches_backtracking(self, learning, instance, seed):
         oracle = solve_csp(instance.csp)
         problem = instance.to_discsp()
-        result = run_trial(problem, awc("Rslv"), seed=seed, max_cycles=20_000)
+        result = run_trial(
+            problem, awc(learning), seed=seed, max_cycles=20_000
+        )
         if oracle is None:
             assert not result.solved
             assert result.unsolvable

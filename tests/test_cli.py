@@ -53,6 +53,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "1", "--retention", "lru:64"],
+            ["solve", "x.cnf", "--retention", "lru:16"],
+            ["soak"],
+            ["bench", "--axis", "retention"],
+        ],
+    )
+    def test_no_retention_selection(self, argv):
+        # Stores keep every nogood they record, as in the paper.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_bench_axes_are_lint_and_verify(self):
+        parser = build_parser()
+        for axis in ("lint", "verify"):
+            assert parser.parse_args(["bench", "--axis", axis]).axis == axis
+
 
 class TestCommands:
     def test_table1_quick(self, capsys):
@@ -164,40 +183,3 @@ class TestCommands:
               "--no-reference"])
         second = capsys.readouterr().out
         assert first != second
-
-
-class TestSoak:
-    def test_soak_stream(self, capsys, tmp_path):
-        out = str(tmp_path / "soak.json")
-        assert main(
-            ["soak", "--episodes", "4", "--pool", "2", "--n", "12",
-             "--budget", "10", "--max-cycles", "400",
-             "--policy", "keep-all,lru", "-o", out]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "keep-all" in output
-        assert "lru:10" in output
-        assert f"wrote {out}" in output
-        import json
-
-        data = json.loads((tmp_path / "soak.json").read_text())
-        assert data["all_within_budget"] is True
-
-    def test_soak_rejects_bad_policy(self, capsys):
-        import pytest as _pytest
-
-        from repro.core.exceptions import ModelError
-
-        with _pytest.raises(ModelError):
-            main(["soak", "--episodes", "1", "--pool", "1", "--n", "8",
-                  "--policy", "fifo"])
-
-    def test_retention_option_on_solve(self, capsys, tmp_path):
-        out = str(tmp_path / "inst")
-        assert main(["generate", "d3s", "10", "-o", out]) == 0
-        files = sorted((tmp_path / "inst").glob("*.cnf"))
-        capsys.readouterr()
-        assert main(
-            ["solve", str(files[0]), "--retention", "lru:16"]
-        ) == 0
-        assert "s SATISFIABLE" in capsys.readouterr().out

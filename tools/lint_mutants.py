@@ -17,12 +17,11 @@ applies the edits and records
 
 A gate counts only if it passes on the unmutated copy in the same run; the
 table records the unmutated verdicts next to the mutants'. Mutants are
-measured ``JOBS`` at a time, so every catch is confirmed afterwards, one
-mutant at a time: the first failing tier-1 test is re-run alone (if it
+measured ``JOBS`` at a time, so every tier-1 catch is confirmed
+afterwards, one mutant at a time: the first failing tier-1 test is re-run alone (if it
 passes, tier-1 is re-run without it, so a flaky test cannot hide a later
-failure), and a gate that failed only on its timing threshold is re-run
-twice more. A catch that does not repeat is recorded as ``flaky`` or
-``noise`` and not counted. The timing gate runs after the confirmations,
+failure). A catch that does not repeat is recorded as ``flaky`` and not
+counted. The timing gate runs after the confirmations,
 one defect at a time. The verdict table is written into the corpus file
 under ``evidence.<label>``, with a hash of the registered defects so a
 table cannot silently describe a different corpus. Offline, not part of
@@ -55,15 +54,6 @@ CORPUS = ROOT / "tests" / "lint" / "mutants.json"
 #: The non-lint gates: name -> command, run from the copy's root.
 GATES: Dict[str, Sequence[str]] = {
     "explore": ("-m", "repro.verify", "--explore", "--no-naive"),
-    "retention": (
-        "-m", "repro.cli", "bench", "--axis", "retention",
-        "--output", "{tmp}/retention.json", "--gate", "BENCH_kb_memory.json",
-    ),
-    "soak": (
-        "-m", "repro.cli", "soak", "--episodes", "20", "--pool", "4",
-        "--n", "15", "--budget", "24", "--max-cycles", "500",
-        "--policy", "keep-all,lru", "--output", "{tmp}/soak.json",
-    ),
     "perfbench-learn": (
         "perfbench/run.py", "--workload", "learn", "--seed", "0",
         "--seconds", "0",
@@ -101,10 +91,7 @@ JOBS = 2
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
-#: How ``repro bench --gate`` reports a threshold (not a correctness) miss.
-_THRESHOLD_MISS = "regressed more than"
-
-#: Extra runs a threshold-only gate failure must fail again to count.
+#: Extra runs a flaky tier-1 failure gets to fail again and count.
 CONFIRM_RUNS = 2
 
 #: The timing gate: ``perfbench/run.py`` on each workload, ``TIMING_PAIRS``
@@ -192,39 +179,20 @@ def lint_rules(tree: Path) -> Tuple[List[str], Dict[str, int]]:
     return rule_ids, counts
 
 
-def run_gate(
-    tree: Path, name: str, scratch: str, timeouts: Dict[str, float]
-) -> Tuple[str, float, str]:
-    filled = [arg.replace("{tmp}", scratch) for arg in GATES[name]]
-    return run(tree, filled, timeouts[name])
-
-
 def measure(tree: Path, timeouts: Dict[str, float]) -> dict:
     """Lint findings, the first tier-1 failure and each gate's verdict."""
-    scratch = tempfile.mkdtemp(prefix="lint-gate-")
-    try:
-        rule_ids, findings = lint_rules(tree)
-        verdict, seconds, output = run(tree, TIER1, timeouts["tier1"])
-        failure = _FIRST_FAILURE.search(output)
-        tier1 = {
-            "verdict": verdict,
-            "seconds": round(seconds, 1),
-            "first_failure": failure.group(1) if failure else None,
-        }
-        gates = {}
-        for name in GATES:
-            verdict, seconds, output = run_gate(tree, name, scratch, timeouts)
-            fatal = [
-                line for line in output.splitlines() if "FATAL" in line
-            ]
-            gates[name] = {
-                "verdict": verdict,
-                "seconds": round(seconds, 1),
-                "threshold_only": bool(fatal)
-                and all(_THRESHOLD_MISS in line for line in fatal),
-            }
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    rule_ids, findings = lint_rules(tree)
+    verdict, seconds, output = run(tree, TIER1, timeouts["tier1"])
+    failure = _FIRST_FAILURE.search(output)
+    tier1 = {
+        "verdict": verdict,
+        "seconds": round(seconds, 1),
+        "first_failure": failure.group(1) if failure else None,
+    }
+    gates = {}
+    for name, args in GATES.items():
+        verdict, seconds, _ = run(tree, args, timeouts[name])
+        gates[name] = {"verdict": verdict, "seconds": round(seconds, 1)}
     return {
         "rules": rule_ids,
         "findings": findings,
@@ -310,12 +278,10 @@ def timing_gate(
 
 
 def confirm(
-    source: Path, defect: dict, row: dict, mutant: dict,
-    timeouts: Dict[str, float],
+    source: Path, defect: dict, row: dict, timeouts: Dict[str, float]
 ) -> None:
-    """Re-check *row*'s catches on a fresh copy, with nothing else running."""
+    """Re-check *row*'s tier-1 catch on a fresh copy, alone."""
     copy = copy_tree(source)
-    scratch = tempfile.mkdtemp(prefix="lint-gate-")
     try:
         tree = copy / "tree"
         apply_defect(tree, defect)
@@ -346,20 +312,8 @@ def confirm(
                 if verdict != "fail" or failure is None:
                     break
                 test = failure.group(1)
-        for name, gate in mutant["gates"].items():
-            if name not in row["non_lint_catchers"] or not gate[
-                "threshold_only"
-            ]:
-                continue
-            for _ in range(CONFIRM_RUNS):
-                verdict, _, _ = run_gate(tree, name, scratch, timeouts)
-                if verdict != "fail":
-                    row["non_lint_catchers"].remove(name)
-                    row["gates"][name] = "noise"
-                    break
     finally:
         shutil.rmtree(copy, ignore_errors=True)
-        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -398,22 +352,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flush=True,
     )
 
-    def one(defect: dict) -> Tuple[dict, dict]:
+    def one(defect: dict) -> dict:
         copy = copy_tree(args.tree)
         try:
             apply_defect(copy / "tree", defect)
             mutant = measure(copy / "tree", timeouts)
         finally:
             shutil.rmtree(copy, ignore_errors=True)
-        return verdict_row(defect, clean, mutant), mutant
+        return verdict_row(defect, clean, mutant)
 
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         measured = list(pool.map(one, defects))
     rows = {}
     clean_copy = copy_tree(args.tree)
     try:
-        for defect, (row, mutant) in zip(defects, measured):
-            confirm(args.tree, defect, row, mutant, timeouts)
+        for defect, row in zip(defects, measured):
+            confirm(args.tree, defect, row, timeouts)
             row["gates"]["timing"] = "skipped"
             if not row["non_lint_catchers"]:
                 copy = copy_tree(args.tree)
