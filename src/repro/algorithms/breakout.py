@@ -28,7 +28,7 @@ beats it on ``cycle`` while DB, which never accumulates nogoods, wins on
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.assignment import AgentView
 from ..core.exceptions import ModelError
@@ -69,6 +69,8 @@ class BreakoutAgent(SingleVariableAgent):
                 f"{weight_mode!r}"
             )
         self.weight_mode = weight_mode
+        #: One weight per variable set ("pair") rather than per nogood.
+        self._pair_mode = weight_mode == "pair"
         self.view = AgentView()
         self.weights: Dict[object, int] = {}
         self.round_index = 0
@@ -124,20 +126,25 @@ class BreakoutAgent(SingleVariableAgent):
         return wave is not None and len(wave) == len(self.recipients)
 
     def _finish_ok_wave(self) -> List[Outgoing]:
-        """All neighbors announced: evaluate, announce possible improvement."""
+        """All neighbors announced: evaluate, announce possible improvement.
+
+        The whole domain is scored in one batch consultation; the
+        candidates (and the rng's tie draw) are the other values, in
+        domain order.
+        """
         wave = self._ok_waves.pop(self.round_index)
         for message in wave.values():
             self.view.update(message.variable, message.value, 0)
-        self._my_eval = self._evaluate(self.value)
-        others = [value for value in self.domain if value != self.value]
-        violated_per_value = self.store.violated_batch(self.view, others)
-        candidates: List[Tuple[Value, int]] = [
-            (value, self._weighted_sum(violated))
-            for value, violated in zip(others, violated_per_value)
-        ]
-        best_eval = self._my_eval
+        values = self.domain.values
+        scores = self._weighted_sums(
+            self.store.violated_batch(self.view, values)
+        )
+        current = self.value
+        best_eval = self._my_eval = scores[values.index(current)]
         ties: List[Value] = []
-        for value, score in candidates:
+        for value, score in zip(values, scores):
+            if value == current:
+                continue
             if score < best_eval:
                 best_eval = score
                 ties = [value]
@@ -150,7 +157,7 @@ class BreakoutAgent(SingleVariableAgent):
                 else ties[self.rng.randrange(len(ties))]
             )
         else:
-            self._best_value = self.value
+            self._best_value = current
         self._my_improve = self._my_eval - best_eval
         self.phase = "improve"
         return self._broadcast(
@@ -184,22 +191,26 @@ class BreakoutAgent(SingleVariableAgent):
     # -- weighted evaluation ------------------------------------------------------
 
     def _weight_key(self, nogood: Nogood) -> object:
-        if self.weight_mode == "nogood":
-            return nogood
-        return nogood.variables  # one weight shared per variable set
+        if self._pair_mode:
+            return nogood.variables  # one weight shared per variable set
+        return nogood
 
-    def _weight_of(self, nogood: Nogood) -> int:
-        return self.weights.get(self._weight_key(nogood), 1)
-
-    def _weighted_sum(self, violated: Sequence[Nogood]) -> int:
-        total = 0
-        for nogood in violated:
-            total += self._weight_of(nogood)
-        return total
-
-    def _evaluate(self, value: Value) -> int:
-        """Weighted count of nogoods violated with our variable at *value*."""
-        return self._weighted_sum(self.store.violated(self.view, value))
+    def _weighted_sums(
+        self, violated_per_value: Sequence[Sequence[Nogood]]
+    ) -> List[int]:
+        """The eval of each candidate value from its violated nogoods."""
+        get = self.weights.get
+        sums = []
+        for violated in violated_per_value:
+            total = 0
+            if self._pair_mode:
+                for nogood in violated:
+                    total += get(nogood.variables, 1)
+            else:
+                for nogood in violated:
+                    total += get(nogood, 1)
+            sums.append(total)
+        return sums
 
     def _break_out(self) -> None:
         """Increase the weight of every currently violated nogood by one."""

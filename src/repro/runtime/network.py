@@ -21,12 +21,22 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.exceptions import SimulationError
 from ..core.problem import AgentId
-from .messages import Message
+from .messages import Message, Outgoing
 from .random_source import Seed, derive_rng
 
 #: A delivered message tagged with its sender-declared envelope recipient.
@@ -44,6 +54,24 @@ class Network:
         """Queue *message* from *sender* to *recipient*."""
         raise NotImplementedError
 
+    def send_all(
+        self,
+        sender: AgentId,
+        outgoing: Iterable[Outgoing],
+        agents: AbstractSet[AgentId],
+    ) -> None:
+        """Queue each of *sender*'s ``(recipient, message)`` pairs in order.
+
+        A recipient outside *agents* raises :class:`SimulationError`.
+        """
+        for recipient, message in outgoing:
+            if recipient not in agents:
+                raise SimulationError(
+                    f"agent {sender} sent a message to unknown agent "
+                    f"{recipient}"
+                )
+            self.send(sender, recipient, message)
+
     def deliver(self) -> Inbox:
         """Advance one cycle and return the messages readable this cycle."""
         raise NotImplementedError
@@ -58,30 +86,35 @@ class Network:
 
 
 class SynchronousNetwork(Network):
-    """The paper's model: every message takes exactly one cycle."""
+    """The paper's model: every message takes exactly one cycle.
+
+    A message goes into its recipient's list of next cycle's inbox when it
+    is sent, so each recipient reads its mail in global send order and
+    :meth:`deliver` hands the inbox over as it is.
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self._queue: List[Tuple[AgentId, Message]] = []
+        self._inbox: Inbox = {}
 
     def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
         if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
-        self._queue.append((recipient, message))
+            raise _self_send(sender)
+        box = self._inbox.get(recipient)
+        if box is None:
+            self._inbox[recipient] = [message]
+        else:
+            box.append(message)
         self.sent_count += 1
 
     def deliver(self) -> Inbox:
-        inbox: Inbox = {}
-        for recipient, message in self._queue:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        self._queue = []
+        inbox = self._inbox
+        self._inbox = {}
+        self.delivered_count = self.sent_count
         return inbox
 
     def pending(self) -> int:
-        return len(self._queue)
+        return self.sent_count - self.delivered_count
 
 
 class FixedDelayNetwork(Network):
@@ -100,27 +133,22 @@ class FixedDelayNetwork(Network):
             raise SimulationError(f"delay must be at least 1, got {delay}")
         self.delay = delay
         self._now = 0
-        self._queue: List[Tuple[int, int, AgentId, Message]] = []
-        self._sequence = 0
+        # (arrival cycle, recipient, message). One constant delay keeps
+        # arrivals in send order, so the due messages are a prefix.
+        self._queue: Deque[Tuple[int, AgentId, Message]] = deque()
 
     def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
         if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
-        self._queue.append(
-            (self._now + self.delay, self._sequence, recipient, message)
-        )
-        self._sequence += 1
+            raise _self_send(sender)
+        self._queue.append((self._now + self.delay, recipient, message))
         self.sent_count += 1
 
     def deliver(self) -> Inbox:
         self._now += 1
-        due = [item for item in self._queue if item[0] <= self._now]
-        self._queue = [item for item in self._queue if item[0] > self._now]
-        due.sort(key=lambda item: item[1])
+        queue = self._queue
         inbox: Inbox = {}
-        for _arrival, _sequence, recipient, message in due:
+        while queue and queue[0][0] <= self._now:
+            _arrival, recipient, message = queue.popleft()
             inbox.setdefault(recipient, []).append(message)
             self.delivered_count += 1
         return inbox
@@ -191,9 +219,7 @@ class LossyNetwork(Network):
 
     def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
         if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
+            raise _self_send(sender)
         # Simulate (re)transmission rounds until a copy gets through; the
         # arrival time reflects how many rounds were needed.
         attempts = 1
@@ -273,9 +299,7 @@ class RandomDelayNetwork(Network):
 
     def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
         if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
+            raise _self_send(sender)
         arrival = self._now + self._rng.randint(1, self.max_delay)
         if self.fifo:
             channel = (sender, recipient)
@@ -364,9 +388,7 @@ class ScheduledNetwork(Network):
 
     def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
         if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
+            raise _self_send(sender)
         self._pending.append(
             Delivery(self._now, self.sent_count, sender, recipient, message)
         )
@@ -410,3 +432,9 @@ class ScheduledNetwork(Network):
     def choices_taken(self) -> Tuple[int, ...]:
         """The full decision sequence of the run so far (replayable)."""
         return tuple(point.chosen for point in self.choice_log)
+
+
+def _self_send(sender: AgentId) -> SimulationError:
+    return SimulationError(
+        f"agent {sender} attempted to send a message to itself"
+    )

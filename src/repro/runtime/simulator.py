@@ -121,6 +121,10 @@ class SynchronousSimulator:
         #: 1-based cycle whose agent steps are running. Used to tag traced
         #: messages with the cycle they were *sent* in.
         self._current_cycle = 0
+        #: The global assignment as last observed, and each agent's local
+        #: assignment at that observation (see _observe).
+        self._assignment: Dict[VariableId, Value] = {}
+        self._seen: List[Dict[VariableId, Value]] = [{} for _ in self.agents]
         for agent in self.agents:
             self.metrics.attach(agent.id, agent.check_counter)
 
@@ -133,7 +137,7 @@ class SynchronousSimulator:
             self._route(agent.id, agent.initialize())
         # The paper counts "cycles consumed until a solution is found"; if
         # the random initial values already solve the problem, that is zero.
-        solved = self._solution_found()
+        solved = self.detector.is_solution(self._assignment, self._observe())
         quiescent = False
         unsolvable = self._any_failure()
         while (
@@ -143,18 +147,20 @@ class SynchronousSimulator:
             and self.metrics.cycles < self.max_cycles
         ):
             self._current_cycle = self.metrics.cycles + 1
-            inbox = self.network.deliver()
+            mail = self.network.deliver().get
             for agent in self.agents:
-                outgoing = agent.step(inbox.get(agent.id, ()))
-                self._route(agent.id, outgoing)
+                outgoing = agent.step(mail(agent.id, ()))
+                if outgoing:
+                    self._route(agent.id, outgoing)
             self.metrics.end_cycle()
+            changed = self._observe()
             if self.tracer is not None:
                 traced_at = time.perf_counter()
                 self.tracer.on_cycle_end(
-                    self.metrics.cycles, collect_assignment(self.agents)
+                    self.metrics.cycles, dict(self._assignment)
                 )
                 self._tracer_seconds += time.perf_counter() - traced_at
-            solved = self._solution_found()
+            solved = self.detector.is_solution(self._assignment, changed)
             unsolvable = self._any_failure()
             if (
                 not solved
@@ -190,22 +196,38 @@ class SynchronousSimulator:
     # -- internals -------------------------------------------------------------
 
     def _route(self, sender: AgentId, outgoing: Sequence[Outgoing]) -> None:
-        for recipient, message in outgoing:
-            if recipient not in self._ids:
-                raise SimulationError(
-                    f"agent {sender} sent a message to unknown agent "
-                    f"{recipient}"
-                )
-            if self.tracer is not None:
-                traced_at = time.perf_counter()
+        if self.tracer is not None:
+            traced_at = time.perf_counter()
+            for recipient, message in outgoing:
                 self.tracer.on_message(
                     self._current_cycle, sender, recipient, message
                 )
-                self._tracer_seconds += time.perf_counter() - traced_at
-            self.network.send(sender, recipient, message)
+            self._tracer_seconds += time.perf_counter() - traced_at
+        self.network.send_all(sender, outgoing, self._ids)
 
-    def _solution_found(self) -> bool:
-        return self.detector.is_solution(collect_assignment(self.agents))
+    def _observe(self) -> List[VariableId]:
+        """Fold every agent's values into the global assignment.
+
+        Returns the variables whose values changed since the last
+        observation, which is all the detector needs to look at.
+        """
+        assignment = self._assignment
+        seen = self._seen
+        changed: List[VariableId] = []
+        for index, agent in enumerate(self.agents):
+            local = agent.local_assignment()
+            previous = seen[index]
+            if local == previous:
+                continue
+            seen[index] = dict(local)
+            for variable, value in local.items():
+                if variable not in previous or previous[variable] != value:
+                    changed.append(variable)
+                    assignment[variable] = value
+            for variable in previous.keys() - local.keys():
+                changed.append(variable)
+                del assignment[variable]
+        return changed
 
     def _any_failure(self) -> bool:
         return any(agent.failure is not None for agent in self.agents)

@@ -16,9 +16,18 @@ entailed by the problem), so "solution observed" is safe in both modes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from ..core.nogood import Nogood
+from ..core.nogood import Pair
 from ..core.problem import DisCSP
 from ..core.variables import Value, VariableId
 from .network import Network
@@ -38,8 +47,17 @@ class GlobalSolutionDetector:
     def __init__(self, problem: DisCSP) -> None:
         self._problem = problem
 
-    def is_solution(self, assignment: Mapping[VariableId, Value]) -> bool:
-        """True if *assignment* solves the problem."""
+    def is_solution(
+        self,
+        assignment: Mapping[VariableId, Value],
+        changed: Optional[Iterable[VariableId]] = None,
+    ) -> bool:
+        """True if *assignment* solves the problem.
+
+        *changed*, when given, names every variable whose value may differ
+        from the assignment of the previous call. This detector re-checks
+        the whole assignment and ignores it.
+        """
         return self._problem.is_solution(assignment)
 
 
@@ -48,16 +66,18 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
 
     :class:`GlobalSolutionDetector` re-evaluates every original nogood on
     every call — O(constraints) work per cycle even when a single agent
-    moved. This variant keeps the last observed assignment and a per-nogood
-    violated flag, with the original nogoods indexed by every
-    ``(variable, value)`` pair they bind. Each call diffs the new
-    assignment against the previous one. When a variable leaves value *a*,
-    the nogoods binding it to *a* can no longer be violated: their flags
-    are cleared without a test. Only the nogoods binding a changed variable
-    to its *new* value are re-evaluated. A running violated count is kept
-    throughout. Per cycle that is O(variables) for the diff plus
-    O(constraints binding a changed variable to its new value) for
-    re-evaluation, instead of O(all constraints).
+    moved. This variant keeps, per original nogood, the number of its
+    pairs the last observed assignment does not match; a nogood is
+    violated exactly when that count is 0. The original nogoods are
+    indexed by every ``(variable, value)`` pair they bind. When a variable
+    leaves value *a*, each nogood binding it to *a* gains one unmatched
+    pair; when it takes value *b*, each nogood binding it to *b* loses
+    one. Each is an O(1) update, and a running count of violated nogoods
+    is kept throughout, so no nogood is ever re-tested.
+
+    The simulator passes the variables that changed this cycle. Without
+    that list every variable of the problem is folded in again, which
+    costs O(all bindings) per call; only tests call it that way.
 
     Detection is purely observational: it performs no
     :meth:`~repro.core.store.NogoodStore.is_violated` calls, so it
@@ -77,28 +97,28 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
         self._domains = {
             variable: csp.domain_of(variable) for variable in self._variables
         }
-        # The index and the flags key nogoods by identity: the index holds
-        # the same objects as csp.nogoods, and identity keys cost one
-        # pointer hash instead of hashing pair sets.
-        binding: Dict[Tuple[VariableId, Value], List[Nogood]] = {}
-        for nogood in csp.nogoods:
+        binding: Dict[Pair, List[int]] = {}
+        for index, nogood in enumerate(csp.nogoods):
             for pair in nogood.pairs:
-                binding.setdefault(pair, []).append(nogood)
-        self._binding: Dict[Tuple[VariableId, Value], Tuple[Nogood, ...]] = {
-            pair: tuple(nogoods) for pair, nogoods in binding.items()
+                binding.setdefault(pair, []).append(index)
+        #: (variable, value) -> indices of the original nogoods binding it.
+        self._binding: Dict[Pair, Tuple[int, ...]] = {
+            pair: tuple(indices) for pair, indices in binding.items()
         }
-        self._violated_flag: Dict[int, bool] = {
-            id(nogood): False for nogood in csp.nogoods
-        }
-        self._violated_count = 0
+        #: Per original nogood, its pairs the observed assignment does not
+        #: match. Nothing is assigned yet; the empty nogood starts at 0.
+        self._unmatched: List[int] = [len(nogood) for nogood in csp.nogoods]
+        self._violated_count = self._unmatched.count(0)
         #: Variables currently unassigned or holding an out-of-domain value.
         self._bad_vars: Set[VariableId] = set(self._variables)
         self._last: Dict[VariableId, Value] = {}
 
-    def is_solution(self, assignment: Mapping[VariableId, Value]) -> bool:
-        changed = self._diff(assignment)
-        if changed:
-            self._apply(changed, assignment)
+    def is_solution(
+        self,
+        assignment: Mapping[VariableId, Value],
+        changed: Optional[Iterable[VariableId]] = None,
+    ) -> bool:
+        self._apply(self._variables if changed is None else changed, assignment)
         if self._bad_vars or self._violated_count:
             return False
         # Cheap paranoia: a full check runs only on candidate solutions
@@ -107,56 +127,41 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
 
     # -- internals ---------------------------------------------------------
 
-    def _diff(
-        self, assignment: Mapping[VariableId, Value]
-    ) -> List[VariableId]:
-        """The variables whose value differs from the last observation."""
-        last = self._last
-        missing = _MISSING
-        changed = [
-            variable
-            for variable in self._variables
-            if assignment.get(variable, missing) != last.get(variable, missing)
-        ]
-        return changed
-
     def _apply(
         self,
-        changed: List[VariableId],
+        changed: Iterable[VariableId],
         assignment: Mapping[VariableId, Value],
     ) -> None:
         """Fold the changed variables into the detector's running state."""
         last = self._last
         binding = self._binding.get
-        flags = self._violated_flag
-        touched: Dict[int, Nogood] = {}
+        unmatched = self._unmatched
+        bad_vars = self._bad_vars
+        violated = self._violated_count
         for variable in changed:
+            domain = self._domains.get(variable)
+            if domain is None:
+                continue  # not a variable of the problem
             previous = last.pop(variable, _MISSING)
             if previous is not _MISSING:
-                # The variable left *previous*: every nogood binding it
-                # there is satisfied now, whatever else changed.
-                for nogood in binding((variable, previous), ()):
-                    key = id(nogood)
-                    if flags[key]:
-                        flags[key] = False
-                        self._violated_count -= 1
-            if variable in assignment:
-                value = assignment[variable]
-                last[variable] = value
-                if value in self._domains[variable]:
-                    self._bad_vars.discard(variable)
-                else:
-                    self._bad_vars.add(variable)
-                for nogood in binding((variable, value), ()):
-                    touched[id(nogood)] = nogood
+                for index in binding((variable, previous), ()):
+                    if not unmatched[index]:
+                        violated -= 1
+                    unmatched[index] += 1
+            value = assignment.get(variable, _MISSING)
+            if value is _MISSING:
+                bad_vars.add(variable)
+                continue
+            last[variable] = value
+            if value in domain:
+                bad_vars.discard(variable)
             else:
-                self._bad_vars.add(variable)
-        # Tested only once every change is folded into the assignment.
-        for key, nogood in touched.items():
-            now = nogood.prohibits(last)
-            if now != flags[key]:
-                flags[key] = now
-                self._violated_count += 1 if now else -1
+                bad_vars.add(variable)
+            for index in binding((variable, value), ()):
+                unmatched[index] -= 1
+                if not unmatched[index]:
+                    violated += 1
+        self._violated_count = violated
 
 
 class QuiescentSolutionDetector(GlobalSolutionDetector):
@@ -171,7 +176,11 @@ class QuiescentSolutionDetector(GlobalSolutionDetector):
         super().__init__(problem)
         self._network = network
 
-    def is_solution(self, assignment: Mapping[VariableId, Value]) -> bool:
+    def is_solution(
+        self,
+        assignment: Mapping[VariableId, Value],
+        changed: Optional[Iterable[VariableId]] = None,
+    ) -> bool:
         return self._network.is_idle() and super().is_solution(assignment)
 
 

@@ -81,11 +81,54 @@ class TestNoFalsePositives:
     @given(planted_instances, st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_incomplete_variants_still_sound(self, instance, seed):
+        """No and 2ndRslv drop nogoods, so they may fail to finish, but
+        whatever they report must be true."""
         problem = instance.to_discsp()
         for spec in (awc("No"), awc("2ndRslv")):
             result = run_trial(problem, spec, seed=seed, max_cycles=10_000)
-            assert result.solved  # planted instances are solvable
-            assert instance.csp.is_solution(result.assignment)
+            assert not result.unsolvable  # planted instances are solvable
+            if result.solved:
+                assert instance.csp.is_solution(result.assignment)
+            else:
+                assert result.capped or result.quiescent
+
+
+class TestKnownLivelock:
+    """AWC without nogood recording is incomplete, and here is a witness.
+
+    From cycle 8 on, AWC+No's values and gap-compressed priorities repeat
+    with period 2 and no agent draws from its rng, so the run never ends;
+    recording nogoods (Rslv) breaks the loop.
+    """
+
+    INSTANCE = dict(
+        num_variables=7,
+        domain_size=3,
+        density=0.7,
+        tightness=0.35,
+        seed=3434,
+        planted=True,
+    )
+
+    def run(self, learning):
+        instance = random_binary_csp(**self.INSTANCE)
+        return run_trial(
+            instance.to_discsp(), awc(learning), seed=100, max_cycles=1_000
+        )
+
+    def test_awc_no_caps_unsolved(self):
+        result = self.run("No")
+        assert not result.solved
+        assert not result.unsolvable
+        assert result.capped
+        assert result.cycles == 1_000
+
+    def test_awc_rslv_solves_the_same_trial(self):
+        result = self.run("Rslv")
+        assert result.solved
+        assert random_binary_csp(**self.INSTANCE).csp.is_solution(
+            result.assignment
+        )
 
 
 class TestDeterminismProperty:

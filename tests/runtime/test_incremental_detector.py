@@ -5,7 +5,9 @@ the paper's cost accounting."""
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.algorithms.awc import build_awc_agents
 from repro.core.nogood import Nogood
@@ -140,6 +142,59 @@ class TestAgreementWithGlobalDetector:
             assert incremental.is_solution(assignment) == verdict, assignment
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_change_lists_agree_with_the_global_detector(self, data):
+        """The simulator's path: only the touched variables are named.
+
+        Values outside the domain (9), unassignment (None), no-op and
+        repeated touches, unary and empty nogoods all occur.
+        """
+        size = data.draw(st.integers(1, 4), label="size")
+        variables = st.integers(0, size - 1)
+        nogoods = data.draw(
+            st.lists(
+                st.dictionaries(variables, st.integers(0, 2), max_size=3),
+                max_size=8,
+            ),
+            label="nogoods",
+        )
+        problem = DisCSP.one_variable_per_agent(
+            {variable: Domain((0, 1, 2)) for variable in range(size)},
+            [Nogood(pairs.items()) for pairs in nogoods],
+        )
+        full = GlobalSolutionDetector(problem)
+        incremental = IncrementalSolutionDetector(problem)
+        assignment = {}
+        assert incremental.is_solution(assignment, []) == full.is_solution(
+            assignment
+        )
+        touches = st.lists(
+            st.tuples(variables, st.sampled_from([0, 1, 2, 9, None])),
+            max_size=size + 1,
+        )
+        for step in range(data.draw(st.integers(1, 25), label="steps")):
+            changed = []
+            for variable, value in data.draw(touches, label=f"step {step}"):
+                if value is None:
+                    assignment.pop(variable, None)
+                else:
+                    assignment[variable] = value
+                changed.append(variable)
+            assert incremental.is_solution(
+                assignment, changed
+            ) == full.is_solution(assignment), (step, assignment)
+            # The final full re-check hides false candidates; the counts
+            # behind them must be exact too.
+            assert incremental._violated_count == len(
+                problem.violated_nogoods(assignment)
+            )
+            assert incremental._bad_vars == {
+                variable
+                for variable in range(size)
+                if assignment.get(variable) not in (0, 1, 2)
+            }
 
     def test_already_solved_initial_assignment(self):
         problem = tiny_problem()

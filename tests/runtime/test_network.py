@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.exceptions import SimulationError
 from repro.runtime.messages import OkMessage
-from repro.runtime.network import RandomDelayNetwork, SynchronousNetwork
+from repro.runtime.network import (
+    FixedDelayNetwork,
+    RandomDelayNetwork,
+    SynchronousNetwork,
+)
 
 
 def ok(sender, value=0):
@@ -50,6 +54,66 @@ class TestSynchronousNetwork:
         net = SynchronousNetwork()
         with pytest.raises(SimulationError):
             net.send(1, 1, ok(1))
+
+
+class TestSynchronousSendAll:
+    AGENTS = frozenset(range(4))
+
+    def test_per_recipient_order_is_global_send_order(self):
+        net = SynchronousNetwork()
+        net.send_all(0, [(2, ok(0)), (3, ok(0))], self.AGENTS)
+        net.send(1, 2, ok(1))
+        net.send_all(3, [(2, ok(3)), (0, ok(3))], self.AGENTS)
+        net.send_all(0, [(2, ok(0, value=1))], self.AGENTS)
+        inbox = net.deliver()
+        assert inbox == {
+            2: [ok(0), ok(1), ok(3), ok(0, value=1)],
+            3: [ok(0)],
+            0: [ok(3)],
+        }
+
+    def test_counts_across_cycles(self):
+        net = SynchronousNetwork()
+        net.send_all(0, [(1, ok(0)), (2, ok(0))], self.AGENTS)
+        net.send_all(1, [], self.AGENTS)
+        assert (net.sent_count, net.pending(), net.delivered_count) == (2, 2, 0)
+        assert len(net.deliver()[1]) == 1
+        assert (net.sent_count, net.pending(), net.delivered_count) == (2, 0, 2)
+        assert net.is_idle()
+        net.send_all(2, [(0, ok(2)), (1, ok(2)), (3, ok(2))], self.AGENTS)
+        assert (net.sent_count, net.pending()) == (5, 3)
+        net.deliver()
+        assert (net.sent_count, net.pending(), net.delivered_count) == (5, 0, 5)
+        assert net.deliver() == {}
+
+    def test_rejects_self_send(self):
+        net = SynchronousNetwork()
+        with pytest.raises(SimulationError, match="itself"):
+            net.send_all(1, [(2, ok(1)), (1, ok(1))], self.AGENTS)
+        # The message before the bad one was queued and counted.
+        assert net.sent_count == net.pending() == 1
+
+    def test_rejects_unknown_recipient(self):
+        net = SynchronousNetwork()
+        with pytest.raises(SimulationError, match="unknown agent 9"):
+            net.send_all(1, [(9, ok(1))], self.AGENTS)
+        assert net.sent_count == net.pending() == 0
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: FixedDelayNetwork(2),
+            lambda: RandomDelayNetwork(max_delay=3, rng=random.Random(0)),
+        ],
+    )
+    def test_base_send_all_checks_recipients_too(self, factory):
+        net = factory()
+        with pytest.raises(SimulationError, match="unknown agent 9"):
+            net.send_all(1, [(9, ok(1))], self.AGENTS)
+        with pytest.raises(SimulationError, match="itself"):
+            net.send_all(1, [(1, ok(1))], self.AGENTS)
+        net.send_all(1, [(2, ok(1)), (0, ok(1))], self.AGENTS)
+        assert net.sent_count == net.pending() == 2
 
 
 class TestRandomDelayNetwork:

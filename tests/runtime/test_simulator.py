@@ -57,6 +57,19 @@ class ScriptedAgent(SimulatedAgent):
         return {self.variable: self.value}
 
 
+class CycleRecorder:
+    """A tracer that keeps every cycle's global assignment."""
+
+    def __init__(self):
+        self.cycles = []
+
+    def on_message(self, cycle, sender, recipient, message):
+        pass
+
+    def on_cycle_end(self, cycle, assignment):
+        self.cycles.append((cycle, assignment))
+
+
 class TestTerminationModes:
     def test_initial_solution_costs_zero_cycles(self):
         problem = two_agent_problem()
@@ -79,6 +92,29 @@ class TestTerminationModes:
         result = SynchronousSimulator(problem, agents).run()
         assert result.solved
         assert result.cycles == 2
+
+    def test_silent_value_change_is_detected(self):
+        """A value change no message announces still ends the run, and
+        the tracer sees each cycle's assignment."""
+        problem = two_agent_problem()
+        chatter = {i: {"send": [(1, OkMessage(0, 0, 0))]} for i in range(1, 9)}
+        chatter["init"] = [(1, OkMessage(0, 0, 0))]
+        agents = [
+            ScriptedAgent(0, 0, 0, script=chatter),
+            ScriptedAgent(1, 1, 0, script={3: {"value": 1}}),
+        ]
+        recorder = CycleRecorder()
+        result = SynchronousSimulator(
+            problem, agents, max_cycles=20, tracer=recorder
+        ).run()
+        assert result.solved
+        assert result.cycles == 3
+        assert result.assignment == {0: 0, 1: 1}
+        assert recorder.cycles == [
+            (1, {0: 0, 1: 0}),
+            (2, {0: 0, 1: 0}),
+            (3, {0: 0, 1: 1}),
+        ]
 
     def test_quiescence_without_solution_terminates(self):
         problem = two_agent_problem()

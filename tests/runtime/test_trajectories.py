@@ -6,7 +6,8 @@ exactly, so any change to agent scheduling, message ordering, delay
 sampling or cost counting shows up here as a diff. The cases:
 
 * the four smoke cells of the paper's benchmark families, 2 instances x 2
-  initial-value sets each;
+  initial-value sets each, plus DB with the original per-pair weights on
+  the colouring cell (3 of its 4 trials break out);
 * a single agent owning every variable of a multi-variable AWC run with an
   intra-round cap of 1: it sends no network mail at all, so the run must
   not be called quiescent while the agent still has carryover work;
@@ -20,7 +21,7 @@ sampling or cost counting shows up here as a diff. The cases:
 import pytest
 
 from repro.algorithms.multi_awc import build_multi_awc_agents
-from repro.algorithms.registry import algorithm_by_name
+from repro.algorithms.registry import algorithm_by_name, db
 from repro.core import DisCSP
 from repro.experiments.asynchrony import network_model
 from repro.experiments.paper import instances_for
@@ -56,6 +57,7 @@ SMOKE_CELLS = [
     pytest.param("d3c", 15, "DB", id="coloring-db"),
     pytest.param("d3s", 10, "AWC+Rslv", id="3sat-awc-rslv"),
     pytest.param("d3s", 10, "AWC+No", id="3sat-awc-no"),
+    pytest.param("d3c", 15, "DB(pair)", id="coloring-db-pair"),
 ]
 
 
@@ -63,7 +65,7 @@ def smoke_cell(family, n, label):
     instances = instances_for(family, n, count=2, seed=0)
     cell = run_cell(
         instances,
-        algorithm_by_name(label),
+        db("pair") if label == "DB(pair)" else algorithm_by_name(label),
         inits_per_instance=2,
         master_seed=derive_seed(0, family, n, label),
         n=n,
@@ -111,6 +113,12 @@ GOLDEN_CELLS = {
         (True, False, False, 14, 211, 1709, 1200, 0, 0, "220010001010012"),
         (True, False, False, 22, 324, 2720, 1840, 0, 0, "120202112200202"),
         (True, False, False, 32, 480, 3969, 2640, 0, 0, "201010220011010"),
+    ],
+    ("DB(pair)", "d3c"): [
+        (True, False, False, 10, 142, 1210, 880, 0, 0, "112202220202201"),
+        (True, False, False, 12, 171, 1492, 1040, 0, 0, "002210221212210"),
+        (True, False, False, 6, 81, 720, 560, 0, 0, "120201112200202"),
+        (True, False, False, 18, 260, 2217, 1520, 0, 0, "021212022211212"),
     ],
     ("AWC+Rslv", "d3s"): [
         (True, False, False, 31, 1752, 3504, 925, 49, 1, "0110110101"),
