@@ -10,7 +10,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
@@ -19,9 +19,9 @@ from ..learning import LearningMethod, learning_method
 from ..runtime.agent import SimulatedAgent
 from ..runtime.metrics import MetricsCollector
 from ..runtime.random_source import Seed
-from .abt import build_abt_agents
+from .abt import ABT_LEARNING_MODES, build_abt_agents
 from .awc import build_awc_agents
-from .breakout import build_breakout_agents
+from .breakout import WEIGHT_MODES, build_breakout_agents
 from .multi_awc import build_multi_awc_agents
 
 #: initial values per variable (or None to let each agent draw its own).
@@ -136,17 +136,31 @@ def abt(learning: str = "view") -> AlgorithmSpec:
     return AlgorithmSpec(name=f"ABT{suffix}", build=build)
 
 
+#: The families whose names may carry a ``(mode)`` suffix.
+_MODED: Dict[str, Tuple[Callable[..., AlgorithmSpec], Tuple[str, ...]]] = {
+    "DB": (db, WEIGHT_MODES),
+    "ABT": (abt, ABT_LEARNING_MODES),
+}
+
+
 def algorithm_by_name(name: str) -> AlgorithmSpec:
     """Parse a table-style algorithm label into a spec.
 
-    Accepted: ``"DB"``, ``"ABT"``, ``"AWC+<learning>"`` and
-    ``"MultiAWC+<learning>"`` where ``<learning>`` is any label accepted by
-    :func:`repro.learning.learning_method`.
+    Accepted: ``"DB"``, ``"DB(<weight mode>)"``, ``"ABT"``,
+    ``"ABT(<learning>)"``, ``"AWC+<learning>"`` and
+    ``"MultiAWC+<learning>"``, where a DB weight mode is one of
+    ``WEIGHT_MODES``, an ABT learning one of ``ABT_LEARNING_MODES``, and an
+    AWC ``<learning>`` any label accepted by
+    :func:`repro.learning.learning_method` — every name a spec of this
+    module carries.
     """
-    if name == "DB":
-        return db()
-    if name == "ABT":
-        return abt()
+    family, paren, mode = name.partition("(")
+    if family in _MODED:
+        make, modes = _MODED[family]
+        if not paren:
+            return make()
+        if mode.endswith(")") and mode[:-1] in modes:
+            return make(mode[:-1])
     if name.startswith("MultiAWC+"):
         return multi_awc(name[len("MultiAWC+"):])
     if name.startswith("AWC+"):

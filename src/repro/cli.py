@@ -312,27 +312,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint.cli import main as lint_main
-
-    forwarded: List[str] = list(args.paths)
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    if args.write_baseline:
-        forwarded.append("--write-baseline")
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.format != "text":
-        forwarded += ["--format", args.format]
-    if args.output:
-        forwarded += ["--output", args.output]
-    for pattern in args.exclude or ():
-        forwarded += ["--exclude", pattern]
-    if args.check_trace:
-        forwarded += ["--check-trace", args.check_trace]
-    return lint_main(forwarded)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify.cli import main as verify_main
 
@@ -359,7 +338,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .experiments.bench import main as bench_main
 
-    forwarded: List[str] = ["--axis", args.axis]
+    forwarded: List[str] = []
     if args.output:
         forwarded += ["--output", args.output]
     if args.gate is not None:
@@ -497,26 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("-o", "--output", default="instances")
     generate.set_defaults(func=_cmd_generate)
 
-    lint = sub.add_parser(
-        "lint",
-        help="check the determinism / isolation / accounting invariants "
-        "(see CONTRIBUTING.md)",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/"],
-        help="files or directories to lint (default: src/)",
-    )
-    lint.add_argument("--baseline", default=None)
-    lint.add_argument("--write-baseline", action="store_true")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint.add_argument("--output", default=None, metavar="FILE")
-    lint.add_argument("--exclude", action="append", default=None)
-    lint.add_argument("--check-trace", default=None, metavar="JSONL")
-    lint.set_defaults(func=_cmd_lint)
-
     verify = sub.add_parser(
         "verify",
         help=(
@@ -557,14 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="smoke benchmarks: lint analyzer and interleaving verifier "
-        "(writes BENCH_*.json)",
-    )
-    bench.add_argument(
-        "--axis",
-        choices=("lint", "verify"),
-        required=True,
-        help="what to measure (see repro.experiments.bench)",
+        help="smoke benchmark of the interleaving verifier "
+        "(writes BENCH_verify.json; see repro.experiments.bench)",
     )
     bench.add_argument("--output", default=None, metavar="PATH")
     bench.add_argument(
@@ -573,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         const="",
         default=None,
         metavar="BASELINE",
-        help="(--axis lint/verify) fail if the axis's "
-        "metric regressed more than 20%% vs the BASELINE report",
+        help="fail if schedules/sec regressed more than 20%% vs the "
+        "BASELINE report",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -1,33 +1,22 @@
-"""Smoke benchmarks for the lint analyzer and the verifier.
+"""Smoke benchmark for the interleaving verifier: ``repro bench``.
 
-Each axis measures one subsystem on a fixed small workload, asserts the
-results it depends on, and writes a JSON report. ``repro bench`` exposes
-it as a CLI subcommand.
-
-Two axes:
-
-* ``--axis lint`` — two full-tree runs of the whole-program repro-lint
-  analyzer (``src/`` + ``tests/``); identical findings are the
-  determinism guarantee, and the wall time must stay under the 10 s CI
-  budget. Writes ``BENCH_lint.json``.
-* ``--axis verify`` — the interleaving verifier (:mod:`repro.verify`) on
-  its pinned corpus: schedule-exploration throughput, the DPOR prune
-  ratio, and zero invariant violations. Writes ``BENCH_verify.json``;
-  ``--gate`` fails the run if schedules/sec regressed more than 20%
-  against a committed baseline report.
+Runs the interleaving verifier (:mod:`repro.verify`) on its pinned corpus
+and reports schedule-exploration throughput, the DPOR prune ratio, and
+zero invariant violations. Writes ``BENCH_verify.json``; ``--gate`` fails
+the run if schedules/sec regressed more than 20% against a committed
+baseline report.
 
 Usage::
 
     PYTHONPATH=src python -m repro.cli bench
-        --axis lint|verify
         [--output PATH] [--gate [BASELINE]]
 
-The workloads are deliberately small (seconds per axis) so CI can
-afford them; every report records the machine it ran on.
+The workload is deliberately small (seconds) so CI can afford it; every
+report records the machine it ran on.
 
 This module lives under ``experiments/`` (not ``runtime/`` or
 ``algorithms/``) deliberately: benchmarking needs wall clocks, which the
-repro-lint determinism rules ban inside the simulation layers.
+simulation layers do not read.
 """
 
 from __future__ import annotations
@@ -36,12 +25,8 @@ import argparse
 import json
 import os
 import platform
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
-
-#: CI wall-time budget (seconds) for one full-tree lint pass.
-LINT_BUDGET_SECONDS = 10.0
+from typing import List, Optional
 
 #: Maximum tolerated metric regression for ``--gate`` (fraction).
 GATE_TOLERANCE = 0.20
@@ -52,82 +37,8 @@ def _repo_root() -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-def run_lint_bench(
-    repo_root: Path, output: str, gate: Optional[str] = None
-) -> int:
-    """Two full-tree lint passes: determinism check + CI wall-time budget.
-
-    ``--gate`` applies the 20% regression rule to the full-pass wall time
-    (a "min" metric: lint getting slower fails the gate).
-    """
-    from ..lint.engine import DEFAULT_EXCLUDES, iter_python_files, lint_paths
-
-    paths = [str(repo_root / "src"), str(repo_root / "tests")]
-    files = list(iter_python_files(paths, excludes=list(DEFAULT_EXCLUDES)))
-    passes = []
-    findings_per_pass = []
-    for _ in range(2):
-        started = time.perf_counter()
-        findings = lint_paths(
-            paths, baseline=None, excludes=list(DEFAULT_EXCLUDES)
-        )
-        elapsed = time.perf_counter() - started
-        passes.append(round(elapsed, 4))
-        findings_per_pass.append(
-            [finding.format(show_hint=False) for finding in findings]
-        )
-    if findings_per_pass[0] != findings_per_pass[1]:
-        print("FATAL: lint findings diverge between identical passes")
-        return 1
-
-    slowest = max(passes)
-    budget_met = slowest <= LINT_BUDGET_SECONDS
-    report = {
-        "benchmark": "lint_smoke",
-        "paths": ["src/", "tests/"],
-        "files_linted": len(files),
-        "machine": {
-            "cpu_count": os.cpu_count() or 1,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "pass_wall_seconds": passes,
-        "pass_wall_max_seconds": slowest,
-        "files_per_second": round(len(files) / slowest) if slowest else 0,
-        "findings": len(findings_per_pass[0]),
-        "budget_seconds": LINT_BUDGET_SECONDS,
-        "budget_met": budget_met,
-        "results_identical": True,
-        "note": (
-            "one whole-program pass parses every file once into a shared "
-            "ProjectGraph, then runs the file-local and inter-procedural "
-            "rules against it; the budget keeps full-tree linting viable "
-            "as a pre-commit hook and a CI gate"
-        ),
-    }
-    Path(output).write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"lint: {len(files)} files, passes {passes[0]:.2f}s / "
-        f"{passes[1]:.2f}s, "
-        f"{report['findings']} finding(s), "
-        f"budget {LINT_BUDGET_SECONDS:.0f}s "
-        f"{'met' if budget_met else 'EXCEEDED'}"
-    )
-    print(f"wrote {output}")
-    if not budget_met:
-        print(
-            f"FATAL: full-tree lint took {slowest:.2f}s, over the "
-            f"{LINT_BUDGET_SECONDS:.0f}s budget"
-        )
-        return 1
-    if gate is not None:
-        metric_path, label, direction = GATE_METRICS["lint"]
-        return check_gate(gate, slowest, metric_path, label, direction)
-    return 0
-
-
 def run_verify_bench(output: str, gate: Optional[str]) -> int:
-    """``--axis verify``: the interleaving verifier as a benchmark.
+    """The interleaving verifier as a benchmark.
 
     Explores the pinned corpus (pruned DFS + capped naive count) and
     reports schedule throughput and the prune ratio. Two properties are
@@ -183,42 +94,12 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
         )
         return 1
     if gate is not None:
-        metric_path, label, direction = GATE_METRICS["verify"]
-        return check_gate(
-            gate, schedules_per_second, metric_path, label, direction
-        )
+        return check_gate(gate, schedules_per_second)
     return 0
 
 
-#: Where each gated axis keeps its metric in its report, and which
-#: direction is "better" ("max": higher, gate is a floor; "min": lower,
-#: gate is a ceiling).
-GATE_METRICS: Dict[str, Tuple[Tuple[str, ...], str, str]] = {
-    "lint": (
-        ("pass_wall_max_seconds",),
-        "full-tree lint wall seconds",
-        "min",
-    ),
-    "verify": (
-        ("verify", "schedules_per_second"),
-        "verify schedules/sec",
-        "max",
-    ),
-}
-
-
-def check_gate(
-    baseline_path: str,
-    measured: float,
-    metric_path: Tuple[str, ...],
-    label: str,
-    direction: str,
-) -> int:
-    """Fail if *measured* regressed >20% against the committed baseline.
-
-    ``direction`` says which way is better: ``"max"`` metrics (throughput)
-    gate on a floor 20% below the baseline, ``"min"`` metrics (wall time)
-    on a ceiling 20% above it.
+def check_gate(baseline_path: str, measured: float) -> int:
+    """Fail if *measured* schedules/sec fell >20% below the baseline's.
 
     A gate was explicitly requested, so a baseline that cannot be read is
     an error, never a silent skip — one line, no traceback.
@@ -233,59 +114,37 @@ def check_gate(
         print(f"FATAL: gate baseline {baseline_path} is unreadable: {error}")
         return 1
     try:
-        value: object = baseline
-        for key in metric_path:
-            value = value[key]  # type: ignore[index]
-        baseline_value = float(value)  # type: ignore[arg-type]
+        baseline_value = float(baseline["verify"]["schedules_per_second"])
     except (KeyError, TypeError, ValueError):
         print(
             f"FATAL: gate baseline {baseline_path} has no "
-            f"{'.'.join(metric_path)} metric"
+            "verify.schedules_per_second metric"
         )
         return 1
-    if direction == "min":
-        bound = baseline_value * (1.0 + GATE_TOLERANCE)
-        bound_name = "ceiling"
-        regressed = measured > bound
-    else:
-        bound = baseline_value * (1.0 - GATE_TOLERANCE)
-        bound_name = "floor"
-        regressed = measured < bound
+    floor = baseline_value * (1.0 - GATE_TOLERANCE)
     print(
         f"gate: measured {measured:,.0f} vs baseline "
-        f"{baseline_value:,.0f} {label} ({bound_name} {bound:,.0f})"
+        f"{baseline_value:,.0f} verify schedules/sec (floor {floor:,.0f})"
     )
-    if regressed:
+    if measured < floor:
         print(
-            f"FATAL: {label} regressed more than "
+            f"FATAL: verify schedules/sec regressed more than "
             f"{GATE_TOLERANCE:.0%} vs {baseline_path}"
         )
         return 1
     return 0
 
 
-#: Each axis's default report (and ``--gate`` baseline), next to its runner.
-AXES = {
-    "lint": "BENCH_lint.json",
-    "verify": "BENCH_verify.json",
-}
+#: The committed report: the default output and ``--gate`` baseline.
+COMMITTED = "BENCH_verify.json"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--axis",
-        choices=tuple(AXES),
-        required=True,
-        help="what to measure: two passes of the whole-program lint "
-        "analyzer, or the interleaving verifier's schedule-exploration "
-        "throughput",
-    )
-    parser.add_argument(
         "--output",
         default=None,
-        help="where to write the JSON report (default: the axis's "
-        "committed BENCH_*.json)",
+        help=f"where to write the JSON report (default: {COMMITTED})",
     )
     parser.add_argument(
         "--gate",
@@ -293,14 +152,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         const="",
         default=None,
         metavar="BASELINE",
-        help="fail if the axis's metric regresses more than 20%% against "
-        "the BASELINE report (default: the axis's committed BENCH_*.json)",
+        help="fail if schedules/sec regresses more than 20%% against the "
+        f"BASELINE report (default: {COMMITTED})",
     )
     args = parser.parse_args(argv)
-    repo_root = _repo_root()
-    committed = str(repo_root / AXES[args.axis])
-    output = args.output or committed
+    committed = str(_repo_root() / COMMITTED)
     gate = committed if args.gate == "" else args.gate
-    if args.axis == "lint":
-        return run_lint_bench(repo_root, output, gate)
-    return run_verify_bench(output, gate)
+    return run_verify_bench(args.output or committed, gate)

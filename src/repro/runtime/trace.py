@@ -135,8 +135,8 @@ class TraceRecorder:
         reports totals and the drop count, so a truncated trace is
         detectable from the file alone.
 
-        ``repro lint --check-trace`` replays this format and asserts the
-        runtime invariants (clock monotonicity, value chains, the summary
+        :func:`repro.runtime.trace_check.check_trace_file` replays this
+        format and asserts the runtime invariants (clock monotonicity, value chains, the summary
         totals) hold over the recorded run.
         """
         merged: List[Union[MessageEvent, ValueChangeEvent]] = sorted(

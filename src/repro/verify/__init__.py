@@ -1,7 +1,8 @@
-"""The dynamic half of the interleaving verifier: ``repro verify``.
+"""The interleaving verifier: ``repro verify``.
 
-The static half (:mod:`repro.lint.effects`) predicts which message handlers
-commute; this package *tests* those predictions by driving the
+The static half (:mod:`repro.verify.effects`, over the class graph of
+:mod:`repro.verify.graph`) predicts which message handlers commute; the
+dynamic half *tests* those predictions by driving the
 :class:`~repro.runtime.simulator.SynchronousSimulator` through
 systematically chosen delivery orders on a pinned corpus of small
 instances.

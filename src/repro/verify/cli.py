@@ -105,8 +105,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _print_matrix() -> int:
-    from ..lint.effects import format_matrix, handler_effects
-    from ..lint.graph import ProjectGraph
+    from .effects import format_matrix, handler_effects
+    from .graph import ProjectGraph
     from .explorer import _repo_source_paths
 
     graph = ProjectGraph.build(_repo_source_paths())

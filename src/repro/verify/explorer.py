@@ -26,7 +26,7 @@ order provably reaches the same state:
 * different recipients — handler effects are confined to the recipient's
   state, so cross-agent deliveries commute;
 * same recipient — commute iff the handler-effect footprints
-  (:func:`repro.lint.effects.commutativity_matrix`) do not conflict for
+  (:func:`repro.verify.effects.commutativity_matrix`) do not conflict for
   that (agent class, message type, message type) triple. An (unknown
   class, unknown type) pair is conservatively *dependent*.
 
@@ -51,12 +51,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.problem import AgentId, DisCSP
-from ..lint.effects import (
+from .effects import (
     CommutativityMatrix,
     commutativity_matrix,
     handler_effects,
 )
-from ..lint.graph import ProjectGraph
+from .graph import ProjectGraph
 from ..runtime.agent import SimulatedAgent
 from ..runtime.network import Delivery, ScheduledNetwork
 from ..runtime.simulator import RunResult, SynchronousSimulator
@@ -219,7 +219,7 @@ def repo_commutativity_matrix() -> CommutativityMatrix:
     """The commutativity matrix of the repo's own agent classes.
 
     Parses ``src/repro`` into a fresh
-    :class:`~repro.lint.graph.ProjectGraph` and runs the handler-effect
+    :class:`~repro.verify.graph.ProjectGraph` and runs the handler-effect
     pass, so the explorer prunes with exactly what that pass proved.
     """
     graph = ProjectGraph.build(_repo_source_paths())

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.algorithms.abt import AbtAgent
+from repro.algorithms.abt import ABT_LEARNING_MODES, AbtAgent
 from repro.algorithms.awc import AwcAgent
-from repro.algorithms.breakout import BreakoutAgent
+from repro.algorithms.breakout import WEIGHT_MODES, BreakoutAgent
 from repro.algorithms.multi_awc import MultiVariableAwcAgent
 from repro.algorithms.registry import (
     abt,
@@ -19,6 +19,10 @@ from repro.problems.coloring import coloring_discsp
 from repro.runtime.metrics import MetricsCollector
 
 from ..conftest import triangle_graph
+
+
+#: Every learning label family :func:`repro.learning.learning_method` takes.
+LEARNING_LABELS = ("Rslv", "Mcs", "No", "Rslv/rec", "Rslv/norec", "3rdRslv")
 
 
 def build(spec):
@@ -74,6 +78,24 @@ class TestByName:
     )
     def test_round_trips(self, name):
         assert algorithm_by_name(name).name == name
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(awc(label) for label in LEARNING_LABELS),
+            *(multi_awc(label) for label in LEARNING_LABELS),
+            *(db(mode) for mode in WEIGHT_MODES),
+            *(abt(mode) for mode in ABT_LEARNING_MODES),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_parses_every_spec_name(self, spec):
+        assert algorithm_by_name(spec.name).name == spec.name
+
+    @pytest.mark.parametrize("name", ["DB(x)", "ABT(pair)", "DB(pair", "DBX"])
+    def test_unknown_mode_rejected(self, name):
+        with pytest.raises(ModelError):
+            algorithm_by_name(name)
 
     def test_unknown_rejected(self):
         with pytest.raises(ModelError):

@@ -4,8 +4,8 @@ Every generator routes its randomness through ``derive_rng``, so the
 instance produced by a given (parameters, seed) pair is part of the repo's
 public contract — results tables cite it. These digests fail the moment
 anyone perturbs a generator's draw sequence (reordering ``rng`` calls,
-"harmless" refactors, a stray global-``random`` call slipping past lint
-rule D1) even if the instances remain statistically plausible.
+"harmless" refactors, a stray global-``random`` call) even if the
+instances remain statistically plausible.
 
 If a change is *meant* to alter the instances, update the digests and say
 so in the changelog — that is a results-invalidating change.

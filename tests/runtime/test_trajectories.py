@@ -21,7 +21,7 @@ sampling or cost counting shows up here as a diff. The cases:
 import pytest
 
 from repro.algorithms.multi_awc import build_multi_awc_agents
-from repro.algorithms.registry import algorithm_by_name, db
+from repro.algorithms.registry import algorithm_by_name
 from repro.core import DisCSP
 from repro.experiments.asynchrony import network_model
 from repro.experiments.paper import instances_for
@@ -65,7 +65,7 @@ def smoke_cell(family, n, label):
     instances = instances_for(family, n, count=2, seed=0)
     cell = run_cell(
         instances,
-        db("pair") if label == "DB(pair)" else algorithm_by_name(label),
+        algorithm_by_name(label),
         inits_per_instance=2,
         master_seed=derive_seed(0, family, n, label),
         n=n,

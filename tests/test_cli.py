@@ -39,17 +39,17 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["bench"],
             ["bench", "--axis", "workers"],
             ["bench", "--axis", "backend"],
             ["bench", "--axis", "lint", "--jobs", "2"],
             ["bench", "--axis", "alloc"],
+            ["bench", "--axis", "verify"],
+            ["lint"],
         ],
     )
     def test_one_engine_and_no_engine_bench_axes(self, argv):
-        # The synchronous simulator is the only engine, and bench has no
-        # default axis left once the engine and workers axes are gone; the
-        # allocation axis is gone too.
+        # The synchronous simulator is the only engine, and bench measures
+        # only the verifier, so it takes no axis; the lint command is gone.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
@@ -67,10 +67,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
-    def test_bench_axes_are_lint_and_verify(self):
-        parser = build_parser()
-        for axis in ("lint", "verify"):
-            assert parser.parse_args(["bench", "--axis", axis]).axis == axis
+    def test_bench_parses_without_an_axis(self):
+        args = build_parser().parse_args(["bench", "--gate"])
+        assert args.func.__name__ == "_cmd_bench"
+        assert args.gate == ""
+        assert not hasattr(args, "axis")
 
 
 class TestCommands:

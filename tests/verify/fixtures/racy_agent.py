@@ -1,4 +1,3 @@
-# repro-lint: module=algorithms/racy_agent.py
 """The seeded interleaving bug the schedule explorer must catch.
 
 ``RacyAgent`` commits its decision state on the *first* ``ok?`` it sees —
@@ -10,10 +9,6 @@ itself (reads and writes ``committed``, writes the decision attribute
 :func:`build_racy_setup` wires the race so that one delivery order solves
 the instance and the other ends quiescent and unsolved — the explorer must
 report the outcome divergence.
-
-Lives under ``fixtures/`` so whole-tree lint runs skip it (the seeded bug
-must not turn the repo's own lint gate red); the verify tests lint and run
-it explicitly.
 """
 
 from repro.core.nogood import Nogood
