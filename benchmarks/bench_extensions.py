@@ -16,10 +16,8 @@ from repro.algorithms.registry import abt, awc, AlgorithmSpec
 from repro.algorithms.multi_awc import build_multi_awc_agents
 from repro.core.problem import DisCSP
 from repro.experiments.paper import instances_for
-from repro.experiments.runner import run_cell
+from repro.experiments.runner import network_model, run_cell
 from repro.learning import learning_method
-from repro.runtime.network import RandomDelayNetwork
-from repro.runtime.random_source import derive_rng
 
 N, INSTANCES, INITS = SCALE.coloring[0]
 
@@ -44,11 +42,6 @@ def test_awc_under_message_delays(benchmark, max_delay):
     """Cycle growth as the network gets slower (FIFO random delays)."""
     problems = instances_for("d3c", N, INSTANCES, SEED)
 
-    def factory(seed):
-        return RandomDelayNetwork(
-            max_delay=max_delay, rng=derive_rng(seed, "bench-net")
-        )
-
     def once():
         return run_cell(
             problems,
@@ -57,7 +50,7 @@ def test_awc_under_message_delays(benchmark, max_delay):
             master_seed=SEED,
             n=N,
             max_cycles=SCALE.max_cycles,
-            network_factory=factory,
+            network_factory=network_model(f"random:{max_delay}"),
         )
 
     cell = benchmark.pedantic(once, rounds=1, iterations=1)

@@ -14,35 +14,26 @@ Two experiments in one script:
 Run:  python examples/asynchronous_network.py
 """
 
-from repro import awc, db, derive_rng, run_trial
+from repro import awc, db, run_trial
 from repro.experiments.efficiency import CostLine, crossover_delay, format_figure
-from repro.experiments.runner import run_cell
+from repro.experiments.runner import network_model, run_cell
 from repro.problems.coloring import random_coloring_instance
 from repro.problems.sat import sat_to_discsp, unique_solution_3sat
-from repro.runtime.network import RandomDelayNetwork
-
-
-def delayed_network(max_delay, fifo):
-    def factory(seed):
-        return RandomDelayNetwork(
-            max_delay=max_delay, rng=derive_rng(seed, "example-net"), fifo=fifo
-        )
-
-    return factory
 
 
 def main() -> None:
     problem = random_coloring_instance(25, seed=11).to_discsp()
     print("1) AWC+Rslv under message delays (3-coloring, n=25)")
     print(f"{'network':28s} {'cycles':>7s} {'solved':>7s}")
-    for label, factory in [
-        ("synchronous (paper)", None),
-        ("delay ≤ 3, FIFO", delayed_network(3, True)),
-        ("delay ≤ 3, reordering", delayed_network(3, False)),
-        ("delay ≤ 8, reordering", delayed_network(8, False)),
+    for label, spec in [
+        ("synchronous (paper)", "sync"),
+        ("delay ≤ 3, FIFO", "random:3"),
+        ("delay ≤ 3, reordering", "random:3:reorder"),
+        ("delay ≤ 8, reordering", "random:8:reorder"),
     ]:
-        kwargs = {"network_factory": factory} if factory else {}
-        result = run_trial(problem, awc("Rslv"), seed=2, **kwargs)
+        result = run_trial(
+            problem, awc("Rslv"), seed=2, network_factory=network_model(spec)
+        )
         assert problem.is_solution(result.assignment)
         print(f"{label:28s} {result.cycles:7d} {str(result.solved):>7s}")
 

@@ -312,40 +312,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(argv: List[str]) -> int:
     from .verify.cli import main as verify_main
 
-    forwarded: List[str] = []
-    if args.explore:
-        forwarded.append("--explore")
-    for entry in args.only or ():
-        forwarded += ["--only", entry]
-    if args.budget is not None:
-        forwarded += ["--budget", str(args.budget)]
-    if args.naive_budget is not None:
-        forwarded += ["--naive-budget", str(args.naive_budget)]
-    if args.no_prune:
-        forwarded.append("--no-prune")
-    if args.no_naive:
-        forwarded.append("--no-naive")
-    if args.format != "text":
-        forwarded += ["--format", args.format]
-    if args.output:
-        forwarded += ["--output", args.output]
-    return verify_main(forwarded)
+    return verify_main(argv)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(argv: List[str]) -> int:
     from .experiments.bench import main as bench_main
 
-    forwarded: List[str] = []
-    if args.output:
-        forwarded += ["--output", args.output]
-    if args.gate is not None:
-        forwarded.append("--gate")
-        if args.gate:
-            forwarded.append(args.gate)
-    return bench_main(forwarded)
+    return bench_main(argv)
+
+
+#: Subcommands that own their options: the rest of argv goes to them.
+_FORWARDED = {"verify", "bench"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,56 +458,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
+        add_help=False,
         help=(
             "interleaving verifier: handler commutativity matrix and "
-            "DPOR schedule exploration of the simulator"
+            "DPOR schedule exploration of the simulator "
+            "(options: repro verify --help)"
         ),
-    )
-    verify.add_argument(
-        "--explore",
-        action="store_true",
-        help="explore delivery schedules on the pinned corpus",
-    )
-    verify.add_argument(
-        "--only", action="append", metavar="ENTRY",
-        help="restrict to this corpus entry (repeatable)",
-    )
-    verify.add_argument(
-        "--budget", type=int, default=None,
-        help="max schedules the pruned search runs per entry",
-    )
-    verify.add_argument(
-        "--naive-budget", type=int, default=None,
-        help="max schedules the naive count runs per entry",
-    )
-    verify.add_argument(
-        "--no-prune", action="store_true",
-        help="disable commutativity pruning",
-    )
-    verify.add_argument(
-        "--no-naive", action="store_true",
-        help="skip the naive count (invariants only)",
-    )
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument(
-        "--output", default=None, help="also write the JSON report here"
     )
     verify.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser(
         "bench",
+        add_help=False,
         help="smoke benchmark of the interleaving verifier "
-        "(writes BENCH_verify.json; see repro.experiments.bench)",
-    )
-    bench.add_argument("--output", default=None, metavar="PATH")
-    bench.add_argument(
-        "--gate",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="BASELINE",
-        help="fail if schedules/sec regressed more than 20%% vs the "
-        "BASELINE report",
+        "(writes BENCH_verify.json; options: repro bench --help)",
     )
     bench.set_defaults(func=_cmd_bench)
 
@@ -535,7 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command in _FORWARDED:
+        return args.func(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

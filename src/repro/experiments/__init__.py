@@ -33,9 +33,7 @@ from .paper import (
 from .reference import ALL_TABLES, FIGURE2_CROSSOVERS, TABLE4
 from .asynchrony import (
     DEFAULT_NETWORKS,
-    NetworkModel,
     delay_response,
-    network_model,
     run_asynchrony_table,
 )
 from .report import ReportResult, ShapeCheck, generate_report
@@ -52,10 +50,11 @@ from .validation import (
 from .parallel import resolve_workers, run_cell_parallel
 from .runner import (
     CellResult,
+    NetworkModel,
+    network_model,
     random_initial_assignment,
     run_cell,
     run_trial,
-    synchronous_network_factory,
     trial_parameters,
 )
 from .tables import Table, TableRow
@@ -111,6 +110,5 @@ __all__ = [
     "save_cells",
     "scale_by_name",
     "scale_from_environment",
-    "synchronous_network_factory",
     "trial_parameters",
 ]

@@ -22,65 +22,14 @@ assignment is verified).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import algorithm_by_name
 from ..core.exceptions import ModelError
-from ..runtime.network import (
-    FixedDelayNetwork,
-    Network,
-    SynchronousNetwork,
-)
 from ..runtime.random_source import Seed, derive_seed
 from .paper import Scale, instances_for, scale_from_environment
-from .runner import (
-    CellResult,
-    lossy_network_factory,
-    random_delay_network_factory,
-    run_cell,
-)
+from .runner import CellResult, network_model, run_cell
 from .tables import Table, TableRow
-
-
-@dataclass(frozen=True)
-class NetworkModel:
-    """A named network construction recipe."""
-
-    name: str
-    factory: Callable[[Seed], Network]
-
-
-def network_model(spec: str) -> NetworkModel:
-    """Parse a network spec: ``sync``, ``fixed:3``, ``random:3``,
-    ``random:3:reorder``, ``lossy:30`` (percent loss)."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "sync":
-        return NetworkModel("sync", lambda seed: SynchronousNetwork())
-    if kind == "lossy":
-        percent = int(parts[1]) if len(parts) > 1 else 30
-        # The factory seeds the loss process from the trial seed, so the
-        # delay schedule is reproducible sequentially and under --jobs N.
-        return NetworkModel(
-            f"lossy({percent}%)",
-            lossy_network_factory(loss_rate=percent / 100.0),
-        )
-    if kind == "fixed":
-        delay = int(parts[1]) if len(parts) > 1 else 2
-        return NetworkModel(
-            f"fixed({delay})",
-            lambda seed, d=delay: FixedDelayNetwork(d),
-        )
-    if kind == "random":
-        delay = int(parts[1]) if len(parts) > 1 else 3
-        fifo = not (len(parts) > 2 and parts[2] == "reorder")
-        suffix = "" if fifo else "/reorder"
-        return NetworkModel(
-            f"random({delay}){suffix}",
-            random_delay_network_factory(max_delay=delay, fifo=fifo),
-        )
-    raise ModelError(f"unknown network spec {spec!r}")
 
 
 #: The default grid of network models for the extension table.
@@ -128,7 +77,7 @@ def run_asynchrony_table(
                 ),
                 n=n,
                 max_cycles=scale.max_cycles,
-                network_factory=model.factory,
+                network_factory=model,
             )
             _verify_solutions(cell, instances)
             row = TableRow(

@@ -49,6 +49,12 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
     """
     from ..verify.explorer import explore_corpus
 
+    # Read the baseline first: by default the new report overwrites it.
+    baseline = None
+    if gate is not None:
+        baseline = read_baseline(gate)
+        if baseline is None:
+            return 1
     report_data = explore_corpus()
     prune_ratio = report_data.prune_ratio
     assert prune_ratio is not None  # explore_corpus counts naive by default
@@ -93,34 +99,47 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
             "pruning effectively"
         )
         return 1
-    if gate is not None:
-        return check_gate(gate, schedules_per_second)
+    if baseline is not None:
+        return _apply_floor(gate, baseline, schedules_per_second)
     return 0
 
 
-def check_gate(baseline_path: str, measured: float) -> int:
-    """Fail if *measured* schedules/sec fell >20% below the baseline's.
+def read_baseline(baseline_path: str) -> Optional[float]:
+    """The baseline report's schedules/sec, or None if it cannot be read.
 
     A gate was explicitly requested, so a baseline that cannot be read is
-    an error, never a silent skip — one line, no traceback.
+    an error, never a silent skip — one FATAL line, no traceback.
     """
     path = Path(baseline_path)
     if not path.exists():
         print(f"FATAL: gate baseline {baseline_path} does not exist")
-        return 1
+        return None
     try:
         baseline = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
         print(f"FATAL: gate baseline {baseline_path} is unreadable: {error}")
-        return 1
+        return None
     try:
-        baseline_value = float(baseline["verify"]["schedules_per_second"])
+        return float(baseline["verify"]["schedules_per_second"])
     except (KeyError, TypeError, ValueError):
         print(
             f"FATAL: gate baseline {baseline_path} has no "
             "verify.schedules_per_second metric"
         )
+        return None
+
+
+def check_gate(baseline_path: str, measured: float) -> int:
+    """Fail if *measured* schedules/sec fell >20% below the baseline's."""
+    baseline_value = read_baseline(baseline_path)
+    if baseline_value is None:
         return 1
+    return _apply_floor(baseline_path, baseline_value, measured)
+
+
+def _apply_floor(
+    baseline_path: str, baseline_value: float, measured: float
+) -> int:
     floor = baseline_value * (1.0 - GATE_TOLERANCE)
     print(
         f"gate: measured {measured:,.0f} vs baseline "
@@ -140,7 +159,9 @@ COMMITTED = "BENCH_verify.json"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        prog="repro bench", description=__doc__.splitlines()[0]
+    )
     parser.add_argument(
         "--output",
         default=None,

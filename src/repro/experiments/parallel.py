@@ -45,8 +45,8 @@ from . import runner as _runner
 from .runner import (
     CellResult,
     NetworkFactory,
+    network_model,
     run_trial,
-    synchronous_network_factory,
     trial_parameters,
 )
 
@@ -153,7 +153,7 @@ def run_cell_parallel(
     master_seed: Seed,
     n: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    network_factory: NetworkFactory = synchronous_network_factory,
+    network_factory: NetworkFactory = network_model("sync"),
     workers: Optional[int] = None,
 ) -> CellResult:
     """One cell, trials distributed over *workers* processes.

@@ -23,10 +23,17 @@ from typing import (
 )
 
 from ..algorithms.registry import AlgorithmSpec
+from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
 from ..core.variables import Value, VariableId
 from ..runtime.metrics import MetricsCollector
-from ..runtime.network import Network, SynchronousNetwork
+from ..runtime.network import (
+    FixedDelayNetwork,
+    LossyNetwork,
+    Network,
+    RandomDelayNetwork,
+    SynchronousNetwork,
+)
 from ..runtime.random_source import Seed, derive_rng, derive_seed
 from ..runtime.simulator import (
     DEFAULT_MAX_CYCLES,
@@ -41,67 +48,61 @@ if TYPE_CHECKING:
 NetworkFactory = Callable[[Seed], Network]
 
 
-def synchronous_network_factory(seed: Seed) -> Network:
-    """The default: the paper's one-cycle-per-message network."""
-    del seed
-    return SynchronousNetwork()
-
-
 @dataclass(frozen=True)
-class RandomDelayNetworkFactory:
-    """A per-trial :class:`~repro.runtime.network.RandomDelayNetwork` factory.
+class NetworkModel:
+    """A named network recipe of plain values, built per trial.
 
-    The delay RNG is derived from the trial seed, so the delay schedule is
-    part of the trial's reproducible state: the same seed yields the same
-    deliveries whether trials run sequentially or under ``--jobs N``. A
-    frozen top-level dataclass (not a closure) so it pickles into worker
-    processes.
+    Called with a trial seed it returns that trial's network; a delay or
+    loss process draws from an rng derived from the seed, so the same seed
+    yields the same deliveries sequentially and under ``--jobs N``. Plain
+    values make it pickle into worker processes. Build one with
+    :func:`network_model`.
     """
 
-    max_delay: int = 3
+    name: str
+    kind: str
+    delay: int = 1
     fifo: bool = True
+    loss_rate: float = 0.0
 
     def __call__(self, seed: Seed) -> Network:
-        from ..runtime.network import RandomDelayNetwork
-
-        return RandomDelayNetwork(
-            max_delay=self.max_delay, fifo=self.fifo, seed=seed
-        )
-
-
-@dataclass(frozen=True)
-class LossyNetworkFactory:
-    """A per-trial :class:`~repro.runtime.network.LossyNetwork` factory,
-    loss process seeded from the trial seed (cf.
-    :class:`RandomDelayNetworkFactory`)."""
-
-    loss_rate: float = 0.3
-    retransmit_after: int = 1
-
-    def __call__(self, seed: Seed) -> Network:
-        from ..runtime.network import LossyNetwork
-
+        if self.kind == "sync":
+            return SynchronousNetwork()
+        if self.kind == "fixed":
+            return FixedDelayNetwork(self.delay)
+        if self.kind == "random":
+            return RandomDelayNetwork(
+                self.delay,
+                rng=derive_rng(seed, "network", "delay"),
+                fifo=self.fifo,
+            )
         return LossyNetwork(
-            loss_rate=self.loss_rate,
-            retransmit_after=self.retransmit_after,
-            seed=seed,
+            self.loss_rate, rng=derive_rng(seed, "network", "lossy")
         )
 
 
-def random_delay_network_factory(
-    max_delay: int = 3, fifo: bool = True
-) -> NetworkFactory:
-    """Shorthand for :class:`RandomDelayNetworkFactory`."""
-    return RandomDelayNetworkFactory(max_delay=max_delay, fifo=fifo)
-
-
-def lossy_network_factory(
-    loss_rate: float = 0.3, retransmit_after: int = 1
-) -> NetworkFactory:
-    """Shorthand for :class:`LossyNetworkFactory`."""
-    return LossyNetworkFactory(
-        loss_rate=loss_rate, retransmit_after=retransmit_after
-    )
+def network_model(spec: str) -> NetworkModel:
+    """Parse a network spec: ``sync``, ``fixed:3``, ``random:3``,
+    ``random:3:reorder``, ``lossy:30`` (percent loss)."""
+    kind, *args = spec.split(":")
+    if kind == "sync":
+        return NetworkModel("sync", kind)
+    if kind == "lossy":
+        percent = int(args[0]) if args else 30
+        return NetworkModel(
+            f"lossy({percent}%)", kind, loss_rate=percent / 100.0
+        )
+    if kind == "fixed":
+        delay = int(args[0]) if args else 2
+        return NetworkModel(f"fixed({delay})", kind, delay=delay)
+    if kind == "random":
+        delay = int(args[0]) if args else 3
+        fifo = args[1:2] != ["reorder"]
+        suffix = "" if fifo else "/reorder"
+        return NetworkModel(
+            f"random({delay}){suffix}", kind, delay=delay, fifo=fifo
+        )
+    raise ModelError(f"unknown network spec {spec!r}")
 
 
 def random_initial_assignment(
@@ -120,7 +121,7 @@ def run_trial(
     algorithm: AlgorithmSpec,
     seed: Seed,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    network_factory: NetworkFactory = synchronous_network_factory,
+    network_factory: NetworkFactory = network_model("sync"),
     tracer: Optional["TraceRecorder"] = None,
 ) -> RunResult:
     """One trial: build agents, simulate, return the run's measurements.
@@ -223,7 +224,7 @@ def run_cell(
     master_seed: Seed,
     n: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    network_factory: NetworkFactory = synchronous_network_factory,
+    network_factory: NetworkFactory = network_model("sync"),
     workers: Optional[int] = None,
 ) -> CellResult:
     """One cell: every instance × every initial-value set.

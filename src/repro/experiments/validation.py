@@ -21,10 +21,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import AlgorithmSpec, awc
 from ..core.exceptions import ModelError
-from ..runtime.network import FixedDelayNetwork
 from ..runtime.random_source import Seed, derive_seed
 from .paper import Scale, instances_for, scale_from_environment
-from .runner import run_cell
+from .runner import network_model, run_cell
 
 
 @dataclass(frozen=True)
@@ -88,22 +87,18 @@ def validate_delay_model(
     n, num_instances, inits = scale.cells_for(family)[0]
     instances = instances_for(family, n, num_instances, seed)
 
-    def cell_at(delay: Optional[int]):
-        def factory(trial_seed):
-            del trial_seed
-            return FixedDelayNetwork(delay if delay is not None else 1)
-
+    def cell_at(delay: int):
         return run_cell(
             instances,
             algorithm,
             inits_per_instance=inits,
-            master_seed=derive_seed(seed, "delay-validation", delay or 1),
+            master_seed=derive_seed(seed, "delay-validation", delay),
             n=n,
             max_cycles=scale.max_cycles * max(delays),
-            network_factory=factory,
+            network_factory=network_model(f"fixed:{delay}"),
         )
 
-    baseline = cell_at(None)
+    baseline = cell_at(1)
     if baseline.percent_solved < 100.0:
         raise ModelError(
             "baseline cell did not fully solve; pick an easier cell for "

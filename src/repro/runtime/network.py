@@ -7,10 +7,12 @@ cycle *t* is readable at cycle *t + 1*.
 
 The paper notes (Section 5) that the algorithms are designed for fully
 asynchronous systems and should be analysed on other network types too.
-:class:`RandomDelayNetwork` provides that axis: each message independently
-takes 1..max_delay cycles, optionally with per-channel FIFO ordering (without
-FIFO, messages between the same pair of agents can overtake each other,
-which is the harshest asynchrony the algorithms must tolerate).
+The :class:`DelayNetwork` subclasses provide that axis over one arrival
+queue: :class:`FixedDelayNetwork` (a constant delay),
+:class:`RandomDelayNetwork` (1..max_delay cycles per message, optionally
+without per-channel FIFO, so messages between the same pair of agents can
+overtake each other — the harshest asynchrony the algorithms must
+tolerate) and :class:`LossyNetwork` (retransmission after loss).
 
 :class:`ScheduledNetwork` is the interleaving verifier's medium: instead of
 sampling delays it delivers one message per cycle, chosen by an explicit,
@@ -21,15 +23,12 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import (
     AbstractSet,
-    Deque,
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -37,7 +36,6 @@ from typing import (
 from ..core.exceptions import SimulationError
 from ..core.problem import AgentId
 from .messages import Message, Outgoing
-from .random_source import Seed, derive_rng
 
 #: A delivered message tagged with its sender-declared envelope recipient.
 Inbox = Dict[AgentId, List[Message]]
@@ -117,14 +115,66 @@ class SynchronousNetwork(Network):
         return self.sent_count - self.delivered_count
 
 
-class FixedDelayNetwork(Network):
+class DelayNetwork(Network):
+    """Base of the delay networks: one arrival queue, one delivery rule.
+
+    A sent message enters a heap keyed by ``(arrival cycle, send
+    sequence)``; :meth:`deliver` pops every message whose arrival cycle
+    has passed and hands them over in send order. With ``fifo`` a
+    message's arrival is clamped to no earlier than the one sent before
+    it on the same ``(sender, recipient)`` channel, so channels never
+    reorder. Subclasses supply only the delay law, :meth:`_delay`.
+    """
+
+    def __init__(self, fifo: bool = True) -> None:
+        super().__init__()
+        self.fifo = fifo
+        self._now = 0
+        self._queue: List[Tuple[int, int, AgentId, Message]] = []
+        self._last_arrival: Dict[Tuple[AgentId, AgentId], int] = {}
+
+    def _delay(self) -> int:
+        """Cycles the next sent message takes, at least 1."""
+        raise NotImplementedError
+
+    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
+        if recipient == sender:
+            raise _self_send(sender)
+        arrival = self._now + self._delay()
+        if self.fifo:
+            channel = (sender, recipient)
+            arrival = max(arrival, self._last_arrival.get(channel, 0))
+            self._last_arrival[channel] = arrival
+        heapq.heappush(
+            self._queue, (arrival, self.sent_count, recipient, message)
+        )
+        self.sent_count += 1
+
+    def deliver(self) -> Inbox:
+        self._now += 1
+        queue = self._queue
+        due: List[Tuple[int, int, AgentId, Message]] = []
+        while queue and queue[0][0] <= self._now:
+            due.append(heapq.heappop(queue))
+        due.sort(key=lambda item: item[1])
+        inbox: Inbox = {}
+        for _arrival, _sequence, recipient, message in due:
+            inbox.setdefault(recipient, []).append(message)
+        self.delivered_count += len(due)
+        return inbox
+
+    def pending(self) -> int:
+        return len(self._queue)
+
+
+class FixedDelayNetwork(DelayNetwork):
     """Every message takes exactly *delay* cycles.
 
     This is the network the paper's Figure 2 model abstracts: a per-cycle
     communication delay of a known number of time-units. Running an
     algorithm on ``FixedDelayNetwork(d)`` and comparing the measured cycle
     count against ``d × cycles_at_delay_1`` empirically validates (or
-    bounds) the linear model — see ``benchmarks/bench_extensions.py``.
+    bounds) the linear model — see :mod:`repro.experiments.validation`.
     """
 
     def __init__(self, delay: int = 1) -> None:
@@ -132,32 +182,12 @@ class FixedDelayNetwork(Network):
         if delay < 1:
             raise SimulationError(f"delay must be at least 1, got {delay}")
         self.delay = delay
-        self._now = 0
-        # (arrival cycle, recipient, message). One constant delay keeps
-        # arrivals in send order, so the due messages are a prefix.
-        self._queue: Deque[Tuple[int, AgentId, Message]] = deque()
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        if recipient == sender:
-            raise _self_send(sender)
-        self._queue.append((self._now + self.delay, recipient, message))
-        self.sent_count += 1
-
-    def deliver(self) -> Inbox:
-        self._now += 1
-        queue = self._queue
-        inbox: Inbox = {}
-        while queue and queue[0][0] <= self._now:
-            _arrival, recipient, message = queue.popleft()
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        return inbox
-
-    def pending(self) -> int:
-        return len(self._queue)
+    def _delay(self) -> int:
+        return self.delay
 
 
-class LossyNetwork(Network):
+class LossyNetwork(DelayNetwork):
     """Messages are dropped with probability *loss_rate* and retransmitted.
 
     The paper's algorithms assume reliable delivery ("an agent can send
@@ -175,22 +205,19 @@ class LossyNetwork(Network):
     makes executable (see ``tests/runtime/test_lossy.py``).
 
     Per-channel FIFO is preserved: a retransmitted message never overtakes
-    a later one, because delivery order is decided by send sequence among
-    messages that have "arrived" (survived loss).
+    a later one (TCP-style hold-back).
 
-    The loss process draws from *rng* when given; otherwise from a stream
-    derived from *seed* — pass the simulator/trial seed so delay schedules
-    are part of the trial's reproducible state (identical sequentially and
-    under ``--jobs N``), never from shared global RNG state.
+    The loss process draws from *rng*; pass one derived from the trial
+    seed so the delay schedule is part of the trial's reproducible state.
     """
 
     def __init__(
         self,
         loss_rate: float = 0.3,
         retransmit_after: int = 1,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         max_attempts: int = 1000,
-        seed: Seed = 0,
     ) -> None:
         super().__init__()
         if not 0.0 <= loss_rate < 1.0:
@@ -204,24 +231,13 @@ class LossyNetwork(Network):
         self.loss_rate = loss_rate
         self.retransmit_after = retransmit_after
         self.max_attempts = max_attempts
-        self._rng = (
-            rng if rng is not None else derive_rng(seed, "network", "lossy")
-        )
-        self._now = 0
-        self._sequence = 0
+        self._rng = rng
         self.dropped_count = 0
         self.retransmissions = 0
-        # (arrival_cycle, sequence, recipient, message)
-        self._in_flight: List[Tuple[int, int, AgentId, Message]] = []
-        # Per-channel hold-back (TCP-style): a message is not delivered
-        # before its predecessors on the same (sender, recipient) channel.
-        self._last_arrival: Dict[Tuple[AgentId, AgentId], int] = {}
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        if recipient == sender:
-            raise _self_send(sender)
+    def _delay(self) -> int:
         # Simulate (re)transmission rounds until a copy gets through; the
-        # arrival time reflects how many rounds were needed.
+        # delay reflects how many rounds were needed.
         attempts = 1
         while self._rng.random() < self.loss_rate:
             self.dropped_count += 1
@@ -232,97 +248,37 @@ class LossyNetwork(Network):
                     "message exceeded the retransmission budget; "
                     "loss_rate is unrealistically high"
                 )
-        arrival = self._now + 1 + (attempts - 1) * self.retransmit_after
-        channel = (sender, recipient)
-        arrival = max(arrival, self._last_arrival.get(channel, 0))
-        self._last_arrival[channel] = arrival
-        self._in_flight.append((arrival, self._sequence, recipient, message))
-        self._sequence += 1
-        self.sent_count += 1
-
-    def deliver(self) -> Inbox:
-        self._now += 1
-        due = [item for item in self._in_flight if item[0] <= self._now]
-        self._in_flight = [
-            item for item in self._in_flight if item[0] > self._now
-        ]
-        # FIFO among arrivals: order by send sequence.
-        due.sort(key=lambda item: item[1])
-        inbox: Inbox = {}
-        for _arrival, _sequence, recipient, message in due:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        return inbox
-
-    def pending(self) -> int:
-        return len(self._in_flight)
+        return 1 + (attempts - 1) * self.retransmit_after
 
 
-class RandomDelayNetwork(Network):
+class RandomDelayNetwork(DelayNetwork):
     """Each message independently takes 1..max_delay cycles.
 
     With ``fifo=True`` messages between an ordered pair of agents are
-    delivered in send order (a message's delivery time is clamped to be no
-    earlier than the previously sent message on the same channel). With
-    ``fifo=False`` messages can overtake each other arbitrarily.
+    delivered in send order; with ``fifo=False`` they can overtake each
+    other arbitrarily.
 
-    Deliveries within a cycle are ordered by (send order), independent of the
-    heap's internal layout, so runs are reproducible for a fixed seed.
-
-    Delay draws come from *rng* when given; otherwise from a stream derived
-    from *seed* — pass the simulator/trial seed so the delay schedule is
-    part of the trial's reproducible state (identical sequentially and
-    under ``--jobs N``), never from shared global RNG state.
+    Delay draws come from *rng*; pass one derived from the trial seed so
+    the delay schedule is part of the trial's reproducible state.
     """
 
     def __init__(
         self,
         max_delay: int = 3,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         fifo: bool = True,
-        seed: Seed = 0,
     ) -> None:
-        super().__init__()
+        super().__init__(fifo)
         if max_delay < 1:
             raise SimulationError(
                 f"max_delay must be at least 1, got {max_delay}"
             )
         self.max_delay = max_delay
-        self.fifo = fifo
-        self._rng = (
-            rng if rng is not None else derive_rng(seed, "network", "delay")
-        )
-        self._now = 0
-        self._sequence = 0
-        self._heap: List[Tuple[int, int, AgentId, Message]] = []
-        self._last_delivery: Dict[Tuple[AgentId, AgentId], int] = {}
+        self._rng = rng
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        if recipient == sender:
-            raise _self_send(sender)
-        arrival = self._now + self._rng.randint(1, self.max_delay)
-        if self.fifo:
-            channel = (sender, recipient)
-            arrival = max(arrival, self._last_delivery.get(channel, 0))
-            self._last_delivery[channel] = arrival
-        heapq.heappush(self._heap, (arrival, self._sequence, recipient, message))
-        self._sequence += 1
-        self.sent_count += 1
-
-    def deliver(self) -> Inbox:
-        self._now += 1
-        due: List[Tuple[int, int, AgentId, Message]] = []
-        while self._heap and self._heap[0][0] <= self._now:
-            due.append(heapq.heappop(self._heap))
-        due.sort(key=lambda item: item[1])
-        inbox: Inbox = {}
-        for _arrival, _sequence, recipient, message in due:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        return inbox
-
-    def pending(self) -> int:
-        return len(self._heap)
+    def _delay(self) -> int:
+        return self._rng.randint(1, self.max_delay)
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,25 @@ class TestNetworkModelParsing:
     def test_sync(self):
         model = network_model("sync")
         assert model.name == "sync"
-        assert isinstance(model.factory(0), SynchronousNetwork)
+        assert isinstance(model(0), SynchronousNetwork)
 
     def test_fixed_with_delay(self):
         model = network_model("fixed:5")
-        network = model.factory(0)
+        network = model(0)
         assert isinstance(network, FixedDelayNetwork)
         assert network.delay == 5
         assert model.name == "fixed(5)"
 
     def test_random_fifo_default(self):
         model = network_model("random:4")
-        network = model.factory(0)
+        network = model(0)
         assert isinstance(network, RandomDelayNetwork)
         assert network.fifo is True
         assert network.max_delay == 4
 
     def test_random_reorder(self):
         model = network_model("random:4:reorder")
-        assert model.factory(0).fifo is False
+        assert model(0).fifo is False
         assert model.name == "random(4)/reorder"
 
     def test_unknown_rejected(self):

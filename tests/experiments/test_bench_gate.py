@@ -7,7 +7,9 @@ floor to the verifier's schedules/sec.
 
 import json
 
+from repro.experiments import bench
 from repro.experiments.bench import check_gate
+from repro.verify import explorer
 
 
 def verify_baseline(tmp_path, schedules_per_second):
@@ -72,3 +74,29 @@ class TestFloor:
         assert float(payload["verify"]["schedules_per_second"]) > 0
         assert payload["verify"]["violations"] == []
         assert payload["verify"]["prune_ratio"] >= 10.0
+
+
+class TestDefaultGate:
+    def test_run_is_gated_against_the_committed_baseline_not_itself(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # `repro bench --gate` writes its report over the baseline it
+        # gates on; the baseline must be read before it is overwritten.
+        committed = tmp_path / bench.COMMITTED
+        committed.write_text(
+            json.dumps({"verify": {"schedules_per_second": 1e9}})
+        )
+        entry = explorer.EntryReport(
+            name="stub", algorithm="AWC+Rslv", explored=10, naive=200,
+            naive_counted=True, seconds=1.0,
+        )
+        monkeypatch.setattr(bench, "_repo_root", lambda: tmp_path)
+        monkeypatch.setattr(
+            explorer,
+            "explore_corpus",
+            lambda: explorer.ExplorationReport(entries=[entry]),
+        )
+        assert bench.main(["--gate"]) == 1
+        assert "regressed more than 20%" in capsys.readouterr().out
+        written = json.loads(committed.read_text())
+        assert written["verify"]["schedules_per_second"] == 210.0

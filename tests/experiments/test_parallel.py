@@ -7,6 +7,8 @@ seeds, plus the worker-count resolution and the sequential fallback for
 unshippable cells.
 """
 
+import warnings
+
 import pytest
 
 from repro.algorithms.registry import algorithm_by_name
@@ -16,13 +18,14 @@ from repro.experiments.parallel import (
     resolve_workers,
     run_cell_parallel,
 )
-from repro.experiments.paper import instances_for
+from repro.experiments.asynchrony import run_asynchrony_table
+from repro.experiments.paper import QUICK_SCALE, instances_for
 from repro.experiments.runner import (
-    lossy_network_factory,
-    random_delay_network_factory,
+    network_model,
     run_cell,
     trial_parameters,
 )
+from repro.experiments.validation import validate_delay_model
 from repro.runtime.network import SynchronousNetwork
 
 #: Every RunResult field that must match bit-for-bit across execution
@@ -93,8 +96,8 @@ def test_parallel_is_bit_identical_to_sequential(family, master_seed):
 @pytest.mark.parametrize(
     "factory",
     [
-        random_delay_network_factory(max_delay=2),
-        lossy_network_factory(loss_rate=0.2),
+        network_model("random:2"),
+        network_model("lossy:20"),
     ],
     ids=["delay", "lossy"],
 )
@@ -140,6 +143,34 @@ def test_unpicklable_network_factory_falls_back_sequentially():
         workers=1,
     )
     assert trial_fingerprints(cell) == trial_fingerprints(reference)
+
+
+class TestNetworkExperimentsUnderJobs:
+    """The network experiments ship every cell to workers: no cell falls
+    back to the sequential runner, and the results do not move."""
+
+    @staticmethod
+    def under_two_jobs(monkeypatch, experiment):
+        monkeypatch.setenv(JOBS_ENV_VAR, "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return experiment()
+
+    def test_asynchrony_table(self, monkeypatch):
+        def experiment():
+            return run_asynchrony_table(QUICK_SCALE, seed=0)
+
+        parallel = self.under_two_jobs(monkeypatch, experiment)
+        monkeypatch.delenv(JOBS_ENV_VAR)
+        assert parallel.rows == experiment().rows
+
+    def test_delay_model_validation(self, monkeypatch):
+        def experiment():
+            return validate_delay_model(scale=QUICK_SCALE, seed=0)
+
+        parallel = self.under_two_jobs(monkeypatch, experiment)
+        monkeypatch.delenv(JOBS_ENV_VAR)
+        assert parallel == experiment()
 
 
 class TestResolveWorkers:

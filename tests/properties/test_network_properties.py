@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.algorithms.registry import algorithm_by_name
-from repro.experiments.runner import run_trial
+from repro.experiments.runner import network_model, run_trial
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.messages import OkMessage
 from repro.runtime.network import (
@@ -140,9 +140,7 @@ class TestReordering:
                 algorithm,
                 seed,
                 max_cycles=5000,
-                network_factory=lambda s: RandomDelayNetwork(
-                    max_delay=4, seed=s, fifo=False
-                ),
+                network_factory=network_model("random:4:reorder"),
             )
             if result.solved:
                 assert problem.is_solution(result.assignment)

@@ -39,7 +39,7 @@ class TestDeliveryGuarantee:
         assert [m.value for m in received] == list(range(50))
 
     def test_zero_loss_is_synchronous(self):
-        net = LossyNetwork(loss_rate=0.0)
+        net = LossyNetwork(loss_rate=0.0, rng=random.Random(0))
         net.send(0, 1, ok(0))
         assert net.deliver() == {1: [ok(0)]}
 
@@ -64,13 +64,14 @@ class TestDeliveryGuarantee:
         assert run(3) == run(3)
 
     def test_validation(self):
+        rng = random.Random(0)
         with pytest.raises(SimulationError):
-            LossyNetwork(loss_rate=1.0)
+            LossyNetwork(loss_rate=1.0, rng=rng)
         with pytest.raises(SimulationError):
-            LossyNetwork(loss_rate=-0.1)
+            LossyNetwork(loss_rate=-0.1, rng=rng)
         with pytest.raises(SimulationError):
-            LossyNetwork(retransmit_after=0)
-        net = LossyNetwork()
+            LossyNetwork(retransmit_after=0, rng=rng)
+        net = LossyNetwork(rng=rng)
         with pytest.raises(SimulationError):
             net.send(1, 1, ok(1))
 

@@ -173,9 +173,9 @@ class TestRandomDelayNetwork:
 
     def test_rejects_bad_delay(self):
         with pytest.raises(SimulationError):
-            RandomDelayNetwork(max_delay=0)
+            RandomDelayNetwork(max_delay=0, rng=random.Random(0))
 
     def test_rejects_self_send(self):
-        net = RandomDelayNetwork()
+        net = RandomDelayNetwork(rng=random.Random(0))
         with pytest.raises(SimulationError):
             net.send(2, 2, ok(2))

@@ -2,20 +2,16 @@
 
 The asynchronous-network experiments (Section 6's delay/loss variations)
 only reproduce if the network's randomness is part of the trial seed, not
-process-global state. These tests pin that: the same seed always yields
-the same delivery schedule, different seeds differ, and the shipped
-factories survive pickling (the parallel runner ships them to workers).
+process-global state. These tests pin that: a network model built from the
+same trial seed always yields the same delivery schedule, different seeds
+differ, and every model survives pickling (the parallel runner ships them
+to workers).
 """
 
 import pickle
 
-from repro.experiments.runner import (
-    LossyNetworkFactory,
-    RandomDelayNetworkFactory,
-    lossy_network_factory,
-    random_delay_network_factory,
-)
-from repro.runtime.network import LossyNetwork, RandomDelayNetwork
+from repro.experiments.asynchrony import DEFAULT_NETWORKS
+from repro.experiments.runner import network_model
 
 
 def delivery_schedule(network, num_messages=40, max_steps=200):
@@ -33,63 +29,37 @@ def delivery_schedule(network, num_messages=40, max_steps=200):
 
 class TestRandomDelaySeeding:
     def test_same_seed_same_schedule(self):
-        first = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=11))
-        second = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=11))
-        assert first == second
+        model = network_model("random:4")
+        assert delivery_schedule(model(11)) == delivery_schedule(model(11))
 
     def test_different_seed_different_schedule(self):
-        first = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=11))
-        second = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=12))
-        assert first != second
-
-    def test_default_construction_is_deterministic(self):
-        # No seed argument means seed 0 — never the process-global RNG.
-        assert delivery_schedule(
-            RandomDelayNetwork(max_delay=3)
-        ) == delivery_schedule(RandomDelayNetwork(max_delay=3))
+        model = network_model("random:4")
+        assert delivery_schedule(model(11)) != delivery_schedule(model(12))
 
 
 class TestLossySeeding:
     def test_same_seed_same_schedule(self):
-        first = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=3)
-        )
-        second = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=3)
-        )
-        assert first == second
+        model = network_model("lossy:40")
+        assert delivery_schedule(model(3)) == delivery_schedule(model(3))
 
     def test_different_seed_different_schedule(self):
-        first = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=3)
-        )
-        second = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=4)
-        )
-        assert first != second
+        model = network_model("lossy:40")
+        assert delivery_schedule(model(3)) != delivery_schedule(model(4))
 
 
 class TestFactories:
     def test_factories_are_picklable(self):
-        for factory in (
-            RandomDelayNetworkFactory(max_delay=2, fifo=False),
-            LossyNetworkFactory(loss_rate=0.1, retransmit_after=2),
-            random_delay_network_factory(),
-            lossy_network_factory(),
-        ):
-            clone = pickle.loads(pickle.dumps(factory))
-            assert clone == factory
+        for spec in (*DEFAULT_NETWORKS, "random:2:reorder", "lossy:10"):
+            model = network_model(spec)
+            clone = pickle.loads(pickle.dumps(model))
+            assert clone == model
 
     def test_factory_threads_the_trial_seed(self):
-        factory = random_delay_network_factory(max_delay=4)
-        assert delivery_schedule(factory(21)) == delivery_schedule(
-            factory(21)
-        )
-        assert delivery_schedule(factory(21)) != delivery_schedule(
-            factory(22)
-        )
+        model = network_model("random:4")
+        assert delivery_schedule(model(21)) == delivery_schedule(model(21))
+        assert delivery_schedule(model(21)) != delivery_schedule(model(22))
 
     def test_pickled_factory_builds_identical_networks(self):
-        factory = lossy_network_factory(loss_rate=0.4)
-        clone = pickle.loads(pickle.dumps(factory))
-        assert delivery_schedule(factory(5)) == delivery_schedule(clone(5))
+        model = network_model("lossy:40")
+        clone = pickle.loads(pickle.dumps(model))
+        assert delivery_schedule(model(5)) == delivery_schedule(clone(5))

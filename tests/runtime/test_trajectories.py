@@ -96,7 +96,7 @@ def network_trial(label, spec, seed):
         problem,
         algorithm_by_name(label),
         seed,
-        network_factory=network_model(spec).factory,
+        network_factory=network_model(spec),
     )
     return measures(result)
 

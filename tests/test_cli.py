@@ -34,7 +34,7 @@ class TestParser:
     def test_no_store_backend_selection(self, argv):
         # NogoodStore is the only product store; there is nothing to pick.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+            main(argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -45,13 +45,15 @@ class TestParser:
             ["bench", "--axis", "alloc"],
             ["bench", "--axis", "verify"],
             ["lint"],
+            ["verify", "--axis", "lint"],
         ],
     )
     def test_one_engine_and_no_engine_bench_axes(self, argv):
         # The synchronous simulator is the only engine, and bench measures
         # only the verifier, so it takes no axis; the lint command is gone.
+        # verify and bench reject unknown options through their own parsers.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+            main(argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -65,13 +67,23 @@ class TestParser:
     def test_no_retention_selection(self, argv):
         # Stores keep every nogood they record, as in the paper.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv)
+            main(argv)
 
     def test_bench_parses_without_an_axis(self):
-        args = build_parser().parse_args(["bench", "--gate"])
+        args, rest = build_parser().parse_known_args(["bench", "--gate"])
         assert args.func.__name__ == "_cmd_bench"
-        assert args.gate == ""
+        assert rest == ["--gate"]
         assert not hasattr(args, "axis")
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_forwarded_commands_show_their_own_options(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {command}")
+        expected = "--naive-budget" if command == "verify" else "--gate"
+        assert expected in out
 
 
 class TestCommands:

@@ -3,9 +3,10 @@
 ``RacyAgent`` commits its decision state on the *first* ``ok?`` it sees —
 the classic absorb-vs-commit race: two messages from distinct senders race
 to the same recipient, and whichever the transport delivers first decides
-the final assignment. The ``OkMessage`` handler's footprint conflicts with
-itself (reads and writes ``committed``, writes the decision attribute
-``value``), so the commutativity matrix cannot prune the race away.
+the final assignment. The commutativity matrix is built from the agent
+classes in ``src/repro`` only, so it has no entry for ``RacyAgent``; a
+pair missing from the matrix counts as dependent, which is why the race
+survives pruning.
 :func:`build_racy_setup` wires the race so that one delivery order solves
 the instance and the other ends quiescent and unsolved — the explorer must
 report the outcome divergence.
