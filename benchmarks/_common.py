@@ -10,7 +10,9 @@ Scale selection: the ``REPRO_SCALE`` environment variable (``quick`` /
 ``default`` / ``paper``). ``REPRO_FULL=1`` is a shorthand for paper scale.
 The paper scale runs 100 trials per cell at n up to 200 — expect hours in
 pure Python, or set ``REPRO_JOBS`` to run each cell's trials across a
-process pool (results are identical; only the wall-clock changes).
+process pool (``run_cell`` reads it; results are identical and only the
+wall-clock changes). Under ``REPRO_JOBS`` every spec a benchmark runs,
+custom ones included, must pickle.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from repro.experiments.runner import CellResult, run_cell
 _DEFAULT = "paper" if os.environ.get("REPRO_FULL") else "default"
 SCALE = scale_by_name(os.environ.get("REPRO_SCALE", _DEFAULT))
 SEED = int(os.environ.get("REPRO_SEED", "0"))
-#: Trial-execution workers per cell (None → the runner reads REPRO_JOBS).
-JOBS = int(os.environ["REPRO_JOBS"]) if "REPRO_JOBS" in os.environ else None
 
 #: (family, n, instances, inits, algorithm label)
 CellParam = Tuple[str, int, int, int, str]
@@ -72,7 +72,6 @@ def bench_cell(
             spec,
             SEED,
             SCALE.max_cycles,
-            workers=JOBS,
         )
 
     cell = benchmark.pedantic(once, rounds=1, iterations=1)
@@ -99,7 +98,6 @@ def bench_custom_cell(
             master_seed=SEED,
             n=n,
             max_cycles=SCALE.max_cycles,
-            workers=JOBS,
         )
 
     cell = benchmark.pedantic(once, rounds=1, iterations=1)

@@ -26,31 +26,34 @@ class LinearStoreAwcAgent(AwcAgent):
     store_class = LinearNogoodStore
 
 
-def linear_store_awc() -> AlgorithmSpec:
+def build_linear_store_awc(problem, metrics, seed, initial_assignment):
+    """AWC+Rslv agents on the linear store; module-level, so it pickles."""
     method = learning_method("Rslv")
-
-    def build(problem, metrics, seed, initial_assignment):
-        agents = []
-        for agent_id in problem.agents:
-            variable = problem.variables_of(agent_id)[0]
-            initial = (
-                initial_assignment.get(variable)
-                if initial_assignment is not None
-                else None
+    agents = []
+    for agent_id in problem.agents:
+        variable = problem.variables_of(agent_id)[0]
+        initial = (
+            initial_assignment.get(variable)
+            if initial_assignment is not None
+            else None
+        )
+        agents.append(
+            LinearStoreAwcAgent(
+                agent_id,
+                problem,
+                method,
+                metrics,
+                derive_rng(seed, "awc-agent", agent_id),
+                initial_value=initial,
             )
-            agents.append(
-                LinearStoreAwcAgent(
-                    agent_id,
-                    problem,
-                    method,
-                    metrics,
-                    derive_rng(seed, "awc-agent", agent_id),
-                    initial_value=initial,
-                )
-            )
-        return agents
+        )
+    return agents
 
-    return AlgorithmSpec(name="AWC+Rslv[linear-store]", build=build)
+
+def linear_store_awc() -> AlgorithmSpec:
+    return AlgorithmSpec(
+        name="AWC+Rslv[linear-store]", build=build_linear_store_awc
+    )
 
 
 N, INSTANCES, INITS = SCALE.coloring[0]

@@ -62,7 +62,6 @@ from .experiments import (
     Table,
     crossover_delay,
     run_cell,
-    run_cell_parallel,
     run_figure2,
     run_table,
     run_table4,
@@ -163,7 +162,6 @@ __all__ = [
     "read_dimacs",
     "resource_allocation",
     "run_cell",
-    "run_cell_parallel",
     "run_figure2",
     "run_table",
     "run_table4",

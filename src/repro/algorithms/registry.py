@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.exceptions import ModelError
@@ -37,7 +38,12 @@ Builder = Callable[
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """A named recipe for building the agents of one algorithm."""
+    """A named recipe for building the agents of one algorithm.
+
+    Every spec this module builds pickles: its builder is a module-level
+    function bound by :func:`functools.partial` to plain values, so a
+    process pool can run its trials (:func:`repro.experiments.run_cell`).
+    """
 
     name: str
     build: Builder
@@ -46,25 +52,56 @@ class AlgorithmSpec:
         return f"AlgorithmSpec({self.name})"
 
 
-def awc(learning: object = "Rslv") -> AlgorithmSpec:
-    """AWC with the given learning method (a name or a strategy instance)."""
-    method = (
-        learning
-        if isinstance(learning, LearningMethod)
-        else learning_method(str(learning))
+def _learning_agents(
+    build_agents: Callable[..., Sequence[SimulatedAgent]],
+    method: LearningMethod,
+    problem: DisCSP,
+    metrics: MetricsCollector,
+    seed: Seed,
+    initial_assignment: InitialAssignment,
+) -> Sequence[SimulatedAgent]:
+    return build_agents(problem, method, metrics, seed, initial_assignment)
+
+
+def _breakout_agents(
+    weight_mode: str,
+    problem: DisCSP,
+    metrics: MetricsCollector,
+    seed: Seed,
+    initial_assignment: InitialAssignment,
+) -> Sequence[SimulatedAgent]:
+    del metrics  # DB generates no nogoods
+    return build_breakout_agents(
+        problem, seed, initial_assignment, weight_mode=weight_mode
     )
 
-    def build(
-        problem: DisCSP,
-        metrics: MetricsCollector,
-        seed: Seed,
-        initial_assignment: InitialAssignment,
-    ) -> Sequence[SimulatedAgent]:
-        return build_awc_agents(
-            problem, method, metrics, seed, initial_assignment
-        )
 
-    return AlgorithmSpec(name=f"AWC+{method.name}", build=build)
+def _abt_agents(
+    learning: str,
+    problem: DisCSP,
+    metrics: MetricsCollector,
+    seed: Seed,
+    initial_assignment: InitialAssignment,
+) -> Sequence[SimulatedAgent]:
+    del metrics
+    return build_abt_agents(
+        problem, seed, initial_assignment, learning=learning
+    )
+
+
+def _method(learning: object) -> LearningMethod:
+    if isinstance(learning, LearningMethod):
+        return learning
+    return learning_method(str(learning))
+
+
+def awc(learning: object = "Rslv") -> AlgorithmSpec:
+    """AWC with the given learning method (a name or a strategy instance)."""
+    method = _method(learning)
+    return AlgorithmSpec(
+        name=f"AWC+{method.name}",
+        build=partial(_learning_agents, build_awc_agents, method),
+    )
 
 
 def multi_awc(learning: object = "Rslv") -> AlgorithmSpec:
@@ -77,41 +114,19 @@ def multi_awc(learning: object = "Rslv") -> AlgorithmSpec:
     routes the multi-variable agents through the same batch-consultation
     store paths as single-variable AWC.
     """
-    method = (
-        learning
-        if isinstance(learning, LearningMethod)
-        else learning_method(str(learning))
+    method = _method(learning)
+    return AlgorithmSpec(
+        name=f"MultiAWC+{method.name}",
+        build=partial(_learning_agents, build_multi_awc_agents, method),
     )
-
-    def build(
-        problem: DisCSP,
-        metrics: MetricsCollector,
-        seed: Seed,
-        initial_assignment: InitialAssignment,
-    ) -> Sequence[SimulatedAgent]:
-        return build_multi_awc_agents(
-            problem, method, metrics, seed, initial_assignment
-        )
-
-    return AlgorithmSpec(name=f"MultiAWC+{method.name}", build=build)
 
 
 def db(weight_mode: str = "nogood") -> AlgorithmSpec:
     """The distributed breakout algorithm."""
-
-    def build(
-        problem: DisCSP,
-        metrics: MetricsCollector,
-        seed: Seed,
-        initial_assignment: InitialAssignment,
-    ) -> Sequence[SimulatedAgent]:
-        del metrics  # DB generates no nogoods
-        return build_breakout_agents(
-            problem, seed, initial_assignment, weight_mode=weight_mode
-        )
-
     suffix = "" if weight_mode == "nogood" else f"({weight_mode})"
-    return AlgorithmSpec(name=f"DB{suffix}", build=build)
+    return AlgorithmSpec(
+        name=f"DB{suffix}", build=partial(_breakout_agents, weight_mode)
+    )
 
 
 def abt(learning: str = "view") -> AlgorithmSpec:
@@ -120,20 +135,10 @@ def abt(learning: str = "view") -> AlgorithmSpec:
     ``"view"`` is classic ABT (the whole agent view); ``"resolvent"``
     applies the paper's Section 3 rule inside ABT instead.
     """
-
-    def build(
-        problem: DisCSP,
-        metrics: MetricsCollector,
-        seed: Seed,
-        initial_assignment: InitialAssignment,
-    ) -> Sequence[SimulatedAgent]:
-        del metrics
-        return build_abt_agents(
-            problem, seed, initial_assignment, learning=learning
-        )
-
     suffix = "" if learning == "view" else f"({learning})"
-    return AlgorithmSpec(name=f"ABT{suffix}", build=build)
+    return AlgorithmSpec(
+        name=f"ABT{suffix}", build=partial(_abt_agents, learning)
+    )
 
 
 #: The families whose names may carry a ``(mode)`` suffix.

@@ -9,7 +9,8 @@ Examples::
     repro tables                    # everything (honours --scale)
 
 The ``--scale paper`` option runs the paper's exact sizes and trial counts;
-expect long runtimes in pure Python.
+expect long runtimes in pure Python. ``REPRO_JOBS=N`` runs each cell's
+trials over N worker processes (``0`` = all cores) with identical output.
 """
 
 from __future__ import annotations
@@ -45,17 +46,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="omit the paper's values from the output",
     )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for trial execution (0 = all cores; "
-            "default: REPRO_JOBS or sequential). Results are identical "
-            "to a sequential run."
-        ),
-    )
 
 
 def _resolve_scale(name: Optional[str]):
@@ -66,13 +56,8 @@ def _resolve_scale(name: Optional[str]):
 
 def _print_table(number: int, args: argparse.Namespace) -> None:
     scale = _resolve_scale(args.scale)
-    jobs = getattr(args, "jobs", None)
     if number == 4:
-        for table in run_table4(
-            scale=scale,
-            seed=args.seed,
-            workers=jobs,
-        ):
+        for table in run_table4(scale=scale, seed=args.seed):
             print(table.format_text())
             print()
         if not args.no_reference:
@@ -82,12 +67,7 @@ def _print_table(number: int, args: argparse.Namespace) -> None:
             for (family, n, label), value in sorted(TABLE4.items()):
                 print(f"  {family:5s} n={n:<4d} {label:15s} {value:>10.1f}")
         return
-    table = run_table(
-        number,
-        scale=scale,
-        seed=args.seed,
-        workers=jobs,
-    )
+    table = run_table(number, scale=scale, seed=args.seed)
     reference = None if args.no_reference else reference_for_table(number)
     print(table.format_text(reference))
 
@@ -335,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduce the experiments of 'The Effect of Nogood Learning in "
             "Distributed Constraint Satisfaction' (Hirayama & Yokoo, ICDCS "
             "2000)."
+        ),
+        epilog=(
+            "REPRO_JOBS=N runs each cell's trials over N worker processes "
+            "(0 = all cores); the output is identical to a sequential run."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -47,12 +47,12 @@ from .validation import (
     ValidationResult,
     validate_delay_model,
 )
-from .parallel import resolve_workers, run_cell_parallel
 from .runner import (
     CellResult,
     NetworkModel,
     network_model,
     random_initial_assignment,
+    resolve_workers,
     run_cell,
     run_trial,
     trial_parameters,
@@ -97,7 +97,6 @@ __all__ = [
     "random_initial_assignment",
     "resolve_workers",
     "run_cell",
-    "run_cell_parallel",
     "run_figure2",
     "run_table",
     "ReportResult",

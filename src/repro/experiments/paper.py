@@ -253,13 +253,11 @@ def run_table_cell(
     algorithm: AlgorithmSpec,
     seed: Seed,
     max_cycles: int,
-    workers: Optional[int] = None,
 ) -> CellResult:
     """One (family, n, algorithm) cell at the given trial counts.
 
-    ``workers`` selects the trial-execution parallelism (default: the
-    ``REPRO_JOBS`` environment variable, else sequential); results are
-    identical either way.
+    The trials run in a process pool when ``REPRO_JOBS`` asks for more
+    than one worker; results are identical either way.
     """
     instances = instances_for(family, n, num_instances, seed)
     return run_cell(
@@ -269,7 +267,6 @@ def run_table_cell(
         master_seed=derive_seed(seed, family, n, algorithm.name),
         n=n,
         max_cycles=max_cycles,
-        workers=workers,
     )
 
 
@@ -277,7 +274,6 @@ def run_table(
     number: int,
     scale: Optional[Scale] = None,
     seed: Seed = 0,
-    workers: Optional[int] = None,
 ) -> Table:
     """Reproduce one of Tables 1–3 / 5–10."""
     if number == 4:
@@ -302,7 +298,6 @@ def run_table(
                 algorithm_by_name(label),
                 seed,
                 scale.max_cycles,
-                workers=workers,
             )
             table.add(TableRow.from_cell(cell))
     return table
@@ -311,7 +306,6 @@ def run_table(
 def run_table4(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
-    workers: Optional[int] = None,
 ) -> List[Table]:
     """Reproduce Table 4: redundant nogood generations, rec vs norec.
 
@@ -338,7 +332,6 @@ def run_table4(
                     algorithm_by_name(label),
                     seed,
                     scale.max_cycles,
-                    workers=workers,
                 )
                 table.add(
                     TableRow.from_cell(

@@ -10,7 +10,10 @@ the percentage of trials finished within the cap — capped trials contribute
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -44,6 +47,9 @@ from ..runtime.simulator import (
 if TYPE_CHECKING:
     from ..runtime.trace import TraceRecorder
 
+#: Environment variable naming the default worker count of :func:`run_cell`.
+JOBS_ENV_VAR = "REPRO_JOBS"
+
 #: Builds a fresh network per trial (delay models carry per-trial RNG state).
 NetworkFactory = Callable[[Seed], Network]
 
@@ -54,7 +60,7 @@ class NetworkModel:
 
     Called with a trial seed it returns that trial's network; a delay or
     loss process draws from an rng derived from the seed, so the same seed
-    yields the same deliveries sequentially and under ``--jobs N``. Plain
+    yields the same deliveries sequentially and in a process pool. Plain
     values make it pickle into worker processes. Build one with
     :func:`network_model`.
     """
@@ -81,28 +87,41 @@ class NetworkModel:
         )
 
 
+#: Each numbered network kind with the number its spec may omit.
+_NETWORK_DEFAULTS = {"fixed": 2, "random": 3, "lossy": 30}
+
+
 def network_model(spec: str) -> NetworkModel:
     """Parse a network spec: ``sync``, ``fixed:3``, ``random:3``,
-    ``random:3:reorder``, ``lossy:30`` (percent loss)."""
+    ``random:3:reorder``, ``lossy:30`` (percent loss).
+
+    A malformed spec raises :class:`ModelError`; whether the number is in
+    range is checked when the network is built.
+    """
     kind, *args = spec.split(":")
-    if kind == "sync":
+    reorder = kind == "random" and args[1:] == ["reorder"]
+    if reorder:
+        args = args[:1]
+    if kind == "sync" and not args:
         return NetworkModel("sync", kind)
+    if kind not in _NETWORK_DEFAULTS or len(args) > 1:
+        raise ModelError(f"unknown network spec {spec!r}")
+    try:
+        number = int(args[0]) if args else _NETWORK_DEFAULTS[kind]
+    except ValueError:
+        raise ModelError(
+            f"network spec {spec!r}: {args[0]!r} is not an integer"
+        ) from None
     if kind == "lossy":
-        percent = int(args[0]) if args else 30
         return NetworkModel(
-            f"lossy({percent}%)", kind, loss_rate=percent / 100.0
+            f"lossy({number}%)", kind, loss_rate=number / 100.0
         )
     if kind == "fixed":
-        delay = int(args[0]) if args else 2
-        return NetworkModel(f"fixed({delay})", kind, delay=delay)
-    if kind == "random":
-        delay = int(args[0]) if args else 3
-        fifo = args[1:2] != ["reorder"]
-        suffix = "" if fifo else "/reorder"
-        return NetworkModel(
-            f"random({delay}){suffix}", kind, delay=delay, fifo=fifo
-        )
-    raise ModelError(f"unknown network spec {spec!r}")
+        return NetworkModel(f"fixed({number})", kind, delay=number)
+    suffix = "/reorder" if reorder else ""
+    return NetworkModel(
+        f"random({number}){suffix}", kind, delay=number, fifo=not reorder
+    )
 
 
 def random_initial_assignment(
@@ -204,9 +223,10 @@ def trial_parameters(
 ) -> Iterator[TrialParams]:
     """The cell's trials in canonical order, with their derived seeds.
 
-    This is the single source of trial seeds: the sequential and parallel
-    cell runners both iterate it, so their per-trial seeds — and therefore
-    their results — are identical by construction.
+    This is the single source of trial seeds: :func:`run_cell` iterates it
+    whether the trials then run in a loop or in a process pool, so their
+    per-trial seeds — and therefore their results — are identical by
+    construction.
     """
     for instance_index in range(num_instances):
         for init_index in range(inits_per_instance):
@@ -215,6 +235,29 @@ def trial_parameters(
                 init_index,
                 derive_seed(master_seed, "trial", instance_index, init_index),
             )
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """The effective worker count: argument, else ``REPRO_JOBS``, else 1.
+
+    ``0`` (from either source) means "use every core". Negative counts are
+    rejected.
+    """
+    if workers is None:
+        raw = os.environ.get(JOBS_ENV_VAR)
+        if raw is None:
+            return 1
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ModelError(
+                f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
+    if workers < 0:
+        raise ModelError(f"workers must be >= 0, got {workers}")
+    if workers == 0:
+        return os.cpu_count() or 1
+    return workers
 
 
 def run_cell(
@@ -232,34 +275,32 @@ def run_cell(
     The trial seeds are derived from ``(master_seed, instance index, init
     index)`` so cells are reproducible and instances are independent.
 
-    With ``workers`` above 1 (or ``REPRO_JOBS`` set) the trials are farmed
-    out to a process pool via :mod:`repro.experiments.parallel`; results are
-    identical to the sequential path apart from timing fields.
+    With more than one worker (``workers``, else ``REPRO_JOBS``; see
+    :func:`resolve_workers`) the trials run in a process pool, one task
+    per trial, and come back in canonical order: every measure equals the
+    sequential run's apart from the timing fields. Each task pickles its
+    instance, *algorithm* and *network_factory*, so a part that cannot be
+    pickled raises the pool's pickling error.
     """
-    from .parallel import resolve_workers, run_cell_parallel
-
-    if resolve_workers(workers) > 1:
-        return run_cell_parallel(
-            instances,
-            algorithm,
-            inits_per_instance=inits_per_instance,
-            master_seed=master_seed,
-            n=n,
-            max_cycles=max_cycles,
-            network_factory=network_factory,
-            workers=workers,
-        )
-    cell = CellResult(label=algorithm.name, n=n)
+    problems: List[DisCSP] = []
+    seeds: List[Seed] = []
     for instance_index, _init_index, trial_seed in trial_parameters(
         len(instances), inits_per_instance, master_seed
     ):
-        cell.trials.append(
-            run_trial(
-                instances[instance_index],
-                algorithm,
-                trial_seed,
-                max_cycles=max_cycles,
-                network_factory=network_factory,
-            )
-        )
+        problems.append(instances[instance_index])
+        seeds.append(trial_seed)
+    columns = (
+        problems,
+        repeat(algorithm),
+        seeds,
+        repeat(max_cycles),
+        repeat(network_factory),
+    )
+    cell = CellResult(label=algorithm.name, n=n)
+    workers = min(resolve_workers(workers), len(problems))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cell.trials.extend(pool.map(run_trial, *columns))
+    else:
+        cell.trials.extend(map(run_trial, *columns))
     return cell

@@ -29,7 +29,6 @@ from .simulator import DEFAULT_MAX_CYCLES, RunResult, SynchronousSimulator
 from .termination import (
     GlobalSolutionDetector,
     IncrementalSolutionDetector,
-    QuiescentSolutionDetector,
     collect_assignment,
 )
 from .trace import MessageEvent, TraceRecorder, ValueChangeEvent
@@ -49,7 +48,6 @@ __all__ = [
     "OkMessage",
     "OkRoundMessage",
     "Outgoing",
-    "QuiescentSolutionDetector",
     "RandomDelayNetwork",
     "RequestValueMessage",
     "RunResult",

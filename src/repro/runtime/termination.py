@@ -3,15 +3,13 @@
 The paper's simulator observes the system globally: a trial ends when the
 agents' current values form a solution ("cycles consumed until a solution is
 found"), or when the cycle cap (10 000 in the paper) is hit. This module
-provides that observer, plus a stricter stability-aware variant used by the
-asynchronous-network experiments: under message delays a *transient* global
-assignment can look like a solution while contradicting information is still
-in flight, and whether to count that as solved is a modelling choice.
+provides that observer, in a full and an incremental form.
 
-For the paper's reproduction the plain detector is correct — the paper's
-own simulator does exactly this — and for a consistent assignment of a CSP
-in-flight messages can only confirm it, never invalidate it (nogoods are
-entailed by the problem), so "solution observed" is safe in both modes.
+The observer is correct for the paper's reproduction — the paper's own
+simulator does exactly this — and also under message delays: for a
+consistent assignment of a CSP, in-flight messages can only confirm it,
+never invalidate it (nogoods are entailed by the problem), so "solution
+observed" is safe whether or not the network is idle.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import (
 from ..core.nogood import Pair
 from ..core.problem import DisCSP
 from ..core.variables import Value, VariableId
-from .network import Network
 
 if TYPE_CHECKING:
     from .agent import SimulatedAgent
@@ -162,26 +159,6 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
                 if not unmatched[index]:
                     violated += 1
         self._violated_count = violated
-
-
-class QuiescentSolutionDetector(GlobalSolutionDetector):
-    """A solution only counts once the network is also idle.
-
-    Used by the asynchronous-network experiments to report *stable*
-    termination: the assignment solves the problem and no messages are in
-    flight that could still perturb agents into moving.
-    """
-
-    def __init__(self, problem: DisCSP, network: Network) -> None:
-        super().__init__(problem)
-        self._network = network
-
-    def is_solution(
-        self,
-        assignment: Mapping[VariableId, Value],
-        changed: Optional[Iterable[VariableId]] = None,
-    ) -> bool:
-        return self._network.is_idle() and super().is_solution(assignment)
 
 
 #: Reads as "no value": None is a legal value.

@@ -1,5 +1,7 @@
 """The algorithm registry: names map to working builders."""
 
+import pickle
+
 import pytest
 
 from repro.algorithms.abt import ABT_LEARNING_MODES, AbtAgent
@@ -14,8 +16,9 @@ from repro.algorithms.registry import (
     multi_awc,
 )
 from repro.core.exceptions import ModelError
+from repro.experiments.runner import run_trial
 from repro.learning import ResolventLearning
-from repro.problems.coloring import coloring_discsp
+from repro.problems.coloring import coloring_discsp, random_coloring_instance
 from repro.runtime.metrics import MetricsCollector
 
 from ..conftest import triangle_graph
@@ -23,6 +26,32 @@ from ..conftest import triangle_graph
 
 #: Every learning label family :func:`repro.learning.learning_method` takes.
 LEARNING_LABELS = ("Rslv", "Mcs", "No", "Rslv/rec", "Rslv/norec", "3rdRslv")
+
+
+#: Every spec family the registry builds, in every learning label or mode.
+EVERY_SPEC = pytest.mark.parametrize(
+    "spec",
+    [
+        *(awc(label) for label in LEARNING_LABELS),
+        *(multi_awc(label) for label in LEARNING_LABELS),
+        *(db(mode) for mode in WEIGHT_MODES),
+        *(abt(mode) for mode in ABT_LEARNING_MODES),
+    ],
+    ids=lambda spec: spec.name,
+)
+
+
+def trial_fingerprint(spec, problem):
+    result = run_trial(problem, spec, seed=3, max_cycles=500)
+    return (
+        result.solved,
+        result.cycles,
+        result.maxcck,
+        result.total_checks,
+        result.messages_sent,
+        result.generated_nogoods,
+        sorted(result.assignment.items()),
+    )
 
 
 def build(spec):
@@ -79,18 +108,20 @@ class TestByName:
     def test_round_trips(self, name):
         assert algorithm_by_name(name).name == name
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            *(awc(label) for label in LEARNING_LABELS),
-            *(multi_awc(label) for label in LEARNING_LABELS),
-            *(db(mode) for mode in WEIGHT_MODES),
-            *(abt(mode) for mode in ABT_LEARNING_MODES),
-        ],
-        ids=lambda spec: spec.name,
-    )
+    @EVERY_SPEC
     def test_parses_every_spec_name(self, spec):
         assert algorithm_by_name(spec.name).name == spec.name
+
+    @EVERY_SPEC
+    def test_every_spec_pickles(self, spec):
+        # A process pool runs the unpickled spec: it must be the same
+        # algorithm, down to the trial's trajectory and check counts.
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone.name == spec.name
+        problem = random_coloring_instance(10, seed=5).to_discsp()
+        assert trial_fingerprint(clone, problem) == trial_fingerprint(
+            spec, problem
+        )
 
     @pytest.mark.parametrize("name", ["DB(x)", "ABT(pair)", "DB(pair", "DBX"])
     def test_unknown_mode_rejected(self, name):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -63,17 +64,20 @@ def tiny_csp() -> CSP:
     return CSP({0: domain, 1: domain}, [Nogood.of((0, 0), (1, 0))])
 
 
+def _linear_store_agents(build, problem, metrics, seed, initial_assignment):
+    agents = build(problem, metrics, seed, initial_assignment)
+    for agent in agents:
+        agent.rebind_store(LinearNogoodStore)
+    return agents
+
+
 def with_linear_store(spec: AlgorithmSpec) -> AlgorithmSpec:
     """*spec* with every agent's store rebound to the unindexed oracle.
 
     The linear store runs every violation test the per-value index skips,
-    so it reaches the same trajectory with at least as many checks.
+    so it reaches the same trajectory with at least as many checks. The
+    builder is module-level, so the spec pickles whenever *spec* does.
     """
-
-    def build(problem, metrics, seed, initial_assignment):
-        agents = spec.build(problem, metrics, seed, initial_assignment)
-        for agent in agents:
-            agent.rebind_store(LinearNogoodStore)
-        return agents
-
-    return AlgorithmSpec(name=spec.name, build=build)
+    return AlgorithmSpec(
+        name=spec.name, build=partial(_linear_store_agents, spec.build)
+    )

@@ -172,14 +172,15 @@ class TestCellBackendWorkersCross:
             # search itself determines, independent of check counting.
             return [(row[0], row[1], row[5]) for row in rows]
 
-        reference = measures[("dict", 1)]
-        for (store, workers), measure in measures.items():
-            if store == "linear":
-                # The ablation store runs the same search but counts the
-                # checks the index skips, so only trajectory fields match.
-                assert trajectory(measure) == trajectory(reference)
-            else:
-                assert measure == reference, (store, workers)
+        for store in specs:
+            # A pool runs the very spec it is given: every measure of a
+            # store's row, its check counts included, ignores the workers.
+            assert measures[(store, 2)] == measures[(store, 1)], store
+        # The ablation store runs the same search but counts the checks
+        # the index skips, so across stores only trajectory fields match.
+        assert trajectory(measures[("linear", 1)]) == trajectory(
+            measures[("dict", 1)]
+        )
 
 
 class TestCrossBackendNumbers:

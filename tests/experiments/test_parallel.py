@@ -3,25 +3,23 @@
 ``run_cell(workers=4)`` and ``run_cell(workers=1)`` must agree on every
 simulated measure for every trial — only wall-clock fields may differ.
 These tests pin that contract for two problem families and two master
-seeds, plus the worker-count resolution and the sequential fallback for
-unshippable cells.
+seeds, plus the worker-count resolution and the pickling error a cell
+with an unpicklable part raises under a pool.
 """
 
+import pickle
 import warnings
 
 import pytest
 
 from repro.algorithms.registry import algorithm_by_name
 from repro.core.exceptions import ModelError
-from repro.experiments.parallel import (
-    JOBS_ENV_VAR,
-    resolve_workers,
-    run_cell_parallel,
-)
 from repro.experiments.asynchrony import run_asynchrony_table
 from repro.experiments.paper import QUICK_SCALE, instances_for
 from repro.experiments.runner import (
+    JOBS_ENV_VAR,
     network_model,
+    resolve_workers,
     run_cell,
     trial_parameters,
 )
@@ -118,21 +116,22 @@ def test_seeded_networks_are_bit_identical_under_workers(factory):
     assert trial_fingerprints(sequential) == trial_fingerprints(parallel)
 
 
-def test_unpicklable_network_factory_falls_back_sequentially():
+def test_unpicklable_network_factory_raises_under_workers():
+    """A pool cannot ship a lambda: the cell raises the pickling error
+    rather than running some other way, and runs without a pool."""
     instances = instances_for("d3c", 15, 1, 0)
     spec = algorithm_by_name("AWC+Rslv")
     factory = lambda seed: SynchronousNetwork()  # noqa: E731 — deliberately unpicklable
-    with pytest.warns(RuntimeWarning, match="sequentially"):
-        cell = run_cell_parallel(
-            instances,
-            spec,
-            inits_per_instance=2,
-            master_seed=0,
-            n=15,
-            max_cycles=3_000,
-            network_factory=factory,
-            workers=4,
-        )
+    kwargs = dict(
+        inits_per_instance=2,
+        master_seed=0,
+        n=15,
+        max_cycles=3_000,
+        network_factory=factory,
+    )
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        run_cell(instances, spec, workers=2, **kwargs)
+    cell = run_cell(instances, spec, workers=1, **kwargs)
     reference = run_cell(
         instances,
         spec,
@@ -146,8 +145,8 @@ def test_unpicklable_network_factory_falls_back_sequentially():
 
 
 class TestNetworkExperimentsUnderJobs:
-    """The network experiments ship every cell to workers: no cell falls
-    back to the sequential runner, and the results do not move."""
+    """The network experiments run every cell in a pool, warning-free,
+    and the results do not move."""
 
     @staticmethod
     def under_two_jobs(monkeypatch, experiment):

@@ -4,12 +4,15 @@ The asynchronous-network experiments (Section 6's delay/loss variations)
 only reproduce if the network's randomness is part of the trial seed, not
 process-global state. These tests pin that: a network model built from the
 same trial seed always yields the same delivery schedule, different seeds
-differ, and every model survives pickling (the parallel runner ships them
-to workers).
+differ, every model survives pickling (a process pool ships them to
+workers), and a malformed spec is rejected when it is parsed.
 """
 
 import pickle
 
+import pytest
+
+from repro.core.exceptions import ModelError
 from repro.experiments.asynchrony import DEFAULT_NETWORKS
 from repro.experiments.runner import network_model
 
@@ -63,3 +66,34 @@ class TestFactories:
         model = network_model("lossy:40")
         clone = pickle.loads(pickle.dumps(model))
         assert delivery_schedule(model(5)) == delivery_schedule(clone(5))
+
+
+class TestSpecParsing:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "random:3:reoder",
+            "random:3:reorder:x",
+            "random:reorder",
+            "sync:5",
+            "fixed:2:9",
+            "fixed:x",
+            "fixed:",
+            "lossy:10:2",
+        ],
+    )
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ModelError):
+            network_model(spec)
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ("fixed", "fixed(2)"),
+            ("random", "random(3)"),
+            ("lossy", "lossy(30%)"),
+            ("lossy:10", "lossy(10%)"),
+        ],
+    )
+    def test_omitted_number_takes_its_default(self, spec, name):
+        assert network_model(spec).name == name

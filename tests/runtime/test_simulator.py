@@ -8,11 +8,9 @@ from repro.core import DisCSP, Nogood, integer_domain
 from repro.core.exceptions import SimulationError
 from repro.runtime.agent import SimulatedAgent
 from repro.runtime.messages import Message, OkMessage, Outgoing
-from repro.runtime.network import SynchronousNetwork
 from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.termination import (
     GlobalSolutionDetector,
-    QuiescentSolutionDetector,
     collect_assignment,
 )
 
@@ -233,15 +231,6 @@ class TestDetectors:
         detector = GlobalSolutionDetector(problem)
         assert detector.is_solution({0: 1, 1: 0})
         assert not detector.is_solution({0: 0, 1: 0})
-
-    def test_quiescent_detector_requires_idle_network(self):
-        problem = two_agent_problem()
-        network = SynchronousNetwork()
-        detector = QuiescentSolutionDetector(problem, network)
-        network.send(0, 1, OkMessage(0, 0, 1))
-        assert not detector.is_solution({0: 1, 1: 0})
-        network.deliver()
-        assert detector.is_solution({0: 1, 1: 0})
 
     def test_collect_assignment_merges_agents(self):
         agents = [ScriptedAgent(0, 0, 1), ScriptedAgent(1, 1, 0)]

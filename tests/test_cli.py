@@ -41,7 +41,7 @@ class TestParser:
         [
             ["bench", "--axis", "workers"],
             ["bench", "--axis", "backend"],
-            ["bench", "--axis", "lint", "--jobs", "2"],
+            ["bench", "--axis", "lint"],
             ["bench", "--axis", "alloc"],
             ["bench", "--axis", "verify"],
             ["lint"],
@@ -52,6 +52,14 @@ class TestParser:
         # The synchronous simulator is the only engine, and bench measures
         # only the verifier, so it takes no axis; the lint command is gone.
         # verify and bench reject unknown options through their own parsers.
+        with pytest.raises(SystemExit):
+            main(argv)
+
+    @pytest.mark.parametrize(
+        "argv", [["table", "1", "-j", "2"], ["report", "-j", "2"]]
+    )
+    def test_worker_count_is_an_environment_setting(self, argv):
+        # REPRO_JOBS is the one worker setting; no subcommand takes a flag.
         with pytest.raises(SystemExit):
             main(argv)
 
