@@ -81,6 +81,7 @@ class BreakoutAgent(SingleVariableAgent):
         self._my_improve = 0
         self._best_value: Value = self.value
         self.breakouts = 0
+        self._index_store()
 
     # -- simulator protocol ----------------------------------------------------
 
@@ -96,15 +97,21 @@ class BreakoutAgent(SingleVariableAgent):
     def step(self, messages: Sequence[Message]) -> List[Outgoing]:
         if not self.recipients:
             return []
+        # Each branch files into its own wave dict, so the effect analysis
+        # (repro.verify.effects) sees the write on that attribute.
         for message in messages:
             if isinstance(message, OkRoundMessage):
-                self._ok_waves.setdefault(message.round_index, {})[
-                    message.sender
-                ] = message
+                ok_wave = self._ok_waves.get(message.round_index)
+                if ok_wave is None:
+                    ok_wave = self._ok_waves[message.round_index] = {}
+                ok_wave[message.sender] = message
             elif isinstance(message, ImproveMessage):
-                self._improve_waves.setdefault(message.round_index, {})[
-                    message.sender
-                ] = message
+                improve_wave = self._improve_waves.get(message.round_index)
+                if improve_wave is None:
+                    improve_wave = self._improve_waves[
+                        message.round_index
+                    ] = {}
+                improve_wave[message.sender] = message
         outgoing: List[Outgoing] = []
         progressed = True
         while progressed:
@@ -128,23 +135,28 @@ class BreakoutAgent(SingleVariableAgent):
     def _finish_ok_wave(self) -> List[Outgoing]:
         """All neighbors announced: evaluate, announce possible improvement.
 
-        The whole domain is scored in one batch consultation; the
-        candidates (and the rng's tie draw) are the other values, in
-        domain order.
+        The scores are kept current by :meth:`_shift` as the view changes,
+        so the wave reads them and charges the store the checks of one
+        batch scan of the domain. The candidates (and the rng's tie draw)
+        are the other values, in domain order.
         """
         wave = self._ok_waves.pop(self.round_index)
+        view = self.view
         for message in wave.values():
-            self.view.update(message.variable, message.value, 0)
+            variable = message.variable
+            old = view.value_of(variable, _UNKNOWN)
+            if view.update(variable, message.value, 0):
+                self._shift(variable, old, message.value)
         values = self.domain.values
-        scores = self._weighted_sums(
-            self.store.violated_batch(self.view, values)
-        )
+        self.store.charge_violated_batch(values)
+        scores = self._scores
         current = self.value
-        best_eval = self._my_eval = scores[values.index(current)]
+        best_eval = self._my_eval = scores[current]
         ties: List[Value] = []
-        for value, score in zip(values, scores):
+        for value in values:
             if value == current:
                 continue
+            score = scores[value]
             if score < best_eval:
                 best_eval = score
                 ties = [value]
@@ -195,32 +207,92 @@ class BreakoutAgent(SingleVariableAgent):
             return nogood.variables  # one weight shared per variable set
         return nogood
 
-    def _weighted_sums(
-        self, violated_per_value: Sequence[Sequence[Nogood]]
-    ) -> List[int]:
-        """The eval of each candidate value from its violated nogoods."""
-        get = self.weights.get
-        sums = []
-        for violated in violated_per_value:
-            total = 0
-            if self._pair_mode:
-                for nogood in violated:
-                    total += get(nogood.variables, 1)
-            else:
-                for nogood in violated:
-                    total += get(nogood, 1)
-            sums.append(total)
-        return sums
+    def _index_store(self) -> None:
+        """Build the incremental scoring state from the store.
+
+        One slot per stored nogood. DB never learns, so the store's
+        nogoods are fixed for the run, and every one mentions the owner
+        (the store holds the variable's relevant nogoods); a sender is a
+        neighbor, so every variable of an ``ok?`` has slots.
+        """
+        own = self.variable
+        #: Per slot: how many non-owner pairs the view does not match.
+        self._unmatched: List[int] = []
+        #: Per slot: the value the nogood binds the owner to.
+        self._slot_value: List[Value] = []
+        #: Per slot: the nogood's weight key.
+        self._slot_key: List[object] = []
+        #: variable -> value -> the slots binding the variable to the value.
+        self._slots_at: Dict[VariableId, Dict[Value, List[int]]] = {}
+        #: weight key -> the slots whose weight it is.
+        self._slots_of_key: Dict[object, List[int]] = {}
+        #: value -> its eval: the weights summed over the slots binding the
+        #: owner to the value whose count is 0 (violated at that value).
+        self._scores: Dict[Value, int] = dict.fromkeys(self.domain.values, 0)
+        for slot, nogood in enumerate(self.store.nogoods()):
+            key = self._weight_key(nogood)
+            owner_value = nogood.value_of(own)
+            unmatched = 0
+            for variable, value in nogood.pairs:
+                if variable != own:
+                    unmatched += 1
+                    self._slots_at.setdefault(variable, {}).setdefault(
+                        value, []
+                    ).append(slot)
+            self._unmatched.append(unmatched)
+            self._slot_value.append(owner_value)
+            self._slot_key.append(key)
+            self._slots_of_key.setdefault(key, []).append(slot)
+            if not unmatched:
+                self._scores[owner_value] += 1
+
+    def _shift(self, variable: VariableId, old: object, new: Value) -> None:
+        """Move *variable* from *old* (or ``_UNKNOWN``) to *new* in the view.
+
+        A nogood binding the variable to *old* gains an unmatched pair and
+        one binding it to *new* loses one; a nogood whose count leaves or
+        reaches 0 takes its weight out of, or adds it to, its owner
+        value's score.
+        """
+        slots_at = self._slots_at[variable]
+        unmatched = self._unmatched
+        scores = self._scores
+        slot_value = self._slot_value
+        slot_key = self._slot_key
+        weight_of = self.weights.get
+        for slot in slots_at.get(old, ()):
+            if not unmatched[slot]:
+                scores[slot_value[slot]] -= weight_of(slot_key[slot], 1)
+            unmatched[slot] += 1
+        for slot in slots_at.get(new, ()):
+            unmatched[slot] -= 1
+            if not unmatched[slot]:
+                scores[slot_value[slot]] += weight_of(slot_key[slot], 1)
 
     def _break_out(self) -> None:
-        """Increase the weight of every currently violated nogood by one."""
+        """Increase the weight of every currently violated nogood by one.
+
+        Every violated nogood sharing a raised weight, at any owner value
+        (in "pair" mode), adds the one to its value's score.
+        """
         self.breakouts += 1
+        weights = self.weights
+        unmatched = self._unmatched
+        scores = self._scores
+        slot_value = self._slot_value
         for nogood in self.store.violated(self.view, self.value):
             key = self._weight_key(nogood)
-            self.weights[key] = self.weights.get(key, 1) + 1
+            weights[key] = weights.get(key, 1) + 1
+            for slot in self._slots_of_key[key]:
+                if not unmatched[slot]:
+                    scores[slot_value[slot]] += 1
 
     def _broadcast(self, message: Message) -> List[Outgoing]:
         return [(recipient, message) for recipient in self.sorted_recipients()]
+
+
+#: The old value of a variable the view has not seen: None is a value.
+_UNKNOWN = object()
 
 
 def build_breakout_agents(

@@ -79,9 +79,15 @@ class AgentView:
         """True if the view holds a value for *variable*."""
         return variable in self._values
 
-    def value_of(self, variable: VariableId) -> Optional[Value]:
-        """The last known value of *variable*, or None if unknown."""
-        return self._values.get(variable)
+    def value_of(
+        self, variable: VariableId, default: Optional[Value] = None
+    ) -> Optional[Value]:
+        """The last known value of *variable*, or *default* if unknown.
+
+        None is a legal value: a caller that must tell an unknown variable
+        from one at None passes a private sentinel as *default*.
+        """
+        return self._values.get(variable, default)
 
     def priority_of(self, variable: VariableId) -> int:
         """The last known priority of *variable* (0 if unknown).

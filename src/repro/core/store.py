@@ -3,9 +3,11 @@
 The paper's computational cost measure is the *nogood check*: every test of
 "is this nogood violated under the current view?" counts as one check, and
 ``maxcck`` sums, over cycles, the per-cycle maximum of this count across
-agents. To make that measure impossible to get wrong, every violation test
-goes through :meth:`NogoodStore.is_violated`, which bumps a shared
-:class:`CheckCounter` that the metrics layer samples once per cycle.
+agents. To make that measure impossible to get wrong, every count lives
+here: each violation test runs in the store's one counted scan, which bumps
+a shared :class:`CheckCounter` that the metrics layer samples once per
+cycle, and a caller that tracks violations incrementally is charged what
+that scan would have cost (:meth:`NogoodStore.charge_violated_batch`).
 
 The store indexes nogoods by the value they bind the *owner's* variable to.
 In the one-variable-per-agent setting every nogood relevant to agent *i*
@@ -393,6 +395,20 @@ class NogoodStore:
     ) -> List[List[Nogood]]:
         """:meth:`violated` for every candidate value, in order."""
         return [self.violated(view, value) for value in values]
+
+    def charge_violated_batch(self, values: Sequence[Value]) -> None:
+        """Count the checks :meth:`violated_batch` makes, testing nothing.
+
+        An unclassified scan tests every nogood of ``for_value(value)``
+        once, whatever the view, so a batch costs the sum of those lengths.
+        A caller that keeps the violation state itself (DB's incremental
+        scores) is charged here exactly what the scan would have cost; the
+        linear oracle charges its own full-store length per value.
+        """
+        checks = 0
+        for value in values:
+            checks += len(self.for_value(value))
+        self.counter.total += checks
 
     def count_violated_batch(
         self, view: AgentView, values: Sequence[Value]

@@ -52,7 +52,7 @@ READ_ONLY_METHODS = frozenset(
         "count_violated", "count_violated_higher", "count_violated_lower",
         "violated_batch", "count_violated_batch", "violated_higher_batch",
         "count_violated_higher_batch", "count_violated_lower_batch",
-        "for_value", "nogoods",
+        "charge_violated_batch", "for_value", "nogoods",
         "priority_key_of", "is_higher", "outranking",
         # AgentView accessors
         "knows", "value_of", "priority_of", "highest_priority", "items",

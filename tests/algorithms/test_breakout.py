@@ -4,7 +4,7 @@ import pytest
 
 from repro.algorithms.breakout import BreakoutAgent, build_breakout_agents
 from repro.algorithms.registry import db
-from repro.core import DisCSP, Nogood, integer_domain
+from repro.core import DisCSP, Domain, Nogood, integer_domain
 from repro.core.exceptions import ModelError
 from repro.experiments.runner import run_trial
 from repro.problems.coloring import coloring_discsp, random_coloring_instance
@@ -82,6 +82,17 @@ class TestWaves:
         outgoing = agent.step([ImproveMessage(1, 0, 0, 0)])
         oks = [m for _r, m in outgoing if isinstance(m, OkRoundMessage)]
         assert oks and oks[0].round_index == 1
+
+    def test_none_is_a_value_not_an_unknown(self):
+        # The first ok? of a neighbor at None must match a nogood on None.
+        domain = Domain([None, "a"])
+        problem = DisCSP.one_variable_per_agent(
+            {0: domain, 1: domain}, [Nogood.of((0, "a"), (1, None))]
+        )
+        agent = make_agent(problem, 0, initial="a")
+        agent.initialize()
+        improve = agent.step([OkRoundMessage(1, 1, None, 0)])[0][1]
+        assert (improve.eval, improve.improve) == (1, 1)
 
     def test_future_round_messages_are_buffered(self):
         agent = make_agent(pair_problem(), 0, initial=0)

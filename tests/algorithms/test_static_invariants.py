@@ -42,7 +42,7 @@ COUNTED_CHECKS = frozenset(
      "count_violated_higher", "count_violated_lower", "violated",
      "is_consistent", "violated_batch", "count_violated_batch",
      "violated_higher_batch", "count_violated_higher_batch",
-     "count_violated_lower_batch"}
+     "count_violated_lower_batch", "charge_violated_batch"}
 )
 
 #: Identifier fragments that mark transport-layer objects.
