@@ -54,6 +54,13 @@ WEIGHT_MODES = ("nogood", "pair")
 class BreakoutAgent(SingleVariableAgent):
     """One distributed-breakout agent."""
 
+    #: An ``ok?`` and an ``improve`` file into different wave dicts, and a
+    #: wave completes only once every neighbor's message of its round is
+    #: in, so their order cannot change the round's outcome (DESIGN §2.2).
+    commuting_deliveries = frozenset(
+        {frozenset({OkRoundMessage, ImproveMessage})}
+    )
+
     def __init__(
         self,
         agent_id: AgentId,
@@ -97,8 +104,6 @@ class BreakoutAgent(SingleVariableAgent):
     def step(self, messages: Sequence[Message]) -> List[Outgoing]:
         if not self.recipients:
             return []
-        # Each branch files into its own wave dict, so the effect analysis
-        # (repro.verify.effects) sees the write on that attribute.
         for message in messages:
             if isinstance(message, OkRoundMessage):
                 ok_wave = self._ok_waves.get(message.round_index)

@@ -444,9 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         add_help=False,
         help=(
-            "interleaving verifier: handler commutativity matrix and "
-            "DPOR schedule exploration of the simulator "
-            "(options: repro verify --help)"
+            "interleaving verifier: DPOR schedule exploration of the "
+            "simulator (options: repro verify --help)"
         ),
     )
     verify.set_defaults(func=_cmd_verify)

@@ -87,6 +87,11 @@ class ReadOnlyBucket(List[Nogood]):
     append = extend = insert = remove = pop = clear = _refuse
     sort = reverse = __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
+    def __reduce__(self) -> Tuple[type, Tuple[List[Nogood]]]:
+        # A list subclass unpickles through append/extend, which refuse;
+        # rebuild from the contents through the constructor instead.
+        return ReadOnlyBucket, (list(self),)
+
 
 class NogoodStore:
     """All nogoods relevant to one agent, indexed by the owner's value.

@@ -43,9 +43,10 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
     Explores the pinned corpus (pruned DFS + capped naive count) and
     reports schedule throughput and the prune ratio. Two properties are
     load-bearing and asserted here rather than merely reported: zero
-    invariant violations, and at least a 10x prune ratio (the static
-    commutativity matrix must keep paying for itself as the corpus and
-    the agent code evolve).
+    invariant violations, and at least a 10x prune ratio (pruning the
+    deliveries agents declare commuting, plus all cross-recipient
+    reorderings, must keep paying for itself as the corpus and the agent
+    code evolve).
     """
     from ..verify.explorer import explore_corpus
 
@@ -95,8 +96,8 @@ def run_verify_bench(output: str, gate: Optional[str]) -> int:
     if prune_ratio < 10.0:
         print(
             f"FATAL: prune ratio {prune_ratio:.1f}x fell "
-            "below the 10x bar — the commutativity matrix is no longer "
-            "pruning effectively"
+            "below the 10x bar — independence pruning is no longer "
+            "effective"
         )
         return 1
     if baseline is not None:

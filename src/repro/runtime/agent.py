@@ -17,7 +17,7 @@ accounting) airtight.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, FrozenSet, List, Optional, Sequence, Type
 
 from ..core.exceptions import UnsolvableError
 from ..core.problem import AgentId
@@ -26,8 +26,21 @@ from ..core.variables import Value, VariableId
 from .messages import Message, Outgoing
 
 
+#: Unordered pairs of message types, each a frozenset of one or two types
+#: (one type: two deliveries of that type).
+CommutingPairs = FrozenSet[FrozenSet[type]]
+
+
 class SimulatedAgent(ABC):
     """Base class for agents run by the synchronous simulator."""
+
+    #: The message-type pairs whose deliveries to this agent commute: in
+    #: either order, one ``step`` per message leaves the agent in the same
+    #: state and emits the same messages. The interleaving verifier prunes
+    #: reorderings of such pairs; ``tests/verify/test_commuting.py`` runs
+    #: both orders of every declared pair on every state the explorer
+    #: reaches. Empty by default, so every same-recipient pair is dependent.
+    commuting_deliveries: CommutingPairs = frozenset()
 
     def __init__(self, agent_id: AgentId) -> None:
         self.id = agent_id

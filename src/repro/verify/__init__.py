@@ -1,18 +1,16 @@
 """The interleaving verifier: ``repro verify``.
 
-The static half (:mod:`repro.verify.effects`, over the class graph of
-:mod:`repro.verify.graph`) predicts which message handlers commute; the
-dynamic half *tests* those predictions by driving the
-:class:`~repro.runtime.simulator.SynchronousSimulator` through
+Drives the :class:`~repro.runtime.simulator.SynchronousSimulator` through
 systematically chosen delivery orders on a pinned corpus of small
-instances.
+instances and checks every run's invariants.
 
 * :mod:`repro.verify.corpus` — the pinned n≤8 coloring instances and the
   algorithms run on them;
 * :mod:`repro.verify.explorer` — the DPOR-style schedule explorer: a DFS
   over scheduling decisions recorded by
   :class:`~repro.runtime.network.ScheduledNetwork`, pruning reorderings
-  the static commutativity matrix proves equivalent;
+  of the deliveries an agent class declares commuting
+  (:attr:`~repro.runtime.agent.SimulatedAgent.commuting_deliveries`);
 * :mod:`repro.verify.invariants` — what must hold on *every* explored
   interleaving: outcome agreement, no lost nogoods, no quiescent
   failure, termination-detector agreement, and bit-identical replay on the
@@ -29,7 +27,6 @@ from .explorer import (
     ScheduleRun,
     explore_corpus,
     explore_entry,
-    repo_commutativity_matrix,
 )
 from .invariants import check_determinism, check_run
 
@@ -44,5 +41,4 @@ __all__ = [
     "corpus_by_name",
     "explore_corpus",
     "explore_entry",
-    "repo_commutativity_matrix",
 ]

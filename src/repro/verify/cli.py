@@ -1,13 +1,8 @@
 """``repro verify`` — the interleaving verifier's command line.
 
-Two modes:
-
-* default (no ``--explore``) — print the statically derived handler-effect
-  footprints and commutativity matrix for the repo's agent classes: the
-  quick way to see what the explorer will and won't prune.
-* ``--explore`` — run the DPOR schedule explorer over the pinned corpus
-  (or a ``--only`` subset), print the per-entry exploration report, and
-  exit 1 if any invariant was violated on any explored interleaving.
+Runs the DPOR schedule explorer over the pinned corpus (or a ``--only``
+subset), prints the per-entry exploration report, and exits 1 if any
+invariant was violated on any explored interleaving.
 """
 
 from __future__ import annotations
@@ -26,14 +21,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro verify",
         description=(
-            "Interleaving verifier: static handler commutativity and "
-            "DPOR schedule exploration of the simulator."
+            "Interleaving verifier: DPOR schedule exploration of the "
+            "simulator over the pinned corpus."
         ),
-    )
-    parser.add_argument(
-        "--explore",
-        action="store_true",
-        help="run the schedule explorer over the pinned corpus",
     )
     parser.add_argument(
         "--only",
@@ -78,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.explore:
-        return _print_matrix()
     try:
         entries = corpus_by_name(args.only)
     except ReproError as error:
@@ -102,16 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         _print_text(report)
     return 1 if report.violations else 0
-
-
-def _print_matrix() -> int:
-    from .effects import format_matrix, handler_effects
-    from .graph import ProjectGraph
-    from .explorer import _repo_source_paths
-
-    graph = ProjectGraph.build(_repo_source_paths())
-    print(format_matrix(handler_effects(graph)))
-    return 0
 
 
 def _print_text(report: ExplorationReport) -> None:

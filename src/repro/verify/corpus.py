@@ -8,10 +8,10 @@ What makes the corpus useful is not size but *pinning*: every entry fixes
 reproducible run-to-run and the CI job explores exactly the corpus that the
 committed BENCH_verify.json numbers describe.
 
-Entries cover every agent family the handler-effect analysis models:
-single-variable AWC (with and without learning), ABT, distributed
-breakout, and the multi-variable AWC agent (which exercises wakeups —
-internal carryover work — on top of deliveries).
+Entries cover every agent family of ``repro.algorithms``: single-variable
+AWC (with and without learning), ABT, distributed breakout, and the
+multi-variable AWC agent (which exercises wakeups — internal carryover
+work — on top of deliveries).
 """
 
 from __future__ import annotations

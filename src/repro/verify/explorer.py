@@ -17,18 +17,20 @@ point, pushes sibling prefixes that pick a different enabled delivery.
 Unpruned, this enumerates every interleaving of channel-head deliveries —
 the ``--no-prune`` baseline the prune ratio is measured against.
 
-Pruning via the static commutativity matrix
--------------------------------------------
+Pruning via declared commuting deliveries
+-----------------------------------------
 
 Two enabled deliveries are *independent* when executing them in either
-order provably reaches the same state:
+order reaches the same state:
 
-* different recipients — handler effects are confined to the recipient's
-  state, so cross-agent deliveries commute;
-* same recipient — commute iff the handler-effect footprints
-  (:func:`repro.verify.effects.commutativity_matrix`) do not conflict for
-  that (agent class, message type, message type) triple. An (unknown
-  class, unknown type) pair is conservatively *dependent*.
+* different recipients — a step touches only its recipient's state, so
+  cross-agent deliveries commute;
+* same recipient — commute iff the recipient's class lists the pair of
+  message types in its
+  :attr:`~repro.runtime.agent.SimulatedAgent.commuting_deliveries`. An
+  undeclared pair is *dependent*. ``tests/verify/test_commuting.py``
+  delivers each declared pair in both orders on every state the explorer
+  reaches and compares the results byte for byte.
 
 At a branching choice point the explorer only explores siblings inside the
 *dependency group* of the default delivery — the connected component of
@@ -40,24 +42,18 @@ This is a persistent-set style approximation, not a full Godefroid DPOR:
 early termination (an agent solving the instance before draining mail) can
 in principle hide a suffix that only a pruned ordering reaches. The
 verifier trades that corner for tractable corpus exploration; the racing
-handlers it hunts are same-recipient conflicts, which are never pruned.
+handlers it hunts are same-recipient conflicts, which are pruned only
+where a declaration says so.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.problem import AgentId, DisCSP
-from .effects import (
-    CommutativityMatrix,
-    commutativity_matrix,
-    handler_effects,
-)
-from .graph import ProjectGraph
-from ..runtime.agent import SimulatedAgent
+from ..runtime.agent import CommutingPairs, SimulatedAgent
 from ..runtime.network import Delivery, ScheduledNetwork
 from ..runtime.simulator import RunResult, SynchronousSimulator
 from .corpus import PINNED_CORPUS, CorpusEntry
@@ -145,7 +141,7 @@ class EntryReport:
 
 @dataclass
 class ExplorationReport:
-    """The whole corpus run — what ``repro verify --explore`` prints."""
+    """The whole corpus run — what ``repro verify`` prints."""
 
     entries: List[EntryReport] = field(default_factory=list)
 
@@ -206,65 +202,25 @@ def _rounded(ratio: Optional[float]) -> Optional[float]:
     return None if ratio is None else round(ratio, 2)
 
 
-# -- the static matrix, built once per process ---------------------------------
-
-
-def _repo_source_paths() -> List[str]:
-    """Every python file of the installed ``repro`` package."""
-    root = Path(__file__).resolve().parents[1]
-    return sorted(str(path) for path in root.rglob("*.py"))
-
-
-def repo_commutativity_matrix() -> CommutativityMatrix:
-    """The commutativity matrix of the repo's own agent classes.
-
-    Parses ``src/repro`` into a fresh
-    :class:`~repro.verify.graph.ProjectGraph` and runs the handler-effect
-    pass, so the explorer prunes with exactly what that pass proved.
-    """
-    graph = ProjectGraph.build(_repo_source_paths())
-    return commutativity_matrix(handler_effects(graph))
-
-
-def matrix_for_agents(
-    agents: Sequence[SimulatedAgent], matrix: CommutativityMatrix
-) -> Tuple[Dict[AgentId, str], CommutativityMatrix]:
-    """Pair each agent id with its class name for matrix lookups."""
-    classes = {agent.id: type(agent).__name__ for agent in agents}
-    return classes, matrix
-
-
 # -- dependency reasoning -------------------------------------------------------
 
 
 def _dependent(
     left: Delivery,
     right: Delivery,
-    classes: Dict[AgentId, str],
-    matrix: CommutativityMatrix,
+    declared: Dict[AgentId, CommutingPairs],
 ) -> bool:
-    """Whether delivery order can matter (conservative on unknowns)."""
+    """Whether delivery order can matter: same recipient, undeclared pair."""
     if left.recipient != right.recipient:
         return False
-    cls = classes.get(left.recipient)
-    if cls is None:
-        return True
-    key = (
-        cls,
-        type(left.message).__name__,
-        type(right.message).__name__,
-    )
-    commutes = matrix.get(key)
-    if commutes is None:
-        return True
-    return not commutes
+    pair = frozenset((type(left.message), type(right.message)))
+    return pair not in declared[left.recipient]
 
 
 def _dependency_group(
     enabled: Tuple[Delivery, ...],
     chosen: int,
-    classes: Dict[AgentId, str],
-    matrix: CommutativityMatrix,
+    declared: Dict[AgentId, CommutingPairs],
 ) -> Set[int]:
     """Indices in the chosen delivery's dependency component."""
     group: Set[int] = {chosen}
@@ -274,7 +230,7 @@ def _dependency_group(
         for index, candidate in enumerate(enabled):
             if index in group:
                 continue
-            if _dependent(enabled[current], candidate, classes, matrix):
+            if _dependent(enabled[current], candidate, declared):
                 group.add(index)
                 frontier.append(index)
     return group
@@ -309,20 +265,14 @@ def run_schedule(
 
 def explore_entry(
     entry: CorpusEntry,
-    matrix: Optional[CommutativityMatrix] = None,
     budget: int = DEFAULT_BUDGET,
     naive_budget: Optional[int] = None,
     prune: bool = True,
     count_naive: bool = True,
 ) -> EntryReport:
     """DFS over schedules of *entry*, checking invariants on each run."""
-    if matrix is None:
-        matrix = repo_commutativity_matrix()
     report = EntryReport(name=entry.name, algorithm=entry.algorithm)
     started = time.perf_counter()
-    classes = {
-        agent.id: type(agent).__name__ for agent in entry.build()[1]
-    }
     baseline_outcome: Optional[Tuple[bool, bool]] = None
 
     stack: List[Tuple[int, ...]] = [()]
@@ -333,6 +283,7 @@ def explore_entry(
             break
         prefix = stack.pop()
         problem, agents = entry.build()
+        declared = {agent.id: agent.commuting_deliveries for agent in agents}
         run, network = run_schedule(
             problem, agents, prefix, entry.max_cycles
         )
@@ -362,7 +313,7 @@ def explore_entry(
             report.max_enabled = max(report.max_enabled, len(point.enabled))
             if prune:
                 siblings = _dependency_group(
-                    point.enabled, point.chosen, classes, matrix
+                    point.enabled, point.chosen, declared
                 )
                 siblings.discard(point.chosen)
             else:
@@ -452,21 +403,17 @@ def _outcome_pair_label(outcome: Tuple[bool, bool]) -> str:
 
 def explore_corpus(
     entries: Sequence[CorpusEntry] = PINNED_CORPUS,
-    matrix: Optional[CommutativityMatrix] = None,
     budget: int = DEFAULT_BUDGET,
     naive_budget: Optional[int] = None,
     prune: bool = True,
     count_naive: bool = True,
 ) -> ExplorationReport:
-    """Explore every corpus entry with a shared static matrix."""
-    if matrix is None:
-        matrix = repo_commutativity_matrix()
+    """Explore every corpus entry in turn."""
     report = ExplorationReport()
     for entry in entries:
         report.entries.append(
             explore_entry(
                 entry,
-                matrix=matrix,
                 budget=budget,
                 naive_budget=naive_budget,
                 prune=prune,

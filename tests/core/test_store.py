@@ -1,5 +1,6 @@
 """The nogood store: indexing, deduplication, and check accounting."""
 
+import pickle
 import random
 
 import pytest
@@ -273,6 +274,14 @@ class TestReadOnlyBuckets:
             bucket.clear()
         assert self.store.for_value(0) == [self.indexed]
         assert len(self.store) == 1
+
+    def test_buckets_pickle_and_stay_read_only(self):
+        copy = pickle.loads(pickle.dumps(self.store))
+        bucket = copy.for_value(0)
+        assert type(bucket) is type(self.store.for_value(0))
+        assert bucket == [self.indexed]
+        with pytest.raises(TypeError):
+            bucket.append(self.indexed)
 
     def test_empty_bucket_is_immutable_too(self):
         empty = self.store.for_value(99)

@@ -3,10 +3,8 @@
 ``RacyAgent`` commits its decision state on the *first* ``ok?`` it sees —
 the classic absorb-vs-commit race: two messages from distinct senders race
 to the same recipient, and whichever the transport delivers first decides
-the final assignment. The commutativity matrix is built from the agent
-classes in ``src/repro`` only, so it has no entry for ``RacyAgent``; a
-pair missing from the matrix counts as dependent, which is why the race
-survives pruning.
+the final assignment. ``RacyAgent`` declares no commuting deliveries, and
+an undeclared pair is dependent, which is why the race survives pruning.
 :func:`build_racy_setup` wires the race so that one delivery order solves
 the instance and the other ends quiescent and unsolved — the explorer must
 report the outcome divergence.

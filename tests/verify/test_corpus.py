@@ -1,5 +1,7 @@
 """The pinned corpus: tiny, reproducible, and strict about its limits."""
 
+import dataclasses
+import pickle
 import typing
 from collections import Counter
 
@@ -10,6 +12,8 @@ from repro.algorithms.registry import algorithm_by_name
 from repro.core.exceptions import ModelError
 from repro.experiments.runner import run_trial
 from repro.runtime.messages import Message
+from repro.runtime.metrics import MetricsCollector
+from repro.runtime.simulator import SynchronousSimulator
 from repro.runtime.trace import TraceRecorder
 from repro.verify.corpus import (
     MAX_NODES,
@@ -52,6 +56,30 @@ class TestEntry:
         for entry in PINNED_CORPUS:
             problem, agents = entry.build()
             assert agents and problem.variables
+
+
+class TestPickle:
+    @pytest.mark.parametrize(
+        "entry", PINNED_CORPUS, ids=[e.name for e in PINNED_CORPUS]
+    )
+    def test_unpickled_agents_run_the_same_trial(self, entry):
+        def run(agents, metrics):
+            result = SynchronousSimulator(
+                entry.problem(),
+                agents,
+                max_cycles=entry.max_cycles,
+                metrics=metrics,
+            ).run()
+            fingerprint = dataclasses.asdict(result)
+            del fingerprint["wall_time"], fingerprint["sim_time"]
+            return fingerprint
+
+        metrics = MetricsCollector()
+        agents = algorithm_by_name(entry.algorithm).build(
+            entry.problem(), metrics, entry.agent_seed, None
+        )
+        copies, copied_metrics = pickle.loads(pickle.dumps((agents, metrics)))
+        assert run(copies, copied_metrics) == run(agents, metrics)
 
 
 class TestSelection:

@@ -7,21 +7,10 @@ explorer has to find the two delivery orders and report the outcome
 divergence.
 """
 
-import pytest
-
 from repro.verify.corpus import corpus_by_name
-from repro.verify.explorer import (
-    explore_corpus,
-    explore_entry,
-    repo_commutativity_matrix,
-)
+from repro.verify.explorer import explore_corpus, explore_entry
 
-from .fixtures.racy_agent import build_racy_setup
-
-
-@pytest.fixture(scope="module")
-def matrix():
-    return repo_commutativity_matrix()
+from .fixtures.racy_agent import RacyAgent, build_racy_setup
 
 
 class RacyEntry:
@@ -36,8 +25,8 @@ class RacyEntry:
 
 
 class TestSeededRace:
-    def test_outcome_divergence_is_reported(self, matrix):
-        report = explore_entry(RacyEntry(), matrix=matrix, count_naive=False)
+    def test_outcome_divergence_is_reported(self):
+        report = explore_entry(RacyEntry(), count_naive=False)
         # Two ok? messages race to agent 0: both orders must be explored —
         # the racy pair is same-recipient, so pruning may never drop it.
         assert report.explored == 2
@@ -48,41 +37,38 @@ class TestSeededRace:
         assert "quiescent and unsolved" in quiescent
         assert "diverges" in divergence
 
-    def test_race_survives_pruning_because_unknown_pairs_are_dependent(
-        self, matrix
-    ):
-        # RacyAgent is not in src/repro, so its (class, Ok, Ok) entry is
-        # absent from the static matrix — the explorer must treat the pair
-        # as dependent, not silently commute it away.
-        key = ("RacyAgent", "OkMessage", "OkMessage")
-        assert key not in matrix
-        pruned = explore_entry(RacyEntry(), matrix=matrix, count_naive=False)
-        naive = explore_entry(
-            RacyEntry(), matrix=matrix, prune=False, count_naive=False
-        )
+    def test_race_survives_as_an_undeclared_pair_is_dependent(self):
+        # RacyAgent declares no commuting deliveries, so the explorer must
+        # treat its (Ok, Ok) pair as dependent, not commute it away.
+        assert RacyAgent.commuting_deliveries == frozenset()
+        pruned = explore_entry(RacyEntry(), count_naive=False)
+        naive = explore_entry(RacyEntry(), prune=False, count_naive=False)
         assert pruned.explored == naive.explored == 2
 
 
-class TestRepoMatrix:
-    def test_absorbing_pairs_commute(self, matrix):
-        assert matrix[("AwcAgent", "OkMessage", "RequestValueMessage")]
-        assert matrix[("AbtAgent", "OkMessage", "RequestValueMessage")]
-        assert matrix[("BreakoutAgent", "ImproveMessage", "OkRoundMessage")]
-
-    def test_view_writers_conflict(self, matrix):
-        assert not matrix[("AwcAgent", "NogoodMessage", "OkMessage")]
-        assert not matrix[("AwcAgent", "OkMessage", "OkMessage")]
-        assert not matrix[("AbtAgent", "NogoodMessage", "OkMessage")]
-
-    def test_matrix_is_symmetric(self, matrix):
-        for (cls, type_a, type_b), commutes in matrix.items():
-            assert matrix[(cls, type_b, type_a)] == commutes
+class TestPinnedCorpus:
+    def test_explored_counts_and_outcomes_are_pinned(self):
+        # The per-entry schedule counts BENCH_verify.json records. A change
+        # to what the explorer prunes shows up here first.
+        report = explore_corpus(count_naive=False)
+        assert [(e.name, e.explored) for e in report.entries] == [
+            ("awc-rslv-n4", 337),
+            ("awc-norec-n4", 725),
+            ("awc-no-n4", 337),
+            ("abt-n6", 108),
+            ("db-n4", 792),
+            ("multi-awc-n5", 68),
+        ]
+        for entry in report.entries:
+            assert not entry.explored_capped
+            assert entry.outcomes == {"solved": entry.explored}
+        assert report.violations == []
 
 
 class TestCorpusExploration:
-    def test_pinned_entry_closes_clean(self, matrix):
+    def test_pinned_entry_closes_clean(self):
         [entry] = corpus_by_name(["multi-awc-n5"])
-        report = explore_entry(entry, matrix=matrix, count_naive=False)
+        report = explore_entry(entry, count_naive=False)
         assert not report.explored_capped
         assert report.violations == []
         assert report.branch_points > 0
@@ -94,12 +80,11 @@ class TestCorpusExploration:
         }
         assert len(conclusive) == 1
 
-    def test_pruning_shrinks_the_tree(self, matrix):
+    def test_pruning_shrinks_the_tree(self):
         [entry] = corpus_by_name(["multi-awc-n5"])
-        pruned = explore_entry(entry, matrix=matrix, count_naive=False)
+        pruned = explore_entry(entry, count_naive=False)
         naive = explore_entry(
             entry,
-            matrix=matrix,
             prune=False,
             count_naive=False,
             budget=pruned.explored * 3,
@@ -107,25 +92,25 @@ class TestCorpusExploration:
         explored_more = naive.explored > pruned.explored
         assert explored_more or naive.explored_capped
 
-    def test_budget_caps_exploration(self, matrix):
+    def test_budget_caps_exploration(self):
         [entry] = corpus_by_name(["abt-n6"])
         report = explore_entry(
-            entry, matrix=matrix, budget=5, count_naive=False
+            entry, budget=5, count_naive=False
         )
         assert report.explored == 5
         assert report.explored_capped
 
-    def test_capped_naive_count_is_a_lower_bound(self, matrix):
+    def test_capped_naive_count_is_a_lower_bound(self):
         [entry] = corpus_by_name(["multi-awc-n5"])
-        report = explore_entry(entry, matrix=matrix, naive_budget=10)
+        report = explore_entry(entry, naive_budget=10)
         assert report.naive_counted
         assert report.naive_capped
         assert report.naive == 10
         assert report.prune_ratio == 10 / report.explored
 
-    def test_corpus_report_aggregates(self, matrix):
+    def test_corpus_report_aggregates(self):
         entries = corpus_by_name(["multi-awc-n5", "db-n4"])
-        report = explore_corpus(entries, matrix=matrix, count_naive=False)
+        report = explore_corpus(entries, count_naive=False)
         assert [e.name for e in report.entries] == ["multi-awc-n5", "db-n4"]
         assert report.explored == sum(e.explored for e in report.entries)
         assert report.violations == []
